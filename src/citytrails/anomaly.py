@@ -17,9 +17,9 @@ from datetime import date
 import numpy as np
 
 from .calibrate import DeConfig, ThresholdResult, tune_thresholds
-from .perceptron import FIELD_COUNT, ActivityLevelSeries
+from .perceptron import ActivityLevelSeries, scale_levels
 from .series import CLASS_LETTERS, CLASS_NAMES, AffinityTriple
-from .srf import SrfParams, pair_similarity
+from .srf import SrfParams, indexed_similarity
 
 DEFAULT_REPRESENTATIVES = 5
 MATRIX_CHUNK_PAIRS = 8192
@@ -31,11 +31,6 @@ WEEKDAY_CLASS = ("W", "W", "W", "W", "E", "E", "L")
 
 def expected_class_for(d: date) -> str:
     return WEEKDAY_CLASS[d.weekday()]
-
-
-def scale_levels(levels) -> np.ndarray:
-    """Rescale activity levels onto [0, 1] so the clumping axis matches."""
-    return np.asarray(getattr(levels, "levels", levels), dtype=float) / FIELD_COUNT
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ def similarity_matrix(patterns, params: SrfParams, warmup: int | None = None, *,
     values = np.empty((n, n))
     for start in range(0, ii.size, chunk_pairs):
         sel = slice(start, start + chunk_pairs)
-        sims = pair_similarity(scaled[ii[sel]], scaled[jj[sel]], params, warmup)
+        sims = indexed_similarity(scaled, ii[sel], jj[sel], params, warmup)
         values[ii[sel], jj[sel]] = sims
         values[jj[sel], ii[sel]] = sims
     ids = tuple(p.day_id if p.day_id is not None else str(k)
@@ -222,17 +217,20 @@ def index_from_similarities(sims) -> float:
     return float(np.abs(sims.mean() - 1.0))
 
 
+def _day_similarities(day: ActivityLevelSeries, reps, p: SrfParams,
+                      warmup: int | None) -> np.ndarray:
+    """Pattern-field similarity of one day to each of the given days."""
+    streams = np.stack([scale_levels(day)] + [scale_levels(r) for r in reps])
+    return indexed_similarity(streams, 0, np.arange(1, len(reps) + 1), p, warmup)
+
+
 def anomaly_index(day: ActivityLevelSeries, reps, p: SrfParams,
                   warmup: int | None = None) -> float:
     """Anomaly index of a day against its class's representative days."""
     reps = list(reps)
     if not reps:
         raise ValueError("anomaly index needs at least one representative day")
-    day_scaled = scale_levels(day)
-    sims = pair_similarity(np.tile(day_scaled, (len(reps), 1)),
-                           np.stack([scale_levels(r) for r in reps]),
-                           p, warmup)
-    return index_from_similarities(sims)
+    return index_from_similarities(_day_similarities(day, reps, p, warmup))
 
 
 @dataclass(frozen=True)
@@ -267,14 +265,11 @@ def affinity_triple(day: ActivityLevelSeries, reps_by_class: dict[str, list],
     missing = [c for c in CLASS_LETTERS if not reps_by_class.get(c)]
     if missing:
         raise ValueError(f"representatives missing for class(es) {missing}")
-    means = {}
-    for letter in CLASS_LETTERS:
-        reps = reps_by_class[letter]
-        day_scaled = scale_levels(day)
-        sims = pair_similarity(np.tile(day_scaled, (len(reps), 1)),
-                               np.stack([scale_levels(r) for r in reps]),
-                               p, warmup)
-        means[letter] = float(np.mean(sims))
+    sims = _day_similarities(day, [r for c in CLASS_LETTERS for r in reps_by_class[c]],
+                             p, warmup)
+    ends = np.cumsum([len(reps_by_class[c]) for c in CLASS_LETTERS])
+    means = {letter: float(np.mean(class_sims))
+             for letter, class_sims in zip(CLASS_LETTERS, np.split(sims, ends[:-1]))}
     precedence = {c: i for i, c in enumerate(CLASS_LETTERS)}
     ordered = sorted(CLASS_LETTERS, key=lambda c: (-means[c], precedence[c]))
     values = sorted(means.values())

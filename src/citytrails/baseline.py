@@ -11,13 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anomaly import (
-    ClassificationReport,
-    SimilarityMatrix,
-    classification_run,
-    scale_levels,
-)
+from .anomaly import ClassificationReport, SimilarityMatrix, classification_run
 from .calibrate import DeConfig
+from .perceptron import scale_levels
 
 METHODS = ("dtw", "frechet")
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import CLASS_LETTERS
-from .srf import PARAM_KEYS, SrfParams, pair_similarity
+from .perceptron import scale_levels
+from .srf import PARAM_KEYS, SrfParams, indexed_similarity
 
 COARSE_INTERVALS = {
     "alpha_c1": (1.0, 100.0),
@@ -114,34 +115,27 @@ class TrainingPair:
         object.__setattr__(self, "series_b", b)
 
 
-def _stack_pairs(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xa = np.stack([p.series_a for p in pairs])
-    xb = np.stack([p.series_b for p in pairs])
-    targets = np.array([p.target for p in pairs])
-    return xa, xb, targets
-
-
 def fitness(params: SrfParams, pairs, warmup: int | None = None) -> float:
     """Mean squared error between field similarities and pair targets."""
-    if not pairs:
-        raise ValueError("fitness needs at least one training pair")
-    xa, xb, targets = _stack_pairs(pairs)
-    sims = pair_similarity(xa, xb, params, warmup)
-    return float(np.mean(np.abs(sims - targets) ** 2))
+    return float(population_fitness(params.to_vector(), pairs, warmup)[0])
 
 
 def population_fitness(param_matrix: np.ndarray, pairs,
                        warmup: int | None = None) -> np.ndarray:
-    """Fitness of every candidate parameter vector, one engine pass."""
+    """Fitness of every candidate parameter vector, one engine pass.
+
+    Series shared between pairs (a field's reference archetype, a pattern day
+    in every couple it belongs to) are matched through one trail each.
+    """
+    if not pairs:
+        raise ValueError("fitness needs at least one training pair")
     param_matrix = np.atleast_2d(np.asarray(param_matrix, dtype=float))
-    xa, xb, targets = _stack_pairs(pairs)
-    n_candidates, n_pairs = param_matrix.shape[0], xa.shape[0]
-    sims = pair_similarity(np.tile(xa, (n_candidates, 1)),
-                           np.tile(xb, (n_candidates, 1)),
-                           np.repeat(param_matrix, n_pairs, axis=0),
-                           warmup)
-    residuals = sims.reshape(n_candidates, n_pairs) - targets
-    return np.mean(residuals ** 2, axis=1)
+    series = np.stack([p.series_a for p in pairs] + [p.series_b for p in pairs])
+    streams, index = np.unique(series, axis=0, return_inverse=True)
+    ia, ib = index.reshape(2, len(pairs))
+    targets = np.array([p.target for p in pairs])
+    sims = indexed_similarity(streams, ia, ib, param_matrix, warmup)
+    return np.mean((sims - targets) ** 2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -291,11 +285,11 @@ def local_training(sp, bounds: ParamBounds, cfg: DeConfig,
 def pattern_training_pairs(level_sets_by_class: dict[str, list]) -> list[TrainingPair]:
     """Couples over the pooled pattern set: same class targets 1, else 0.
 
-    Level series are rescaled by 1/7 so the clumping axis matches [0, 1].
+    Level series are rescaled onto [0, 1] so the clumping axis matches.
     Unordered couples including self-matches; similarity is symmetric, so the
     ordered duplicates would only repeat work.
     """
-    pool = [(letter, np.asarray(s.levels, dtype=float) / 7.0)
+    pool = [(letter, scale_levels(s))
             for letter in CLASS_LETTERS for s in level_sets_by_class[letter]]
     pairs = []
     for i, (ci, si) in enumerate(pool):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import Archetype, all_archetypes, _readonly
-from .srf import PARAM_KEYS, SrfParams, default_warmup, pair_similarity
+from .srf import PARAM_KEYS, SrfParams, default_warmup, indexed_similarity
 
 FIELD_COUNT = 7
 
@@ -84,6 +84,11 @@ def activity_level(similarities) -> float:
     return float(value) if np.ndim(value) == 0 else value
 
 
+def scale_levels(levels) -> np.ndarray:
+    """Rescale activity levels onto [0, 1] so the clumping axis matches."""
+    return np.asarray(getattr(levels, "levels", levels), dtype=float) / FIELD_COUNT
+
+
 def transform_many(sp: StigmergicPerceptron, days,
                    warmup: int | None = None) -> list[ActivityLevelSeries]:
     """Run the perceptron over many days in one vectorized pass."""
@@ -100,13 +105,15 @@ def transform_many(sp: StigmergicPerceptron, days,
     if warmup >= length:
         raise ValueError("series shorter than the warmup window")
 
-    # One engine row per (day, field); fields vary fastest.
+    # Streams are the days followed by the archetypes; parameter row f matches
+    # every day against archetype f under field f's parameters.
     n_days = len(days)
-    xa = np.repeat(samples, FIELD_COUNT, axis=0)
-    xb = np.tile(np.stack([a.samples for a, _ in sp.fields]), (n_days, 1))
-    pmat = np.tile(np.stack([p.to_vector() for _, p in sp.fields]), (n_days, 1))
-    _, streams = pair_similarity(xa, xb, pmat, warmup, return_streams=True)
-    streams = streams.reshape(n_days, FIELD_COUNT, -1)
+    streams = np.concatenate([samples, np.stack([a.samples for a, _ in sp.fields])])
+    pmat = np.stack([p.to_vector() for _, p in sp.fields])
+    _, streams = indexed_similarity(streams, np.arange(n_days),
+                                    n_days + np.arange(FIELD_COUNT)[:, None],
+                                    pmat, warmup, return_streams=True)
+    streams = streams.transpose(1, 0, 2)
 
     weights = np.arange(1, FIELD_COUNT + 1, dtype=float)[None, :, None]
     # sigmoid outputs are positive, but deep saturation can underflow to 0.0;

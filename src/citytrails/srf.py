@@ -6,10 +6,14 @@ unit-height trapezoid mark on the stream's own trail, and both trails
 evaporate by a constant delta per step; the Jaccard coefficient of the two
 trails is the raw per-step similarity, sharpened by an activation sigmoid.
 
+A trail depends only on its stream and the field parameters, so the engine
+``indexed_similarity`` builds one trail per distinct stream and parameter
+row, then matches pairs of trails through index arrays at every step: a
+similarity matrix over N days steps N trails, and DE candidates share the
+trails of series that recur across training pairs. ``pair_similarity`` is
+the row-aligned wrapper (row i of one matrix against row i of the other).
 The stepwise object API (``SrfState`` + ``step``) is the reference
-implementation. ``pair_similarity`` runs the same pipeline vectorized over
-many pairs (and over candidate parameter vectors during calibration); the
-test suite pins the two paths to each other.
+implementation; the test suite pins the engine to it.
 """
 
 from __future__ import annotations
@@ -136,17 +140,81 @@ class PairSimilarity:
     mean: float
 
 
-def _param_columns(params, n_rows: int) -> list[np.ndarray]:
-    """Per-row parameter columns of shape (n_rows, 1) in PARAM_KEYS order."""
-    if isinstance(params, SrfParams):
-        mat = np.tile(params.to_vector(), (n_rows, 1))
-    else:
-        mat = np.asarray(params, dtype=float)
-        if mat.ndim == 1:
-            mat = np.tile(mat, (n_rows, 1))
-        if mat.shape != (n_rows, len(PARAM_KEYS)):
-            raise ValueError(f"expected parameter matrix of shape ({n_rows}, 8)")
-    return [mat[:, j:j + 1] for j in range(len(PARAM_KEYS))]
+def indexed_similarity(streams, ia, ib, params, warmup: int | None = None, *,
+                       cell_count: int = DEFAULT_CELL_COUNT,
+                       axis_min: float = 0.0, axis_max: float = 1.0,
+                       plateau_fraction: float = DEFAULT_PLATEAU_FRACTION,
+                       return_streams: bool = False):
+    """SRF similarity of indexed stream pairs, one trail per distinct stream.
+
+    ``streams`` is an (N, L) matrix of distinct sample streams shared by every
+    parameter row, or (K, N, L) with one stream set per row. ``ia`` and ``ib``
+    index the two sides of each pair into the N streams; they broadcast
+    against each other to (P,) when every parameter row matches the same
+    pairs, or to (K, P) when the pairs differ per row. ``params`` is one
+    SrfParams or a (K, 8) matrix in PARAM_KEYS order. Returns the mean
+    activated similarity per pair, shaped (P,) for one SrfParams and (K, P)
+    for a matrix, plus the activated streams past warmup, shaped
+    (..., L - warmup), when ``return_streams`` is set.
+    """
+    single = isinstance(params, SrfParams)
+    pmat = params.to_vector()[None, :] if single else np.asarray(params, dtype=float)
+    if pmat.ndim != 2 or pmat.shape[1] != len(PARAM_KEYS):
+        raise ValueError("expected one SrfParams or a (K, 8) parameter matrix")
+    n_rows = pmat.shape[0]
+    x = np.asarray(streams, dtype=float)
+    if x.ndim not in (2, 3) or (x.ndim == 3 and x.shape[0] != n_rows):
+        raise ValueError(f"streams must be (N, L) or ({n_rows}, N, L)")
+    n_streams, length = x.shape[-2:]
+    if warmup is None:
+        warmup = default_warmup(length)
+    if not 0 <= warmup < length:
+        raise ValueError("warmup must be shorter than the streams")
+    # Flat row index into the (K * N, C) trail matrix, one row per parameter row.
+    base = (np.arange(n_rows) * n_streams)[:, None]
+    flat = []
+    for idx in (ia, ib):
+        idx = np.atleast_1d(np.asarray(idx))
+        if (idx.dtype.kind not in "iu" or idx.ndim > 2
+                or (idx.ndim == 2 and idx.shape[0] not in (1, n_rows))
+                or np.any(idx < 0) or np.any(idx >= n_streams)):
+            raise ValueError(f"pair indices must be integers in [0, {n_streams}) "
+                             f"shaped (P,) or ({n_rows}, P)")
+        flat.append(base + idx)
+    fa, fb = flat
+    out_shape = np.broadcast_shapes(fa.shape, fb.shape)
+
+    ac1, bc1, ac2, bc2, eps, delta, aa, ba = (pmat[:, j, None, None]
+                                              for j in range(len(PARAM_KEYS)))
+    clumped = 0.5 * (logistic(ac1 * (x - bc1)) + logistic(ac2 * (x - bc2)))
+
+    cell_width = (axis_max - axis_min) / cell_count
+    centers = axis_min + (np.arange(cell_count) + 0.5) * cell_width
+    trails = np.zeros((n_rows, n_streams, cell_count))
+    rows = trails.reshape(n_rows * n_streams, cell_count)  # a view of ``trails``
+    raw = np.empty(out_shape + (length,))
+    for t in range(length):
+        # marks carry MARK_INTENSITY == 1, so the profile is the deposit
+        trails += trapezoid_profile(clumped[..., t], centers, eps[..., 0],
+                                    plateau_fraction)
+        np.maximum(trails - delta, 0.0, out=trails)
+        ta, tb = rows[fa], rows[fb]
+        # Jaccard via sum/|difference|: min = (s - d) / 2, max = (s + d) / 2.
+        total = (ta + tb).sum(axis=-1)
+        gap = np.abs(ta - tb).sum(axis=-1)
+        denominator = total + gap
+        raw[..., t] = np.where(
+            denominator > 0.0,
+            (total - gap) / np.where(denominator > 0.0, denominator, 1.0),
+            1.0)
+
+    activated = logistic(aa * (raw[..., warmup:] - ba))
+    means = activated.mean(axis=-1)
+    if single:
+        means, activated = means[0], activated[0]
+    if return_streams:
+        return means, activated
+    return means
 
 
 def pair_similarity(xa, xb, params, warmup: int | None = None, *,
@@ -154,7 +222,8 @@ def pair_similarity(xa, xb, params, warmup: int | None = None, *,
                     axis_min: float = 0.0, axis_max: float = 1.0,
                     plateau_fraction: float = DEFAULT_PLATEAU_FRACTION,
                     return_streams: bool = False):
-    """Vectorized SRF over a batch of stream pairs.
+    """SRF similarity of row-aligned stream pairs: row i of ``xa`` against row i
+    of ``xb``.
 
     ``xa`` and ``xb`` are (P, L) sample matrices (or a single pair of 1-D
     streams). ``params`` is one SrfParams shared by every row, or a (P, 8)
@@ -166,44 +235,19 @@ def pair_similarity(xa, xb, params, warmup: int | None = None, *,
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
     if xa.shape != xb.shape:
         raise ValueError("paired streams must have identical shapes")
-    n_rows, length = xa.shape
-    if warmup is None:
-        warmup = default_warmup(length)
-    if not 0 <= warmup < length:
-        raise ValueError("warmup must be shorter than the streams")
-
-    ac1, bc1, ac2, bc2, eps, delta, aa, ba = _param_columns(params, n_rows)
-    # Both streams share one trail tensor: rows 0..P-1 carry the first stream,
-    # rows P..2P-1 the second, which halves the per-step dispatch overhead.
-    stacked = np.concatenate([xa, xb], axis=0)
-    ac1_s, bc1_s, ac2_s, bc2_s = (np.concatenate([v, v]) for v in (ac1, bc1, ac2, bc2))
-    clumped = 0.5 * (logistic(ac1_s * (stacked - bc1_s))
-                     + logistic(ac2_s * (stacked - bc2_s)))
-
-    cell_width = (axis_max - axis_min) / cell_count
-    centers = axis_min + (np.arange(cell_count) + 0.5) * cell_width
-    width2 = np.concatenate([eps[:, 0], eps[:, 0]])
-    delta2 = np.concatenate([delta, delta])
-    trails = np.zeros((2 * n_rows, cell_count))
-    raw = np.empty((n_rows, length))
-    for t in range(length):
-        # marks carry MARK_INTENSITY == 1, so the profile is the deposit
-        trails += trapezoid_profile(clumped[:, t], centers, width2, plateau_fraction)
-        np.maximum(trails - delta2, 0.0, out=trails)
-        # Jaccard via sum/|difference|: min = (s - d) / 2, max = (s + d) / 2.
-        total = (trails[:n_rows] + trails[n_rows:]).sum(axis=1)
-        gap = np.abs(trails[:n_rows] - trails[n_rows:]).sum(axis=1)
-        denominator = total + gap
-        raw[:, t] = np.where(
-            denominator > 0.0,
-            (total - gap) / np.where(denominator > 0.0, denominator, 1.0),
-            1.0)
-
-    activated = logistic(aa * (raw[:, warmup:] - ba))
-    means = activated.mean(axis=1)
+    n_rows = xa.shape[0]
+    engine = dict(cell_count=cell_count, axis_min=axis_min, axis_max=axis_max,
+                  plateau_fraction=plateau_fraction, return_streams=return_streams)
+    if isinstance(params, SrfParams):
+        pairs = np.arange(n_rows)
+        return indexed_similarity(np.concatenate([xa, xb]), pairs, n_rows + pairs,
+                                  params, warmup, **engine)
+    # Per-row parameters: parameter row i sees only its own two streams.
+    result = indexed_similarity(np.stack([xa, xb], axis=1), np.zeros((n_rows, 1), int),
+                                np.ones((n_rows, 1), int), params, warmup, **engine)
     if return_streams:
-        return means, activated
-    return means
+        return result[0][:, 0], result[1][:, 0]
+    return result[:, 0]
 
 
 def similarity_series(a, b, p: SrfParams, warmup: int | None = None) -> PairSimilarity:

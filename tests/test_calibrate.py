@@ -19,7 +19,7 @@ from citytrails.calibrate import (
 )
 from citytrails.perceptron import ActivityLevelSeries, StigmergicPerceptron
 from citytrails.series import all_archetypes
-from citytrails.srf import PARAM_KEYS, SrfParams
+from citytrails.srf import PARAM_KEYS, SrfParams, pair_similarity
 from citytrails.synth import archetype_training_sets
 
 DAY = 96
@@ -74,6 +74,20 @@ class TestFitness:
         batched = population_fitness(pmat, pairs)
         for row, params in zip(batched, rows):
             assert row == pytest.approx(fitness(params, pairs), rel=1e-12)
+
+        # Equal-content series in distinct arrays and a shared reference share
+        # trails in the engine; every pair run on its own gives the same bits.
+        reference, own = rng.uniform(0, 1, 24), rng.uniform(0, 1, 24)
+        shared = [TrainingPair(own, reference, 1.0),
+                  TrainingPair(own.copy(), reference, 1.0),
+                  TrainingPair(rng.uniform(0, 1, 24), reference, 0.0),
+                  TrainingPair(reference.copy(), reference, 1.0)]
+        targets = np.array([p.target for p in shared])
+        batched = population_fitness(pmat, shared)
+        for row, params in zip(batched, rows):
+            sims = np.array([pair_similarity(p.series_a, p.series_b, params)[0]
+                             for p in shared])
+            assert row == np.mean((sims - targets) ** 2)
 
 
 class TestDeMinimize:
@@ -221,7 +235,6 @@ class TestLocalTraining:
         _, sp, _ = trained
         held_out = archetype_training_sets(DAY, per_class=4, noise=0.05,
                                            max_shift=3, seed=77)
-        from citytrails.srf import pair_similarity
         asleep, params = sp.fields[0]
         own = np.stack([s.samples for s in held_out["Asleep"]])
         adj = np.stack([s.samples for s in held_out["Awakening"]])
@@ -266,7 +279,6 @@ class TestPatternTraining:
             sets, ParamBounds.coarse(), DeConfig(population_size=10,
                                                  generations=15, seed=9))
         assert history[-1] < 0.05
-        from citytrails.srf import pair_similarity
         same = pair_similarity(sets["W"][0].levels / 7, sets["W"][1].levels / 7, params)
         cross = pair_similarity(sets["W"][0].levels / 7, sets["L"][0].levels / 7, params)
         assert same[0] > cross[0] + 0.5

@@ -11,6 +11,7 @@ from citytrails.srf import (
     activate,
     clump,
     default_warmup,
+    indexed_similarity,
     pair_similarity,
     similarity_series,
     step,
@@ -25,6 +26,11 @@ def run_object_path(xa, xb, p):
         state, raw = step(state, float(a), float(b))
         raws.append(raw)
     return np.array(raws)
+
+
+def reference_streams(xa, xb, p, warmup):
+    """Activated stepwise-reference streams past warmup."""
+    return activate(run_object_path(xa, xb, p)[warmup:], p)
 
 
 class TestClump:
@@ -155,6 +161,67 @@ class TestEngineEquivalence:
         for i, p in enumerate(rows):
             single = pair_similarity(xa[i], xb[i], p, warmup=3)
             assert batched[i] == pytest.approx(single[0], rel=1e-12)
+
+    def test_repeated_stream_indices(self):
+        p = SrfParams(20, 0.35, 50, 0.65, epsilon=0.12, delta=0.3,
+                      alpha_a=25, beta_a=0.55)
+        streams = np.random.default_rng(7).uniform(0, 1, (4, 30))
+        ia = np.array([0, 0, 2, 3, 1, 0])
+        ib = np.array([1, 1, 2, 0, 3, 0])
+        means, acts = indexed_similarity(streams, ia, ib, p, warmup=3,
+                                         return_streams=True)
+        assert means.shape == (6,)
+        for k, (a, b) in enumerate(zip(ia, ib)):
+            expected = reference_streams(streams[a], streams[b], p, 3)
+            assert np.allclose(acts[k], expected, atol=1e-12)
+            assert means[k] == pytest.approx(float(expected.mean()))
+
+    def test_parameter_rows_share_pairs(self):
+        rows = [SrfParams.defaults(),
+                SrfParams(10, 0.2, 10, 0.8, 0.1, 0.4, 15, 0.4),
+                SrfParams(60, 0.4, 60, 0.6, 0.3, 0.05, 80, 0.7)]
+        pmat = np.stack([r.to_vector() for r in rows])
+        streams = np.random.default_rng(8).uniform(0, 1, (3, 26))
+        ia, ib = np.array([0, 1, 2, 2]), np.array([1, 2, 0, 2])
+        means, acts = indexed_similarity(streams, ia, ib, pmat, warmup=2,
+                                         return_streams=True)
+        assert means.shape == (3, 4)
+        for k, p in enumerate(rows):
+            for j, (a, b) in enumerate(zip(ia, ib)):
+                expected = reference_streams(streams[a], streams[b], p, 2)
+                assert np.allclose(acts[k, j], expected, atol=1e-12)
+                assert means[k, j] == pytest.approx(float(expected.mean()))
+
+    def test_pair_rows_per_parameter_row(self):
+        rows = [SrfParams(15, 0.3, 35, 0.7, 0.2, 0.2, 30, 0.5),
+                SrfParams(45, 0.25, 20, 0.75, 0.08, 0.6, 12, 0.45)]
+        pmat = np.stack([r.to_vector() for r in rows])
+        streams = np.random.default_rng(9).uniform(0, 1, (5, 28))
+        ia = np.array([[0, 1, 4], [3, 3, 2]])
+        ib = np.array([[4, 1, 2], [0, 1, 2]])
+        means = indexed_similarity(streams, ia, ib, pmat, warmup=4)
+        assert means.shape == (2, 3)
+        for k, p in enumerate(rows):
+            for j in range(3):
+                expected = reference_streams(streams[ia[k, j]], streams[ib[k, j]], p, 4)
+                assert means[k, j] == pytest.approx(float(expected.mean()))
+        # a broadcast column matches every pair of its row against one stream
+        column = indexed_similarity(streams, ia, np.array([[2], [0]]), pmat, warmup=4)
+        full = indexed_similarity(streams, ia, np.array([[2] * 3, [0] * 3]), pmat,
+                                  warmup=4)
+        assert np.array_equal(column, full)
+
+    def test_invalid_pair_indices_rejected(self):
+        streams = np.zeros((3, 10))
+        p = SrfParams.defaults()
+        pmat = np.stack([p.to_vector()] * 2)
+        for ia, ib in ((np.array([0, 3]), np.array([1, 1])),
+                       (np.array([-1]), np.array([0])),
+                       (np.array([0.0]), np.array([1]))):
+            with pytest.raises(ValueError):
+                indexed_similarity(streams, ia, ib, p)
+        with pytest.raises(ValueError):
+            indexed_similarity(streams, np.zeros((3, 2), int), np.ones(2, int), pmat)
 
     def test_zero_delta_permutation_invariance(self):
         # with no evaporation, trails are order-independent mark sums
