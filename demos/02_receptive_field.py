@@ -8,7 +8,7 @@ timing differences.
 import numpy as np
 
 from citytrails.series import generate_archetype
-from citytrails.srf import SrfParams, activate, clump, similarity_series
+from citytrails.srf import SrfParams, activate, clump, pair_similarity
 
 params = SrfParams.defaults()
 rise = generate_archetype("Rise", 96).samples
@@ -29,16 +29,16 @@ for label, other in (("rise vs itself", rise),
                      ("rise vs rise delayed 4 steps", np.roll(rise, 4)),
                      ("rise vs rise delayed 12 steps", np.roll(rise, 12)),
                      ("rise vs flow", flow)):
-    result = similarity_series(rise, other, params)
-    print(f"  {label:30s} mean similarity {result.mean:.3f}")
+    mean = pair_similarity(rise, other, params)[0]
+    print(f"  {label:30s} mean similarity {mean:.3f}")
 print()
 
 print("== evaporation controls the memory of the comparison ==")
 for delta in (0.02, 0.1, 0.4, 0.8):
     p = SrfParams(30, 1 / 3, 30, 2 / 3, epsilon=0.2, delta=delta,
                   alpha_a=20, beta_a=0.5)
-    aligned = similarity_series(rise, rise, p).mean
-    delayed = similarity_series(rise, np.roll(rise, 8), p).mean
+    aligned = pair_similarity(rise, rise, p)[0]
+    delayed = pair_similarity(rise, np.roll(rise, 8), p)[0]
     print(f"  delta {delta:.2f}: aligned {aligned:.3f}, "
           f"8-step delay {delayed:.3f}, gap {aligned - delayed:+.3f}")
 print("long-memory trails (low delta) blur timing differences away;")

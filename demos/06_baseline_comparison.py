@@ -8,7 +8,12 @@ distance baselines are scored on identical data.
 import time
 
 from citytrails.anomaly import classification_run, similarity_matrix
-from citytrails.baseline import baseline_classify, dtw, frechet_discrete, measure
+from citytrails.baseline import (
+    baseline_classify,
+    dtw,
+    frechet_discrete,
+    normalized_similarity,
+)
 from citytrails.calibrate import (
     DeConfig,
     ParamBounds,
@@ -25,7 +30,7 @@ rise = generate_archetype("Rise", 48).samples
 chill = generate_archetype("Chill", 48).samples
 print(f"  dtw(rise, chill)     = {dtw(rise, chill):.3f}")
 print(f"  frechet(rise, chill) = {frechet_discrete(rise, chill):.3f}")
-print(f"  as similarity: {measure(rise, chill, 'dtw').normalized_similarity:.3f} (dtw)")
+print(f"  as similarity: {normalized_similarity(dtw(rise, chill), rise.size):.3f} (dtw)")
 print()
 
 LENGTH = 96

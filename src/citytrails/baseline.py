@@ -7,8 +7,6 @@ classification pipeline for side-by-side accuracy tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .anomaly import ClassificationReport, SimilarityMatrix, classification_run
@@ -18,71 +16,31 @@ from .perceptron import scale_levels
 METHODS = ("dtw", "frechet")
 
 
-def dtw(a, b) -> float:
-    """Dynamic time warping distance, absolute-difference cost, no window."""
+def _one_pair(a, b, method: str) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
-        raise ValueError("dtw needs non-empty inputs")
-    n, m = a.size, b.size
-    prev = np.full(m + 1, np.inf)
-    prev[0] = 0.0
-    for i in range(1, n + 1):
-        cur = np.full(m + 1, np.inf)
-        cost = np.abs(a[i - 1] - b)
-        for j in range(1, m + 1):
-            cur[j] = cost[j - 1] + min(prev[j], cur[j - 1], prev[j - 1])
-        prev = cur
-    return float(prev[m])
+        raise ValueError(f"{method} needs non-empty inputs")
+    return float(_batch_distance(a[None, :], b[None, :], method)[0])
+
+
+def dtw(a, b) -> float:
+    """Dynamic time warping distance, absolute-difference cost, no window."""
+    return _one_pair(a, b, "dtw")
 
 
 def frechet_discrete(a, b) -> float:
     """Discrete Frechet distance: the max-of-min coupling recursion."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("frechet needs non-empty inputs")
-    n, m = a.size, b.size
-    prev = np.full(m, np.inf)
-    for i in range(n):
-        cur = np.empty(m)
-        cost = np.abs(a[i] - b)
-        for j in range(m):
-            if i == 0 and j == 0:
-                reach = 0.0
-            elif i == 0:
-                reach = cur[j - 1]
-            elif j == 0:
-                reach = prev[j]
-            else:
-                reach = min(prev[j], cur[j - 1], prev[j - 1])
-            cur[j] = max(cost[j], reach)
-        prev = cur
-    return float(prev[m - 1])
+    return _one_pair(a, b, "frechet")
 
 
 def normalized_similarity(distance: float, length: int) -> float:
     return 1.0 / (1.0 + distance / length)
 
 
-@dataclass(frozen=True)
-class DistanceResult:
-    value: float
-    method: str
-    normalized_similarity: float
-
-
-def measure(a, b, method: str) -> DistanceResult:
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    fn = dtw if method == "dtw" else frechet_discrete
-    d = fn(a, b)
-    n = max(np.asarray(a).size, np.asarray(b).size)
-    return DistanceResult(d, method, normalized_similarity(d, n))
-
-
 def _batch_distance(xa: np.ndarray, xb: np.ndarray, method: str) -> np.ndarray:
-    """The same dynamic programs, run across a batch of equal-length pairs."""
+    """DTW or discrete Frechet distance of every row pair: row i of ``xa``
+    (P, n) against row i of ``xb`` (P, m), one dynamic program for the batch."""
     n, m = xa.shape[1], xb.shape[1]
     p = xa.shape[0]
     if method == "dtw":

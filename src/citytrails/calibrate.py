@@ -42,6 +42,7 @@ DOMAIN_INTERVALS = {
 }
 
 DELTA_GRID_POINTS = 30
+BEST_QUALITY_QUANTILE = 0.9
 
 
 @dataclass(frozen=True)
@@ -145,13 +146,12 @@ class DeResult:
     history: tuple[float, ...]  # best-so-far, entry 0 is the initial population
 
 
-def de_minimize(objective, bounds, cfg: DeConfig, *, vectorized: bool = False) -> DeResult:
+def de_minimize(objective, bounds, cfg: DeConfig) -> DeResult:
     """DE/rand/1/bin over a box: mutate a + F(b - c), binomial crossover with one
     forced coordinate, clamp to bounds, greedy selection.
 
-    With ``vectorized`` the objective receives a (population, dim) matrix and
-    returns a (population,) vector; both call styles produce identical runs
-    for a given seed.
+    The objective scores a whole population at once: it receives a
+    (population, dim) matrix and returns a (population,) vector.
     """
     box = np.asarray([tuple(b) for b in bounds], dtype=float)
     if box.ndim != 2 or box.shape[1] != 2 or not np.all(box[:, 0] < box[:, 1]):
@@ -161,13 +161,8 @@ def de_minimize(objective, bounds, cfg: DeConfig, *, vectorized: bool = False) -
     size = cfg.population_size
     rng = np.random.default_rng(cfg.seed)
 
-    def evaluate(matrix: np.ndarray) -> np.ndarray:
-        if vectorized:
-            return np.asarray(objective(matrix), dtype=float)
-        return np.array([float(objective(row)) for row in matrix])
-
     population = rng.uniform(lo, hi, size=(size, dim))
-    energies = evaluate(population)
+    energies = np.asarray(objective(population), dtype=float)
     history = [float(energies.min())]
 
     for _ in range(cfg.generations):
@@ -180,7 +175,7 @@ def de_minimize(objective, bounds, cfg: DeConfig, *, vectorized: bool = False) -
             cross = rng.random(dim) < cfg.crossover_rate
             cross[rng.integers(dim)] = True
             trials[i] = np.clip(np.where(cross, mutant, population[i]), lo, hi)
-        trial_energies = evaluate(trials)
+        trial_energies = np.asarray(objective(trials), dtype=float)
         improved = trial_energies <= energies
         population[improved] = trials[improved]
         energies[improved] = trial_energies[improved]
@@ -210,24 +205,23 @@ def training_pairs_for_field(enumeration: int, sets_by_enum: dict[int, list],
     return pairs
 
 
-def narrowest_quality_interval(values: np.ndarray, quality: np.ndarray,
-                               percentile: float = 90.0) -> tuple[float, float]:
-    """Narrowest interval of ``values`` covering the quality points ranking
-    above the given percentile (the best decile by default)."""
-    cutoff = np.quantile(quality, percentile / 100.0)
+def narrowest_quality_interval(values: np.ndarray,
+                               quality: np.ndarray) -> tuple[float, float]:
+    """Narrowest interval of ``values`` covering the quality points at or above
+    the 90th percentile: the best decile."""
+    cutoff = np.quantile(quality, BEST_QUALITY_QUANTILE)
     chosen = np.asarray(values)[quality >= cutoff]
     return float(chosen.min()), float(chosen.max())
 
 
 def global_training(archetypes, synthetic_sets: dict[str, list],
                     coarse_bounds: ParamBounds, cfg: DeConfig, *,
-                    grid_points: int = DELTA_GRID_POINTS,
                     warmup: int | None = None) -> ParamBounds:
     """Sweep evaporation over a log grid for every field (other parameters at
     mid-bounds), pool the per-point quality, and narrow the evaporation
     interval to the best decile. Other intervals pass through unchanged."""
     lo, hi = coarse_bounds.intervals["delta"]
-    deltas = np.geomspace(lo, hi, grid_points)
+    deltas = np.geomspace(lo, hi, DELTA_GRID_POINTS)
     mid = coarse_bounds.mid_params().to_vector()
     delta_col = PARAM_KEYS.index("delta")
 
@@ -237,7 +231,7 @@ def global_training(archetypes, synthetic_sets: dict[str, list],
             archetype.enumeration,
             {a.enumeration: synthetic_sets[a.name] for a in archetypes},
             archetype.samples)
-        pmat = np.tile(mid, (grid_points, 1))
+        pmat = np.tile(mid, (DELTA_GRID_POINTS, 1))
         pmat[:, delta_col] = deltas
         per_field.append(population_fitness(pmat, pairs, warmup))
     # One fitness per grid point: the mean across fields, so a delta is only
@@ -255,7 +249,7 @@ def global_training(archetypes, synthetic_sets: dict[str, list],
     if d_lo == d_hi:  # single grid point survived; widen to its neighbors
         idx = int(np.argmin(np.abs(deltas - d_lo)))
         d_lo = deltas[max(idx - 1, 0)]
-        d_hi = deltas[min(idx + 1, grid_points - 1)]
+        d_hi = deltas[min(idx + 1, DELTA_GRID_POINTS - 1)]
     return out.with_interval("delta", d_lo, d_hi)
 
 
@@ -276,7 +270,7 @@ def local_training(sp, bounds: ParamBounds, cfg: DeConfig,
                                          archetype.samples)
         field_cfg = dataclasses.replace(cfg, seed=cfg.seed + archetype.enumeration)
         result = de_minimize(lambda m: population_fitness(m, pairs, warmup),
-                             bounds.as_pairs(), field_cfg, vectorized=True)
+                             bounds.as_pairs(), field_cfg)
         trained = trained.with_params(archetype.name, SrfParams.from_vector(result.best))
         histories[archetype.name] = result.history
     return trained, histories
@@ -303,7 +297,7 @@ def train_pattern_field(level_sets_by_class: dict[str, list], bounds: ParamBound
     """Train the pattern-level field that compares whole activity-level days."""
     pairs = pattern_training_pairs(level_sets_by_class)
     result = de_minimize(lambda m: population_fitness(m, pairs, warmup),
-                         bounds.as_pairs(), cfg, vectorized=True)
+                         bounds.as_pairs(), cfg)
     return SrfParams.from_vector(result.best), result.history
 
 
@@ -337,8 +331,7 @@ def tune_thresholds(entries, cfg: DeConfig) -> ThresholdResult:
         predicted = indices[None, :] > scale * matrix[:, class_idx]
         return 1.0 - (predicted == flags).mean(axis=1)
 
-    result = de_minimize(objective, [(0.0, 1.0)] * len(CLASS_LETTERS), cfg,
-                         vectorized=True)
+    result = de_minimize(objective, [(0.0, 1.0)] * len(CLASS_LETTERS), cfg)
     thresholds = {letter: float(scale * v)
                   for letter, v in zip(CLASS_LETTERS, result.best)}
     return ThresholdResult(thresholds, 1.0 - result.fitness, result.history)

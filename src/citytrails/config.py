@@ -69,14 +69,24 @@ class PipelineConfig:
         return cfg
 
 
-def _get(section, key, cast, default):
-    if section is None or key not in section:
-        return default
-    return cast(section[key])
+# Sections read field by field into the settings dataclass of the same name.
+SETTINGS_SECTIONS = ("box", "hotspots", "training", "de")
+# Scalar PipelineConfig fields, by (section, key).
+SCALAR_KEYS = {
+    ("paths", "out"): "out_dir",
+    ("grid", "bucket_cell_m"): "bucket_cell_m",
+    ("grid", "bucket_minutes"): "bucket_minutes",
+    ("grid", "resolution_minutes"): "resolution_minutes",
+    ("seeds", "master"): "master_seed",
+}
 
 
 def load_config(path=None) -> PipelineConfig:
-    """Read a config file; every key is optional and falls back to defaults."""
+    """Read a config file. Every key is optional: a missing one keeps the
+    default its dataclass field declares, and a present one is cast with the
+    type of that default. ``[de.<stage>]`` sections override ``[de]`` for one
+    stage; relative ``[paths] trips`` resolves against the file's directory.
+    """
     base = PipelineConfig()
     if path is None:
         return base
@@ -86,73 +96,24 @@ def load_config(path=None) -> PipelineConfig:
     parser = configparser.ConfigParser()
     parser.read(path, encoding="utf-8")
 
-    def section(name):
-        return parser[name] if parser.has_section(name) else None
+    def read(name: str, settings) -> dict:
+        section = parser[name] if parser.has_section(name) else {}
+        # DE seeds derive from the master seed, so no section sets ``seed``.
+        return {f.name: type(getattr(settings, f.name))(section[f.name])
+                for f in dataclasses.fields(settings)
+                if f.name in section and f.name != "seed"}
 
-    paths = section("paths")
-    box_s = section("box")
-    grid = section("grid")
-    hs = section("hotspots")
-    tr = section("training")
-    de = section("de")
-    seeds = section("seeds")
-
-    box = GeoBox(
-        _get(box_s, "lon_min", float, base.box.lon_min),
-        _get(box_s, "lon_max", float, base.box.lon_max),
-        _get(box_s, "lat_min", float, base.box.lat_min),
-        _get(box_s, "lat_max", float, base.box.lat_max))
-    hotspots = HotspotSettings(
-        _get(hs, "relevance_fraction", float, 0.3),
-        _get(hs, "min_area_km2", float, 0.05),
-        _get(hs, "cone_base_radius_m", float, 150.0),
-        _get(hs, "cone_top_radius_m", float, 50.0),
-        _get(hs, "smooth_alpha", float, 12.0),
-        _get(hs, "smooth_beta", float, 0.5),
-        _get(hs, "count_cap", float, 10.0),
-        _get(hs, "trail_delta", float, 0.5),
-        _get(hs, "trail_cell_m", float, 50.0))
-    training = TrainingSettings(
-        _get(tr, "day_length", int, 144),
-        _get(tr, "per_class", int, 10),
-        _get(tr, "noise", float, 0.05),
-        _get(tr, "max_shift", int, 4),
-        _get(tr, "pattern_per_class", int, 10),
-        _get(tr, "representatives", int, 5))
-    de_cfg = DeConfig(
-        _get(de, "population_size", int, 30),
-        _get(de, "generations", int, 150),
-        _get(de, "differential_weight", float, 0.7),
-        _get(de, "crossover_rate", float, 0.9))
-
-    overrides = {}
-    for name in parser.sections():
-        if not name.startswith("de."):
-            continue
-        stage = name.split(".", 1)[1]
-        block = parser[name]
-        stage_kv = {}
-        for key, cast in (("population_size", int), ("generations", int),
-                          ("differential_weight", float), ("crossover_rate", float)):
-            if key in block:
-                stage_kv[key] = cast(block[key])
-        overrides[stage] = stage_kv
-
-    trips = _get(paths, "trips", Path, None)
-    if trips is not None and not trips.is_absolute():
-        trips = path.parent / trips
-    return PipelineConfig(
-        out_dir=Path(_get(paths, "out", str, str(base.out_dir))),
-        trips_path=trips,
-        box=box,
-        bucket_cell_m=_get(grid, "bucket_cell_m", float, base.bucket_cell_m),
-        bucket_minutes=_get(grid, "bucket_minutes", int, base.bucket_minutes),
-        resolution_minutes=_get(grid, "resolution_minutes", int, 10),
-        hotspots=hotspots,
-        training=training,
-        de=de_cfg,
-        de_overrides=overrides,
-        master_seed=_get(seeds, "master", int, 17))
+    changes = {name: dataclasses.replace(getattr(base, name),
+                                         **read(name, getattr(base, name)))
+               for name in SETTINGS_SECTIONS}
+    changes["de_overrides"] = {name.split(".", 1)[1]: read(name, base.de)
+                               for name in parser.sections() if name.startswith("de.")}
+    for (name, key), attr in SCALAR_KEYS.items():
+        if parser.has_option(name, key):
+            changes[attr] = type(getattr(base, attr))(parser[name][key])
+    if parser.has_option("paths", "trips"):
+        changes["trips_path"] = path.parent / parser["paths"]["trips"]
+    return dataclasses.replace(base, **changes)
 
 
 def write_history_csv(path, history) -> None:

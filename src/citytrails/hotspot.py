@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .srf import logistic
-from .stigspace import ConeMark, Trail2D
+from .stigspace import ConeMark, Trail2D, add_cone
 
 DEFAULT_RELEVANCE_FRACTION = 0.3
 DEFAULT_MIN_AREA_KM2 = 0.05
@@ -79,22 +79,6 @@ def smooth_sample(value: float, alpha_s: float = DEFAULT_SMOOTH_ALPHA,
     return logistic(alpha_s * (np.asarray(value, dtype=float) - beta_s))
 
 
-def _add_cone(cells: np.ndarray, origin, cell_size: float, cx: float, cy: float,
-              intensity: float, base_radius: float, top_radius: float) -> None:
-    x0, y0 = origin
-    rows, cols = cells.shape
-    c_lo = max(0, int((cx - base_radius - x0) / cell_size) - 1)
-    c_hi = min(cols, int((cx + base_radius - x0) / cell_size) + 2)
-    r_lo = max(0, int((cy - base_radius - y0) / cell_size) - 1)
-    r_hi = min(rows, int((cy + base_radius - y0) / cell_size) + 2)
-    xs = x0 + (np.arange(c_lo, c_hi) + 0.5) * cell_size
-    ys = y0 + (np.arange(r_lo, r_hi) + 0.5) * cell_size
-    rr = np.hypot(xs[None, :] - cx, ys[:, None] - cy)
-    slope = (base_radius - rr) / (base_radius - top_radius)
-    cells[r_lo:r_hi, c_lo:c_hi] += intensity * np.clip(
-        np.where(rr <= top_radius, 1.0, slope), 0.0, 1.0)
-
-
 def build_slot_trail(batches, delta: float, grid: Trail2D, *,
                      cone: ConeMark | None = None,
                      smooth_alpha: float = DEFAULT_SMOOTH_ALPHA,
@@ -110,7 +94,6 @@ def build_slot_trail(batches, delta: float, grid: Trail2D, *,
         raise ValueError("evaporation delta must be non-negative")
     geometry = cone if cone is not None else ConeMark((0.0, 0.0), 1.0)
     cells = np.array(grid.cells, dtype=float, copy=True)
-    x0, y0 = grid.origin
     slot = None
     for batch in batches:
         if slot is None:
@@ -122,8 +105,8 @@ def build_slot_trail(batches, delta: float, grid: Trail2D, *,
                 raise ValueError(f"event ({x}, {y}) outside grid bounding box")
             intensity = float(smooth_sample(min(count / count_cap, 1.0),
                                             smooth_alpha, smooth_beta))
-            _add_cone(cells, (x0, y0), grid.cell_size, x, y, intensity,
-                      geometry.base_radius, geometry.top_radius)
+            add_cone(cells, grid.origin, grid.cell_size, x, y, intensity,
+                     geometry.base_radius, geometry.top_radius)
         np.maximum(cells - delta, 0.0, out=cells)
     return Trail2D(cells, grid.origin, grid.cell_size)
 

@@ -241,15 +241,21 @@ def slot_event_batches(grid: BucketGrid) -> dict[TimeSlot, list[SpatialEventBatc
 
 
 def hotspot_raw_activity(grid: BucketGrid, h: Hotspot, day: str) -> np.ndarray:
-    """Per-bucket passenger counts of the cells whose centers fall inside the
-    hotspot polygon, for one day."""
+    """Per-bucket passenger counts of the cells whose centers fall inside both
+    the hotspot polygon and the box, for one day.
+
+    The trail grid rounds the box up to whole cells, so a hotspot on the east
+    or north edge may reach past the box; the part outside counts nothing. A
+    polygon west or south of the box origin, or wholly past it, is rejected.
+    """
     poly = h.polygon
-    if (poly[:, 0].min() < 0 or poly[:, 1].min() < 0
-            or poly[:, 0].max() > grid.box.width_m
-            or poly[:, 1].max() > grid.box.height_m):
+    x_lo, y_lo = poly.min(axis=0)
+    x_hi, y_hi = poly.max(axis=0)
+    if (x_lo < 0 or y_lo < 0
+            or x_lo >= grid.box.width_m or y_lo >= grid.box.height_m):
         raise ValueError("hotspot polygon extends outside the grid box")
-    x_lo, x_hi = poly[:, 0].min(), poly[:, 0].max()
-    y_lo, y_hi = poly[:, 1].min(), poly[:, 1].max()
+    x_hi = min(x_hi, grid.box.width_m)
+    y_hi = min(y_hi, grid.box.height_m)
     raw = np.zeros(grid.buckets_per_day)
     inside_cache: dict[tuple[int, int], bool] = {}
     for (key_day, bucket, ix, iy), count in grid.counts.items():

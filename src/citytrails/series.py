@@ -1,4 +1,4 @@
-"""Activity time series: normalization, archetypes, perturbation, day features.
+"""Activity time series: normalization, archetypes, perturbation, CSV round trip.
 
 Series values are dimensionless activity samples in [0, 1] after min-max
 normalization. Archetypes are the seven pure-form daily behaviors the
@@ -16,12 +16,7 @@ LEVEL_LOW = 0.1
 LEVEL_MID = 0.5
 LEVEL_HIGH = 0.9
 
-# Label thresholds for low/medium/high on normalized values.
-THRESHOLD_MEDIUM = 1.0 / 3.0
-THRESHOLD_HIGH = 2.0 / 3.0
-
 DEFAULT_RESOLUTION_MINUTES = 10
-DEFAULT_EDGE_FRACTION = 0.1
 
 # Enumeration order: ascending mean canonical level, rising slope before
 # falling slope on ties. Adjacent numbers then carry similar trails, which is
@@ -62,10 +57,6 @@ class ActivityTimeSeries:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def is_full_day(self) -> bool:
-        return self.samples.size * self.resolution_minutes == 1440
-
 
 @dataclass(frozen=True)
 class Archetype:
@@ -82,17 +73,6 @@ class Archetype:
             raise ValueError(f"archetype {self.name} must be enumerated "
                              f"{ARCHETYPE_ENUMERATION[self.name]}, got {self.enumeration}")
         object.__setattr__(self, "samples", _readonly(self.samples))
-
-
-@dataclass(frozen=True)
-class DayFeatures:
-    """Exploratory features of one daily series (edges excluded from instants)."""
-
-    initial_level: str
-    final_level: str
-    t_mean: int
-    t_max: int
-    high_duration: int
 
 
 @dataclass(frozen=True)
@@ -195,41 +175,6 @@ def perturb(a: Archetype, noise_amplitude: float, max_shift: int,
     rng = np.random.default_rng(seed)
     samples = perturb_samples(a.samples, noise_amplitude, max_shift, rng)
     return ActivityTimeSeries(samples, day_id=None, hotspot_id=None)
-
-
-def level_label(value: float) -> str:
-    if value < THRESHOLD_MEDIUM:
-        return "low"
-    if value < THRESHOLD_HIGH:
-        return "medium"
-    return "high"
-
-
-def extract_day_features(a: ActivityTimeSeries,
-                         edge_fraction: float = DEFAULT_EDGE_FRACTION) -> DayFeatures:
-    """Initial/final level labels plus interior mean/max instants and high duration.
-
-    Edge labels average the first and last ``edge_fraction`` of the day; the
-    instants and the high-duration count ignore those edge segments. Indices
-    are absolute positions in the full series.
-    """
-    if not 0 < edge_fraction < 0.5:
-        raise ValueError("edge_fraction must be in (0, 0.5)")
-    n = a.samples.size
-    edge = max(1, int(round(n * edge_fraction)))
-    interior = a.samples[edge:n - edge]
-    if interior.size < 3:
-        raise ValueError("series too short: needs at least 3 interior samples")
-    interior_mean = interior.mean()
-    t_mean = edge + int(np.argmax(interior >= interior_mean))
-    t_max = edge + int(np.argmax(interior))
-    return DayFeatures(
-        initial_level=level_label(float(a.samples[:edge].mean())),
-        final_level=level_label(float(a.samples[n - edge:].mean())),
-        t_mean=t_mean,
-        t_max=t_max,
-        high_duration=int(np.count_nonzero(interior >= THRESHOLD_HIGH)),
-    )
 
 
 def assessment_error(predicted: AffinityTriple, annotated: AffinityTriple) -> int:

@@ -12,8 +12,10 @@ row, then matches pairs of trails through index arrays at every step: a
 similarity matrix over N days steps N trails, and DE candidates share the
 trails of series that recur across training pairs. ``pair_similarity`` is
 the row-aligned wrapper (row i of one matrix against row i of the other).
-The stepwise object API (``SrfState`` + ``step``) is the reference
-implementation; the test suite pins the engine to it.
+Every trail has one geometry: the value axis [0, 1] in DEFAULT_CELL_COUNT
+cells, marks with the default plateau fraction; only the eight field
+parameters vary. The stepwise object API (``SrfState`` + ``step``) is the
+reference implementation; the test suite pins the engine to it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 from .stigspace import (
     DEFAULT_CELL_COUNT,
-    DEFAULT_PLATEAU_FRACTION,
     Trail1D,
     TrapezoidMark,
     deposit_1d,
@@ -38,6 +39,9 @@ PARAM_KEYS = ("alpha_c1", "beta_c1", "alpha_c2", "beta_c2",
 
 DEFAULT_WARMUP_FRACTION = 0.1
 MARK_INTENSITY = 1.0  # trail magnitude is then governed by delta alone
+# Every trail spans the clumped value axis [0, 1] in DEFAULT_CELL_COUNT cells,
+# the geometry of the reference Trail1D.
+CELL_CENTERS = Trail1D.empty().cell_centers
 
 
 def logistic(z):
@@ -132,18 +136,7 @@ def default_warmup(length: int) -> int:
     return max(1, int(round(DEFAULT_WARMUP_FRACTION * length)))
 
 
-@dataclass(frozen=True)
-class PairSimilarity:
-    """Activated per-step similarities past warmup, plus their mean."""
-
-    activated: np.ndarray
-    mean: float
-
-
 def indexed_similarity(streams, ia, ib, params, warmup: int | None = None, *,
-                       cell_count: int = DEFAULT_CELL_COUNT,
-                       axis_min: float = 0.0, axis_max: float = 1.0,
-                       plateau_fraction: float = DEFAULT_PLATEAU_FRACTION,
                        return_streams: bool = False):
     """SRF similarity of indexed stream pairs, one trail per distinct stream.
 
@@ -188,15 +181,12 @@ def indexed_similarity(streams, ia, ib, params, warmup: int | None = None, *,
                                               for j in range(len(PARAM_KEYS)))
     clumped = 0.5 * (logistic(ac1 * (x - bc1)) + logistic(ac2 * (x - bc2)))
 
-    cell_width = (axis_max - axis_min) / cell_count
-    centers = axis_min + (np.arange(cell_count) + 0.5) * cell_width
-    trails = np.zeros((n_rows, n_streams, cell_count))
-    rows = trails.reshape(n_rows * n_streams, cell_count)  # a view of ``trails``
+    trails = np.zeros((n_rows, n_streams, CELL_CENTERS.size))
+    rows = trails.reshape(n_rows * n_streams, -1)  # a view of ``trails``
     raw = np.empty(out_shape + (length,))
     for t in range(length):
         # marks carry MARK_INTENSITY == 1, so the profile is the deposit
-        trails += trapezoid_profile(clumped[..., t], centers, eps[..., 0],
-                                    plateau_fraction)
+        trails += trapezoid_profile(clumped[..., t], CELL_CENTERS, eps[..., 0])
         np.maximum(trails - delta, 0.0, out=trails)
         ta, tb = rows[fa], rows[fb]
         # Jaccard via sum/|difference|: min = (s - d) / 2, max = (s + d) / 2.
@@ -218,9 +208,6 @@ def indexed_similarity(streams, ia, ib, params, warmup: int | None = None, *,
 
 
 def pair_similarity(xa, xb, params, warmup: int | None = None, *,
-                    cell_count: int = DEFAULT_CELL_COUNT,
-                    axis_min: float = 0.0, axis_max: float = 1.0,
-                    plateau_fraction: float = DEFAULT_PLATEAU_FRACTION,
                     return_streams: bool = False):
     """SRF similarity of row-aligned stream pairs: row i of ``xa`` against row i
     of ``xb``.
@@ -236,28 +223,15 @@ def pair_similarity(xa, xb, params, warmup: int | None = None, *,
     if xa.shape != xb.shape:
         raise ValueError("paired streams must have identical shapes")
     n_rows = xa.shape[0]
-    engine = dict(cell_count=cell_count, axis_min=axis_min, axis_max=axis_max,
-                  plateau_fraction=plateau_fraction, return_streams=return_streams)
     if isinstance(params, SrfParams):
         pairs = np.arange(n_rows)
         return indexed_similarity(np.concatenate([xa, xb]), pairs, n_rows + pairs,
-                                  params, warmup, **engine)
+                                  params, warmup, return_streams=return_streams)
     # Per-row parameters: parameter row i sees only its own two streams.
     result = indexed_similarity(np.stack([xa, xb], axis=1), np.zeros((n_rows, 1), int),
-                                np.ones((n_rows, 1), int), params, warmup, **engine)
+                                np.ones((n_rows, 1), int), params, warmup,
+                                return_streams=return_streams)
     if return_streams:
         return result[0][:, 0], result[1][:, 0]
     return result[:, 0]
 
-
-def similarity_series(a, b, p: SrfParams, warmup: int | None = None) -> PairSimilarity:
-    """SRF similarity of one series pair: activated stream past warmup and its mean.
-
-    Accepts raw arrays or ActivityTimeSeries-like objects exposing ``samples``.
-    """
-    xa = np.asarray(getattr(a, "samples", a), dtype=float)
-    xb = np.asarray(getattr(b, "samples", b), dtype=float)
-    if xa.shape != xb.shape:
-        raise ValueError("series lengths must match")
-    means, streams = pair_similarity(xa, xb, p, warmup, return_streams=True)
-    return PairSimilarity(streams[0], float(means[0]))

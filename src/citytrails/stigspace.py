@@ -179,25 +179,33 @@ def deposit_1d(t: Trail1D, m: TrapezoidMark) -> Trail1D:
     return dataclasses.replace(t, cells=t.cells + profile)
 
 
+def add_cone(cells: np.ndarray, origin: tuple[float, float], cell_size: float,
+             cx: float, cy: float, intensity: float, base_radius: float,
+             top_radius: float) -> None:
+    """Add a truncated cone centered at (cx, cy) to a grid of cells, in place."""
+    x0, y0 = origin
+    rows, cols = cells.shape
+    # Only cells within base_radius of the center can change.
+    c_lo = max(0, int((cx - base_radius - x0) / cell_size) - 1)
+    c_hi = min(cols, int((cx + base_radius - x0) / cell_size) + 2)
+    r_lo = max(0, int((cy - base_radius - y0) / cell_size) - 1)
+    r_hi = min(rows, int((cy + base_radius - y0) / cell_size) + 2)
+    xs = x0 + (np.arange(c_lo, c_hi) + 0.5) * cell_size
+    ys = y0 + (np.arange(r_lo, r_hi) + 0.5) * cell_size
+    rr = np.hypot(xs[None, :] - cx, ys[:, None] - cy)
+    slope = (base_radius - rr) / (base_radius - top_radius)
+    cells[r_lo:r_hi, c_lo:c_hi] += intensity * np.clip(
+        np.where(rr <= top_radius, 1.0, slope), 0.0, 1.0)
+
+
 def deposit_2d(t: Trail2D, m: ConeMark) -> Trail2D:
     """Add a truncated-cone mark to the grid. Centers outside the box are rejected."""
     cx, cy = m.center
     if not t.contains(cx, cy):
         raise ValueError(f"mark center {m.center} outside grid bounding box")
-    x0, y0 = t.origin
-    s = t.cell_size
-    # Only cells within base_radius of the center can change.
-    c_lo = max(0, int((cx - m.base_radius - x0) / s) - 1)
-    c_hi = min(t.cols, int((cx + m.base_radius - x0) / s) + 2)
-    r_lo = max(0, int((cy - m.base_radius - y0) / s) - 1)
-    r_hi = min(t.rows, int((cy + m.base_radius - y0) / s) + 2)
-    xs = x0 + (np.arange(c_lo, c_hi) + 0.5) * s
-    ys = y0 + (np.arange(r_lo, r_hi) + 0.5) * s
-    rr = np.hypot(xs[None, :] - cx, ys[:, None] - cy)
-    slope = (m.base_radius - rr) / (m.base_radius - m.top_radius)
-    profile = m.intensity * np.clip(np.where(rr <= m.top_radius, 1.0, slope), 0.0, 1.0)
     cells = t.cells.copy()
-    cells[r_lo:r_hi, c_lo:c_hi] += profile
+    add_cone(cells, t.origin, t.cell_size, cx, cy, m.intensity, m.base_radius,
+             m.top_radius)
     return dataclasses.replace(t, cells=cells)
 
 

@@ -127,7 +127,7 @@ def test_criterion_03_de_sanity():
     with criterion(3, "DE reaches the sphere optimum with monotone history"):
         for seed in (0, 1, 2):
             cfg = DeConfig(population_size=50, generations=100, seed=seed)
-            result = de_minimize(lambda x: float(np.sum(x ** 2)),
+            result = de_minimize(lambda m: np.sum(m ** 2, axis=1),
                                  [(-5.0, 5.0)] * 4, cfg)
             assert result.fitness <= 1e-3
             history = np.array(result.history)

@@ -6,7 +6,6 @@ from citytrails.baseline import (
     baseline_matrix,
     dtw,
     frechet_discrete,
-    measure,
     normalized_similarity,
 )
 from citytrails.calibrate import DeConfig
@@ -117,15 +116,10 @@ class TestMeasure:
         assert normalized_similarity(0.0, 10) == 1.0
         assert normalized_similarity(5.0, 10) == pytest.approx(1 / 1.5)
 
-    def test_measure_carries_method_and_similarity(self):
-        r = measure([0, 1, 2], [0, 1, 2], "dtw")
-        assert r.method == "dtw"
-        assert r.value == 0.0
-        assert r.normalized_similarity == 1.0
-
     def test_unknown_method_rejected(self):
+        pool, _ = make_level_pool(0, per_class=1, length=4)
         with pytest.raises(ValueError):
-            measure([0.0], [1.0], "euclid")
+            baseline_matrix(pool, "euclid")
 
 
 def make_level_pool(seed, per_class=4, length=40):
@@ -146,8 +140,8 @@ class TestBaselineMatrix:
         matrix = baseline_matrix(pool, "dtw")
         for i in range(len(pool)):
             for j in range(len(pool)):
-                expected = measure(pool[i].levels / 7, pool[j].levels / 7,
-                                   "dtw").normalized_similarity
+                a, b = pool[i].levels / 7, pool[j].levels / 7
+                expected = normalized_similarity(dtw(a, b), a.size)
                 assert matrix.values[i, j] == pytest.approx(expected, rel=1e-12)
 
     def test_symmetric_with_unit_diagonal(self):

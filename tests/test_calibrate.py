@@ -93,13 +93,13 @@ class TestFitness:
 class TestDeMinimize:
     def test_sphere_reaches_optimum(self):
         cfg = DeConfig(population_size=30, generations=80, seed=1)
-        result = de_minimize(lambda x: float(np.sum(x ** 2)),
+        result = de_minimize(lambda m: np.sum(m ** 2, axis=1),
                              [(-5.0, 5.0)] * 4, cfg)
         assert result.fitness <= 1e-3
 
     def test_history_monotone_and_sized(self):
         cfg = DeConfig(population_size=12, generations=30, seed=2)
-        result = de_minimize(lambda x: float(np.sum(np.abs(x))),
+        result = de_minimize(lambda m: np.sum(np.abs(m), axis=1),
                              [(-3.0, 3.0)] * 3, cfg)
         history = np.array(result.history)
         assert history.size == cfg.generations + 1
@@ -107,27 +107,19 @@ class TestDeMinimize:
 
     def test_seed_determinism(self):
         cfg = DeConfig(population_size=10, generations=15, seed=7)
-        runs = [de_minimize(lambda x: float(np.sum(x ** 2)), [(-1, 1)] * 2, cfg)
+        runs = [de_minimize(lambda m: np.sum(m ** 2, axis=1), [(-1, 1)] * 2, cfg)
                 for _ in range(2)]
         assert np.array_equal(runs[0].best, runs[1].best)
         assert runs[0].history == runs[1].history
 
-    def test_vectorized_matches_scalar(self):
-        cfg = DeConfig(population_size=8, generations=12, seed=4)
-        scalar = de_minimize(lambda x: float(np.sum(x ** 2)), [(-2, 2)] * 3, cfg)
-        batched = de_minimize(lambda m: np.sum(m ** 2, axis=1), [(-2, 2)] * 3,
-                              cfg, vectorized=True)
-        assert np.array_equal(scalar.best, batched.best)
-        assert scalar.history == batched.history
-
     def test_result_within_bounds(self):
         cfg = DeConfig(population_size=8, generations=10, seed=5)
-        result = de_minimize(lambda x: float(-np.sum(x)), [(0.0, 1.0)] * 4, cfg)
+        result = de_minimize(lambda m: -np.sum(m, axis=1), [(0.0, 1.0)] * 4, cfg)
         assert np.all((result.best >= 0.0) & (result.best <= 1.0))
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
-            de_minimize(lambda x: 0.0, [(1.0, 1.0)], SMALL_DE)
+            de_minimize(lambda m: np.zeros(len(m)), [(1.0, 1.0)], SMALL_DE)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

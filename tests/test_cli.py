@@ -152,6 +152,36 @@ class TestSpatialPipeline:
         assert run(config, "extract") == 3
 
 
+    def test_hotspot_on_east_edge_extracts(self, workspace):
+        # The 0.04-degree box is about 3371 m wide, and the 50 m trail grid
+        # rounds it up to 3400 m, so a hotspot at the east edge traces a
+        # polygon past the box. Extraction counts the part inside the box.
+        from citytrails.config import load_config
+        from citytrails.hotspot import hotspots_from_geojson
+        config, out = workspace
+        rows = ["medallion,passenger_count,pickup_datetime,dropoff_datetime,"
+                "pickup_longitude,pickup_latitude,dropoff_longitude,dropoff_latitude"]
+        for minute in range(0, 1440, 5):
+            ts = f"2015-02-02 {minute // 60:02d}:{minute % 60:02d}:00"
+            passengers = 1 + minute // 120  # rises by one every two hours
+            for lon in ("-73.980200", "-73.980600"):
+                rows.append(f"T1,{passengers},{ts},{ts},"
+                            f"{lon},40.720000,{lon},40.720100")
+        trips = out.parent / "edge_trips.csv"
+        trips.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert run(config, "ingest", "--trips", str(trips)) == 0
+        assert run(config, "hotspots") == 0
+        found = hotspots_from_geojson((out / "hotspots.geojson").read_text())
+        width = load_config(config).box.width_m
+        assert len(found) == 1 and found[0].polygon[:, 0].max() > width
+        assert run(config, "extract") == 0
+        text = (out / "series" / "A" / "2015-02-02.csv").read_text()
+        values = [float(ln.split(",")[1]) for ln in text.split("\n")[2:] if ln]
+        # every trip lies inside the hotspot: 12 equal steps from 0 to 1
+        expected = [(k // 12) / 11 for k in range(144)]
+        assert values == pytest.approx(expected, abs=1e-11)
+
+
 class TestTrainClassifyCompare:
     @pytest.fixture()
     def trained(self, workspace):

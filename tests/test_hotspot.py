@@ -18,7 +18,7 @@ from citytrails.hotspot import (
     slot_for_hour,
     smooth_sample,
 )
-from citytrails.stigspace import Trail2D
+from citytrails.stigspace import ConeMark, Trail2D, deposit_2d, evaporate
 from citytrails.synth import planted_cluster_batches
 
 
@@ -98,6 +98,34 @@ class TestSlotTrail:
         steps = batches_for([[(9000.0, 100.0, 1.0)]])
         with pytest.raises(ValueError):
             build_slot_trail(steps, 0.2, grid())
+
+    def test_matches_deposit_and_evaporate_fold(self):
+        # the in-place batch loop equals the immutable trail algebra, step by
+        # step: one deposit_2d per smoothed event, then one evaporate
+        rng = np.random.default_rng(9)
+        cone = ConeMark((0.0, 0.0), 1.0, base_radius=130.0, top_radius=35.0)
+        steps = []
+        for k in range(12):
+            n = int(rng.integers(0, 5))
+            xy = rng.uniform(0.0, 1000.0, (n, 2))
+            if k % 3 == 0 and n:
+                xy[0] = (1000.0, 0.0)  # a grid corner clips the cone
+            counts = rng.integers(1, 14, (n, 1)).astype(float)
+            steps.append(np.hstack([xy, counts]))
+        template = grid(1000, 1000, 40)
+        trail = build_slot_trail(batches_for(steps), 0.3, template, cone=cone,
+                                 smooth_alpha=9.0, smooth_beta=0.4, count_cap=8.0)
+
+        expected = template
+        for events in steps:
+            for x, y, count in events:
+                intensity = float(smooth_sample(min(count / 8.0, 1.0), 9.0, 0.4))
+                expected = deposit_2d(expected, ConeMark((x, y), intensity,
+                                                         130.0, 35.0))
+            expected = evaporate(expected, 0.3)
+        assert trail.cells.any()
+        assert np.array_equal(trail.cells, expected.cells)
+        assert (trail.origin, trail.cell_size) == (template.origin, template.cell_size)
 
     def test_two_clusters_one_scatter(self):
         # two locations reinforced every step, scatter hit once each: the

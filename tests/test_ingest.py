@@ -226,6 +226,21 @@ class TestHotspotActivity:
             hotspot_activity(grid, outside, "2015-02-02")
 
 
+    def test_polygon_across_east_edge_counts_inside_part(self):
+        edge = record(plon=BOX.lon_max, plat=40.73, dlon=BOX.lon_max - 0.0001,
+                      dlat=40.73)
+        grid = bucketize([edge], BOX)
+        width = BOX.width_m
+        across = square_hotspot(width - 100.0, 2000.0, 3000.0)
+        inside = Hotspot("B", np.array([[width - 100.0, 2000.0], [width, 2000.0],
+                                        [width, 5000.0], [width - 100.0, 5000.0]]), ())
+        raw = hotspot_raw_activity(grid, across, "2015-02-02")
+        assert raw.sum() == 4  # both endpoints of the two-passenger trip
+        assert np.array_equal(raw, hotspot_raw_activity(grid, inside, "2015-02-02"))
+        with pytest.raises(ValueError):
+            hotspot_raw_activity(grid, square_hotspot(width, 0.0, 100.0), "2015-02-02")
+
+
 class TestGeoBox:
     def test_projection_scale(self):
         x, _ = BOX.to_meters(BOX.lon_max, BOX.lat_min)

@@ -7,7 +7,6 @@ from citytrails.series import (
     AffinityTriple,
     all_archetypes,
     assessment_error,
-    extract_day_features,
     generate_archetype,
     normalize_min_max,
     perturb,
@@ -115,41 +114,6 @@ class TestPerturb:
             perturb(a, -0.1, 0, 1)
         with pytest.raises(ValueError):
             perturb(a, 0.1, 24, 1)  # shift must stay under length/4
-
-
-class TestDayFeatures:
-    def test_constant_high_series(self):
-        s = ActivityTimeSeries(np.full(100, 0.9))
-        f = extract_day_features(s, edge_fraction=0.1)
-        assert (f.initial_level, f.final_level) == ("high", "high")
-        assert f.t_mean == 10  # first interior index
-        assert f.t_max == 10
-        assert f.high_duration == 80
-
-    def test_ramp_mean_before_max(self):
-        s = ActivityTimeSeries(np.linspace(0, 1, 100))
-        f = extract_day_features(s, 0.1)
-        assert f.t_mean < f.t_max
-
-    def test_rise_archetype_levels(self):
-        # thresholds at 1/3 and 2/3: Rise starts mid (medium), ends high
-        a = generate_archetype("Rise", 144)
-        f = extract_day_features(ActivityTimeSeries(a.samples), 0.1)
-        assert f.initial_level == "medium"
-        assert f.final_level == "high"
-
-    def test_monotone_series_property(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            samples = np.sort(rng.uniform(0, 1, 60))
-            f = extract_day_features(ActivityTimeSeries(samples), 0.1)
-            assert f.t_mean <= f.t_max
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            extract_day_features(ActivityTimeSeries(np.array([0.1, 0.2, 0.3, 0.4])), 0.25)
-        with pytest.raises(ValueError):
-            extract_day_features(ActivityTimeSeries(np.full(20, 0.5)), 0.7)
 
 
 class TestAssessmentError:

@@ -13,7 +13,6 @@ from citytrails.srf import (
     default_warmup,
     indexed_similarity,
     pair_similarity,
-    similarity_series,
     step,
 )
 
@@ -91,8 +90,8 @@ class TestStep:
         p = SrfParams(30, 1 / 3, 30, 2 / 3, epsilon=0.1, delta=0.6,
                       alpha_a=20, beta_a=0.5)
         xs = generate_archetype("Rise", 60).samples
-        aligned = similarity_series(xs, xs, p).mean
-        delayed = similarity_series(xs, np.roll(xs, 6), p).mean
+        aligned = pair_similarity(xs, xs, p)[0]
+        delayed = pair_similarity(xs, np.roll(xs, 6), p)[0]
         assert delayed < aligned
 
     def test_counts_steps(self):
@@ -104,36 +103,39 @@ class TestStep:
 
 
 class TestSimilaritySeries:
+    """The activated similarity series of one pair, through pair_similarity."""
+
     def test_self_comparison_mean_is_activate_one(self):
         p = SrfParams.defaults()
         xs = np.random.default_rng(1).uniform(0, 1, 50)
-        result = similarity_series(xs, xs, p)
-        assert result.mean == pytest.approx(float(activate(1.0, p)), rel=1e-12)
+        assert pair_similarity(xs, xs, p)[0] == pytest.approx(float(activate(1.0, p)),
+                                                              rel=1e-12)
 
     def test_symmetric_in_arguments(self):
         p = SrfParams.defaults()
         rng = np.random.default_rng(2)
         a, b = rng.uniform(0, 1, 40), rng.uniform(0, 1, 40)
-        assert similarity_series(a, b, p).mean == similarity_series(b, a, p).mean
+        assert pair_similarity(a, b, p)[0] == pair_similarity(b, a, p)[0]
 
     def test_length_mismatch_rejected(self):
         p = SrfParams.defaults()
         with pytest.raises(ValueError):
-            similarity_series(np.zeros(5), np.zeros(6), p)
+            pair_similarity(np.zeros(5), np.zeros(6), p)
 
     def test_stream_length_honors_warmup(self):
         p = SrfParams.defaults()
         xs = np.linspace(0, 1, 40)
-        result = similarity_series(xs, xs, p, warmup=7)
-        assert result.activated.size == 33
+        _, streams = pair_similarity(xs, xs, p, warmup=7, return_streams=True)
+        assert streams.shape == (1, 33)
         assert default_warmup(40) == 4
 
     def test_outputs_in_open_unit_interval(self):
         p = SrfParams.defaults()
         rng = np.random.default_rng(3)
         for _ in range(10):
-            r = similarity_series(rng.uniform(0, 1, 30), rng.uniform(0, 1, 30), p)
-            assert np.all((r.activated > 0) & (r.activated < 1))
+            _, streams = pair_similarity(rng.uniform(0, 1, 30), rng.uniform(0, 1, 30),
+                                         p, return_streams=True)
+            assert np.all((streams > 0) & (streams < 1))
 
 
 class TestEngineEquivalence:
