@@ -2,20 +2,19 @@
 
 Walks through the core mechanics: a trapezoid mark deposited on a value axis,
 the way repeated deposits beat evaporation while isolated deposits fade, and
-how the overlap of two trails is scored.
+how the overlap of two trails is scored. A 1-D trail is a plain array of
+cell intensities over the value axis [0, 1]; evaporation subtracts a constant
+from every cell and clamps at zero.
 """
 
 import numpy as np
 
 from citytrails.stigspace import (
     ConeMark,
-    Trail1D,
     Trail2D,
-    TrapezoidMark,
-    deposit_1d,
     deposit_2d,
-    evaporate,
     jaccard,
+    trapezoid_profile,
 )
 
 
@@ -28,24 +27,23 @@ def sparkline(cells, width=60):
 
 
 print("== a single mark, then pure evaporation ==")
-trail = deposit_1d(Trail1D.empty(100), TrapezoidMark(center=0.5, intensity=1.0,
-                                                     width=0.2))
+trail = 1.0 * trapezoid_profile(0.5, width=0.2)  # intensity times unit profile
 for step in range(4):
-    print(f"step {step}: |{sparkline(trail.cells)}| peak {trail.cells.max():.2f}")
-    trail = evaporate(trail, 0.4)
+    print(f"step {step}: |{sparkline(trail)}| peak {trail.max():.2f}")
+    trail = np.maximum(trail - 0.4, 0.0)
 print("the isolated mark is gone after ceil(1.0 / 0.4) = 3 steps\n")
 
 print("== reinforcement beats evaporation ==")
-trail = Trail1D.empty(100)
+trail = np.zeros(100)
 for step in range(12):
-    trail = evaporate(deposit_1d(trail, TrapezoidMark(0.3, 1.0, 0.2)), 0.4)
+    trail = np.maximum(trail + trapezoid_profile(0.3, 0.2) - 0.4, 0.0)
 print(f"after 12 reinforced steps the trail is stable: "
-      f"|{sparkline(trail.cells)}| peak {trail.cells.max():.2f}\n")
+      f"|{sparkline(trail)}| peak {trail.max():.2f}\n")
 
 print("== Jaccard similarity of two trails ==")
-left = deposit_1d(Trail1D.empty(100), TrapezoidMark(0.3, 1.0, 0.25))
+left = trapezoid_profile(0.3, 0.25)
 for center in (0.3, 0.4, 0.6, 0.9):
-    other = deposit_1d(Trail1D.empty(100), TrapezoidMark(center, 1.0, 0.25))
+    other = trapezoid_profile(center, 0.25)
     print(f"marks at 0.30 vs {center:.2f}: similarity {jaccard(left, other):.3f}")
 print()
 

@@ -116,14 +116,10 @@ class TrainingPair:
         object.__setattr__(self, "series_b", b)
 
 
-def fitness(params: SrfParams, pairs, warmup: int | None = None) -> float:
-    """Mean squared error between field similarities and pair targets."""
-    return float(population_fitness(params.to_vector(), pairs, warmup)[0])
-
-
 def population_fitness(param_matrix: np.ndarray, pairs,
                        warmup: int | None = None) -> np.ndarray:
-    """Fitness of every candidate parameter vector, one engine pass.
+    """Fitness of every candidate parameter vector, one engine pass: the mean
+    squared error between the field's similarities and the pair targets.
 
     Series shared between pairs (a field's reference archetype, a pattern day
     in every couple it belongs to) are matched through one trail each.

@@ -33,14 +33,13 @@ from .ingest import BucketGrid, bucketize, hotspot_activity, parse_trips, \
     rejections_to_csv, slot_event_batches
 from .perceptron import StigmergicPerceptron, load_sp, save_sp, transform_many
 from .series import (
-    ActivityTimeSeries,
     CLASS_LETTERS,
     all_archetypes,
     series_from_csv,
     series_to_csv,
 )
-from .srf import PARAM_KEYS, SrfParams, SrfState, step
-from .stigspace import Trail2D, to_ascii_grid
+from .srf import PARAM_KEYS, SrfParams, final_trail
+from .stigspace import CELL_CENTERS, Trail2D, to_ascii_grid
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -67,7 +66,7 @@ def _write(path: Path, text: str) -> None:
 
 def cmd_synth(cfg: PipelineConfig, args) -> None:
     out = cfg.out_dir
-    kinds = {"year", "trips", "archetypes"} if args.kind == "all" else {args.kind}
+    kinds = {"year", "trips"} if args.kind == "all" else {args.kind}
     if "year" in kinds:
         year = synth.synthetic_year(
             n_days=args.days, anomaly_count=args.anomalies,
@@ -85,18 +84,6 @@ def cmd_synth(cfg: PipelineConfig, args) -> None:
                                        seed=cfg.stage_seed("synth:trips"))
         _write(out / "trips.csv", text)
         print(f"synth: wrote {out / 'trips.csv'}")
-    if "archetypes" in kinds:
-        sets = synth.archetype_training_sets(
-            cfg.training.day_length, cfg.training.per_class, cfg.training.noise,
-            cfg.training.max_shift, seed=cfg.stage_seed("synth:archetypes"))
-        for archetype in all_archetypes(cfg.training.day_length):
-            _write(out / "archetypes" / f"{archetype.name}.csv",
-                   series_to_csv(ActivityTimeSeries(archetype.samples,
-                                                    hotspot_id=archetype.name)))
-            for i, s in enumerate(sets[archetype.name]):
-                _write(out / "training_sets" / archetype.name / f"{i:02d}.csv",
-                       series_to_csv(s))
-        print(f"synth: wrote archetype shapes and training pool under {out}")
 
 
 # --- ingest ------------------------------------------------------------------
@@ -298,11 +285,8 @@ def _archetype_trail_rows(cfg: PipelineConfig) -> str:
     sp = load_sp(_require(cfg.out_dir / "sp.ini"), cfg.training.day_length)
     lines = ["archetype,cell_index,cell_center,intensity"]
     for archetype, params in sp.fields:
-        state = SrfState.fresh(params)
-        for x in archetype.samples:
-            state, _ = step(state, float(x), float(x))
-        trail = state.trail_input
-        for i, (center, value) in enumerate(zip(trail.cell_centers, trail.cells)):
+        trail = final_trail(archetype.samples, params)
+        for i, (center, value) in enumerate(zip(CELL_CENTERS, trail)):
             lines.append(f"{archetype.name},{i},{center:.6g},{value:.6g}")
     return "\n".join(lines) + "\n"
 
@@ -335,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic inputs")
-    p.add_argument("--kind", choices=("year", "trips", "archetypes", "all"),
+    p.add_argument("--kind", choices=("year", "trips", "all"),
                    default="all")
     p.add_argument("--days", type=int, default=364)
     p.add_argument("--anomalies", type=int, default=20)

@@ -62,6 +62,8 @@ class PipelineConfig:
         return int.from_bytes(digest[:4], "big")
 
     def de_for(self, stage: str) -> DeConfig:
+        if stage not in DE_STAGES:
+            raise ValueError(f"unknown DE stage {stage!r}")
         cfg = dataclasses.replace(self.de, seed=self.stage_seed(f"de:{stage}"))
         overrides = self.de_overrides.get(stage, {})
         if overrides:
@@ -79,6 +81,21 @@ SCALAR_KEYS = {
     ("grid", "resolution_minutes"): "resolution_minutes",
     ("seeds", "master"): "master_seed",
 }
+# Stages that ask PipelineConfig.de_for for their DE settings; each may have
+# a [de.<stage>] section.
+DE_STAGES = ("global", "local", "pattern", "thresholds", "thresholds:dtw",
+             "thresholds:frechet")
+
+
+def _accepted_keys(base: PipelineConfig) -> dict[str, set[str]]:
+    """Every section the loader reads, with the keys it reads there."""
+    accepted = {name: {f.name for f in dataclasses.fields(getattr(base, name))}
+                for name in SETTINGS_SECTIONS}
+    accepted.update({f"de.{stage}": accepted["de"] for stage in DE_STAGES})
+    for name, key in SCALAR_KEYS:
+        accepted.setdefault(name, set()).add(key)
+    accepted["paths"].add("trips")
+    return accepted
 
 
 def load_config(path=None) -> PipelineConfig:
@@ -86,6 +103,8 @@ def load_config(path=None) -> PipelineConfig:
     default its dataclass field declares, and a present one is cast with the
     type of that default. ``[de.<stage>]`` sections override ``[de]`` for one
     stage; relative ``[paths] trips`` resolves against the file's directory.
+    Values may carry ``;`` comments. An unknown section or key raises
+    ValueError, so a misspelled key cannot silently fall back to its default.
     """
     base = PipelineConfig()
     if path is None:
@@ -93,8 +112,15 @@ def load_config(path=None) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     parser.read(path, encoding="utf-8")
+    accepted = _accepted_keys(base)
+    for name in parser.sections():
+        if name not in accepted:
+            raise ValueError(f"{path}: unknown section [{name}]")
+        unknown = sorted(set(parser[name]) - accepted[name])
+        if unknown:
+            raise ValueError(f"{path}: unknown key {unknown[0]!r} in section [{name}]")
 
     def read(name: str, settings) -> dict:
         section = parser[name] if parser.has_section(name) else {}

@@ -11,11 +11,13 @@ A trail depends only on its stream and the field parameters, so the engine
 row, then matches pairs of trails through index arrays at every step: a
 similarity matrix over N days steps N trails, and DE candidates share the
 trails of series that recur across training pairs. ``pair_similarity`` is
-the row-aligned wrapper (row i of one matrix against row i of the other).
-Every trail has one geometry: the value axis [0, 1] in DEFAULT_CELL_COUNT
-cells, marks with the default plateau fraction; only the eight field
-parameters vary. The stepwise object API (``SrfState`` + ``step``) is the
-reference implementation; the test suite pins the engine to it.
+the row-aligned wrapper (row i of one matrix against row i of the other),
+and ``final_trail`` the trail one stream leaves, which plot bundles export.
+Both step their trails through ``_advance``. Every trail has the one
+geometry of ``stigspace``: the value axis [0, 1] in CELL_COUNT cells; only
+the eight field parameters vary. The test suite pins the engine to a
+brute-force reference that spells out the trapezoid, the evaporation and the
+Jaccard cell by cell.
 """
 
 from __future__ import annotations
@@ -24,24 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stigspace import (
-    DEFAULT_CELL_COUNT,
-    Trail1D,
-    TrapezoidMark,
-    deposit_1d,
-    evaporate,
-    jaccard,
-    trapezoid_profile,
-)
+from .stigspace import CELL_COUNT, jaccard, trapezoid_profile
 
 PARAM_KEYS = ("alpha_c1", "beta_c1", "alpha_c2", "beta_c2",
               "epsilon", "delta", "alpha_a", "beta_a")
 
 DEFAULT_WARMUP_FRACTION = 0.1
-MARK_INTENSITY = 1.0  # trail magnitude is then governed by delta alone
-# Every trail spans the clumped value axis [0, 1] in DEFAULT_CELL_COUNT cells,
-# the geometry of the reference Trail1D.
-CELL_CENTERS = Trail1D.empty().cell_centers
 
 
 def logistic(z):
@@ -101,35 +91,22 @@ def activate(raw, p: SrfParams):
     return logistic(p.alpha_a * (np.asarray(raw, dtype=float) - p.beta_a))
 
 
-@dataclass(frozen=True)
-class SrfState:
-    """Streaming state of one receptive field: the two trails plus a step count."""
-
-    params: SrfParams
-    trail_input: Trail1D
-    trail_reference: Trail1D
-    steps_processed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.trail_input.same_axis(self.trail_reference):
-            raise ValueError("input and reference trails must share the axis")
-
-    @classmethod
-    def fresh(cls, params: SrfParams, cell_count: int = DEFAULT_CELL_COUNT) -> "SrfState":
-        return cls(params, Trail1D.empty(cell_count), Trail1D.empty(cell_count))
+def _advance(trails, centers, width, delta) -> None:
+    """One SRF step on a stack of trails, in place: deposit a mark at each
+    center (one per trail), then evaporate every cell by ``delta``."""
+    # Marks have unit intensity, so the profile is the deposit and trail
+    # magnitude is governed by delta alone.
+    trails += trapezoid_profile(centers, width)
+    np.maximum(trails - delta, 0.0, out=trails)
 
 
-def step(s: SrfState, x_input: float, x_reference: float) -> tuple[SrfState, float]:
-    """Advance one sample on each stream; returns the new state and raw similarity."""
-    p = s.params
-    t_in = deposit_1d(s.trail_input, TrapezoidMark(float(clump(x_input, p)),
-                                                   MARK_INTENSITY, p.epsilon))
-    t_ref = deposit_1d(s.trail_reference, TrapezoidMark(float(clump(x_reference, p)),
-                                                        MARK_INTENSITY, p.epsilon))
-    t_in = evaporate(t_in, p.delta)
-    t_ref = evaporate(t_ref, p.delta)
-    state = SrfState(p, t_in, t_ref, s.steps_processed + 1)
-    return state, jaccard(t_in, t_ref)
+def final_trail(samples, params: SrfParams) -> np.ndarray:
+    """The trail one sample stream leaves after its last sample, one
+    intensity per cell of ``stigspace.CELL_CENTERS``."""
+    trail = np.zeros(CELL_COUNT)
+    for center in clump(samples, params):
+        _advance(trail, center, params.epsilon, params.delta)
+    return trail
 
 
 def default_warmup(length: int) -> int:
@@ -181,22 +158,12 @@ def indexed_similarity(streams, ia, ib, params, warmup: int | None = None, *,
                                               for j in range(len(PARAM_KEYS)))
     clumped = 0.5 * (logistic(ac1 * (x - bc1)) + logistic(ac2 * (x - bc2)))
 
-    trails = np.zeros((n_rows, n_streams, CELL_CENTERS.size))
+    trails = np.zeros((n_rows, n_streams, CELL_COUNT))
     rows = trails.reshape(n_rows * n_streams, -1)  # a view of ``trails``
     raw = np.empty(out_shape + (length,))
     for t in range(length):
-        # marks carry MARK_INTENSITY == 1, so the profile is the deposit
-        trails += trapezoid_profile(clumped[..., t], CELL_CENTERS, eps[..., 0])
-        np.maximum(trails - delta, 0.0, out=trails)
-        ta, tb = rows[fa], rows[fb]
-        # Jaccard via sum/|difference|: min = (s - d) / 2, max = (s + d) / 2.
-        total = (ta + tb).sum(axis=-1)
-        gap = np.abs(ta - tb).sum(axis=-1)
-        denominator = total + gap
-        raw[..., t] = np.where(
-            denominator > 0.0,
-            (total - gap) / np.where(denominator > 0.0, denominator, 1.0),
-            1.0)
+        _advance(trails, clumped[..., t], eps[..., 0], delta)
+        raw[..., t] = jaccard(rows[fa], rows[fb])
 
     activated = logistic(aa * (raw[..., warmup:] - ba))
     means = activated.mean(axis=-1)

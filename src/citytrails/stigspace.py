@@ -5,6 +5,11 @@ A trail is a grid of non-negative intensities. Marks (a trapezoid profile on a
 constant amount evaporates from every cell each step, clamped at zero. Trails
 built from two sample streams are compared with the Jaccard coefficient
 (sum of cell-wise minima over sum of cell-wise maxima).
+
+The 1-D value axis has one geometry, [0, 1] in CELL_COUNT cells, and its
+trails are plain arrays whose last axis is the cell axis, so one call
+deposits on or compares a whole stack of trails. 2-D trails are Trail2D
+values with their own origin and cell size.
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_CELL_COUNT = 100
-DEFAULT_PLATEAU_FRACTION = 0.5
+CELL_COUNT = 100
+CELL_CENTERS = (np.arange(CELL_COUNT) + 0.5) * (1.0 / CELL_COUNT)
+CELL_CENTERS.setflags(write=False)
+PLATEAU_FRACTION = 0.5  # a trapezoid's plateau, as a share of its width
 DEFAULT_CELL_SIZE_M = 50.0
 
 
@@ -23,69 +30,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class TrapezoidMark:
-    """Symmetric trapezoid deposit on a value axis.
-
-    Full ``intensity`` within ``plateau_fraction * width / 2`` of ``center``,
-    linear falloff to zero at ``width / 2``.
-    """
-
-    center: float
-    intensity: float = 1.0
-    width: float = 0.2
-    plateau_fraction: float = DEFAULT_PLATEAU_FRACTION
-
-    def __post_init__(self) -> None:
-        if not self.width > 0:
-            raise ValueError(f"mark width must be positive, got {self.width}")
-        if self.intensity < 0:
-            raise ValueError("mark intensity must be non-negative")
-        if not 0 < self.plateau_fraction <= 1:
-            raise ValueError("plateau_fraction must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class Trail1D:
-    """Intensity trail over a discretized value axis."""
-
-    cells: np.ndarray
-    axis_min: float = 0.0
-    axis_max: float = 1.0
-
-    def __post_init__(self) -> None:
-        cells = _readonly(self.cells)
-        if cells.ndim != 1 or cells.size < 2:
-            raise ValueError("trail needs a 1-D cell vector with >= 2 cells")
-        if not np.all(np.isfinite(cells)) or np.any(cells < 0):
-            raise ValueError("trail intensities must be finite and non-negative")
-        if not self.axis_max > self.axis_min:
-            raise ValueError("axis_max must exceed axis_min")
-        object.__setattr__(self, "cells", cells)
-
-    @classmethod
-    def empty(cls, cell_count: int = DEFAULT_CELL_COUNT,
-              axis_min: float = 0.0, axis_max: float = 1.0) -> "Trail1D":
-        return cls(np.zeros(cell_count), axis_min, axis_max)
-
-    @property
-    def cell_count(self) -> int:
-        return self.cells.size
-
-    @property
-    def cell_width(self) -> float:
-        return (self.axis_max - self.axis_min) / self.cell_count
-
-    @property
-    def cell_centers(self) -> np.ndarray:
-        return self.axis_min + (np.arange(self.cell_count) + 0.5) * self.cell_width
-
-    def same_axis(self, other: "Trail1D") -> bool:
-        return (self.cell_count == other.cell_count
-                and self.axis_min == other.axis_min
-                and self.axis_max == other.axis_max)
 
 
 @dataclass(frozen=True)
@@ -153,30 +97,17 @@ class Trail2D:
         return (x0 + (col + 0.5) * self.cell_size, y0 + (row + 0.5) * self.cell_size)
 
 
-def trapezoid_profile(centers: np.ndarray, cell_centers: np.ndarray,
-                      width: float | np.ndarray,
-                      plateau_fraction: float = DEFAULT_PLATEAU_FRACTION) -> np.ndarray:
-    """Unit-height trapezoid profile sampled at ``cell_centers``.
+def trapezoid_profile(centers, width) -> np.ndarray:
+    """Unit-height trapezoid profile sampled at CELL_CENTERS.
 
-    ``centers`` may carry leading batch dimensions; the cell axis is appended.
+    Full height within PLATEAU_FRACTION * width / 2 of the center, linear
+    falloff to zero at width / 2. ``centers`` may carry leading batch
+    dimensions, which ``width`` broadcasts against; the cell axis is appended.
     """
     centers = np.asarray(centers, dtype=float)
-    r = np.abs(cell_centers - centers[..., None])
+    r = np.abs(CELL_CENTERS - centers[..., None])
     half = np.asarray(width, dtype=float)[..., None] / 2.0
-    plat = plateau_fraction * half
-    if plateau_fraction >= 1.0:
-        return (r <= half).astype(float)
-    return np.clip((half - r) / (half - plat), 0.0, 1.0)
-
-
-def deposit_1d(t: Trail1D, m: TrapezoidMark) -> Trail1D:
-    """Add a trapezoid mark to the trail. Centers outside the axis are rejected."""
-    if not t.axis_min <= m.center <= t.axis_max:
-        raise ValueError(
-            f"mark center {m.center} outside axis [{t.axis_min}, {t.axis_max}]")
-    profile = m.intensity * trapezoid_profile(
-        np.asarray(m.center), t.cell_centers, m.width, m.plateau_fraction)
-    return dataclasses.replace(t, cells=t.cells + profile)
+    return np.clip((half - r) / (half - PLATEAU_FRACTION * half), 0.0, 1.0)
 
 
 def add_cone(cells: np.ndarray, origin: tuple[float, float], cell_size: float,
@@ -210,23 +141,25 @@ def deposit_2d(t: Trail2D, m: ConeMark) -> Trail2D:
 
 
 def evaporate(t, delta: float):
-    """Subtract ``delta`` from every cell, clamped at zero. Works on 1-D and 2-D trails."""
+    """Subtract ``delta`` from every cell of a Trail2D, clamped at zero."""
     if delta < 0:
         raise ValueError(f"evaporation delta must be non-negative, got {delta}")
     return dataclasses.replace(t, cells=np.maximum(t.cells - delta, 0.0))
 
 
-def jaccard(t1: Trail1D, t2: Trail1D) -> float:
-    """Similarity of two trails: sum of minima over sum of maxima, in [0, 1].
+def jaccard(a, b):
+    """Similarity of trails over the last axis: sum of minima over sum of
+    maxima, in [0, 1]. Leading axes broadcast.
 
     Two all-zero trails compare as 1 (identical emptiness).
     """
-    if not t1.same_axis(t2):
-        raise ValueError("trails must share axis bounds and cell count")
-    union = np.maximum(t1.cells, t2.cells).sum()
-    if union == 0.0:
-        return 1.0
-    return float(np.minimum(t1.cells, t2.cells).sum() / union)
+    # min = (a + b - |a - b|) / 2 and max = (a + b + |a - b|) / 2, cell-wise.
+    total = (a + b).sum(axis=-1)
+    gap = np.abs(a - b).sum(axis=-1)
+    denominator = total + gap
+    return np.where(denominator > 0.0,
+                    (total - gap) / np.where(denominator > 0.0, denominator, 1.0),
+                    1.0)
 
 
 def to_ascii_grid(t: Trail2D, nodata: float = -9999.0) -> str:

@@ -31,12 +31,11 @@ from citytrails.series import (
 )
 from citytrails.srf import pair_similarity
 from citytrails.stigspace import (
-    Trail1D,
+    CELL_COUNT,
     Trail2D,
-    TrapezoidMark,
-    deposit_1d,
     evaporate,
     jaccard,
+    trapezoid_profile,
 )
 from citytrails.synth import class_profile, planted_cluster_batches, planted_trips_csv
 
@@ -64,22 +63,23 @@ def test_criterion_01_trail_algebra():
     with criterion(1, "trail algebra: additivity, clamp, jaccard properties"):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            t = Trail1D.empty(100)
-            a = TrapezoidMark(float(rng.uniform(0.1, 0.9)),
-                              float(rng.uniform(0.2, 2.0)), 0.2)
-            b = TrapezoidMark(float(rng.uniform(0.1, 0.9)),
-                              float(rng.uniform(0.2, 2.0)), 0.15)
-            ab = deposit_1d(deposit_1d(t, a), b)
-            ba = deposit_1d(deposit_1d(t, b), a)
-            assert np.array_equal(ab.cells, ba.cells)  # commutative
-            single = deposit_1d(t, a)
-            assert np.allclose(deposit_1d(single, a).cells, 2 * single.cells)
+            t = np.zeros(CELL_COUNT)
+            # a mark is its intensity times the unit profile, deposited by adding
+            a_center, a_intensity = rng.uniform(0.1, 0.9), rng.uniform(0.2, 2.0)
+            b_center, b_intensity = rng.uniform(0.1, 0.9), rng.uniform(0.2, 2.0)
+            a = float(a_intensity) * trapezoid_profile(float(a_center), 0.2)
+            b = float(b_intensity) * trapezoid_profile(float(b_center), 0.15)
+            ab = (t + a) + b
+            ba = (t + b) + a
+            assert np.array_equal(ab, ba)  # commutative
+            single = t + a
+            assert np.allclose(single + a, 2 * single)
             delta = float(rng.uniform(0.1, 1.5))
-            ev = evaporate(ab, delta)
-            assert np.all(ev.cells >= 0.0)  # clamp
-            assert np.all(ev.cells >= np.maximum(ab.cells - delta, 0.0) - 1e-15)
-            t1 = Trail1D(rng.uniform(0, 2, 100))
-            t2 = Trail1D(rng.uniform(0, 2, 100))
+            ev = evaporate(Trail2D(ab[None, :]), delta).cells[0]
+            assert np.all(ev >= 0.0)  # clamp
+            assert np.all(ev >= np.maximum(ab - delta, 0.0) - 1e-15)
+            t1 = rng.uniform(0, 2, 100)
+            t2 = rng.uniform(0, 2, 100)
             s = jaccard(t1, t2)
             assert 0.0 <= s <= 1.0
             assert s == jaccard(t2, t1)

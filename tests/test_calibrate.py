@@ -7,7 +7,6 @@ from citytrails.calibrate import (
     ParamBounds,
     TrainingPair,
     de_minimize,
-    fitness,
     global_training,
     local_training,
     narrowest_quality_interval,
@@ -40,24 +39,27 @@ class TestFitness:
     def test_perfect_fit_is_zero(self):
         xs = np.random.default_rng(0).uniform(0, 1, 30)
         p = SrfParams(30, 1 / 3, 30, 2 / 3, 0.2, 0.1, alpha_a=100, beta_a=0.0)
-        assert fitness(p, [TrainingPair(xs, xs, 1.0)]) == 0.0
+        pairs = [TrainingPair(xs, xs, 1.0)]
+        assert population_fitness(p.to_vector(), pairs)[0] == 0.0
 
     def test_half_similarity_quarter_error(self):
         # a self pair with beta_a = 1 activates exactly to 0.5
         xs = np.random.default_rng(1).uniform(0, 1, 30)
         p = SrfParams(30, 1 / 3, 30, 2 / 3, 0.2, 0.1, alpha_a=20, beta_a=1.0)
-        assert fitness(p, [TrainingPair(xs, xs, 1.0)]) == pytest.approx(0.25)
+        pairs = [TrainingPair(xs, xs, 1.0)]
+        assert population_fitness(p.to_vector(), pairs)[0] == pytest.approx(0.25)
 
     def test_pure_function(self):
         rng = np.random.default_rng(2)
         pairs = [TrainingPair(rng.uniform(0, 1, 30), rng.uniform(0, 1, 30), 0.0)
                  for _ in range(3)]
         p = SrfParams.defaults()
-        assert fitness(p, pairs) == fitness(p, pairs)
+        assert (population_fitness(p.to_vector(), pairs)[0]
+                == population_fitness(p.to_vector(), pairs)[0])
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
-            fitness(SrfParams.defaults(), [])
+            population_fitness(SrfParams.defaults().to_vector(), [])[0]
 
     def test_target_must_be_binary(self):
         xs = np.zeros(10)
@@ -73,7 +75,8 @@ class TestFitness:
         pmat = np.stack([r.to_vector() for r in rows])
         batched = population_fitness(pmat, pairs)
         for row, params in zip(batched, rows):
-            assert row == pytest.approx(fitness(params, pairs), rel=1e-12)
+            single = population_fitness(params.to_vector(), pairs)[0]
+            assert row == pytest.approx(single, rel=1e-12)
 
         # Equal-content series in distinct arrays and a shared reference share
         # trails in the engine; every pair run on its own gives the same bits.
@@ -221,7 +224,8 @@ class TestLocalTraining:
         for archetype, params in sp.fields:
             pairs = training_pairs_for_field(archetype.enumeration, by_enum,
                                              archetype.samples)
-            assert fitness(params, pairs) < fitness(bounds.mid_params(), pairs)
+            assert (population_fitness(params.to_vector(), pairs)[0]
+                    < population_fitness(bounds.mid_params().to_vector(), pairs)[0])
 
     def test_margin_on_held_out_perturbations(self, trained, archetypes):
         _, sp, _ = trained

@@ -2,6 +2,8 @@ import pytest
 
 import citytrails.cli as cli
 from citytrails.cli import main
+from citytrails.perceptron import load_sp
+from test_srf import oracle_final_trail
 
 TINY_CONFIG = """\
 [paths]
@@ -79,12 +81,6 @@ class TestSynth:
         main(["--config", str(config), "--seed", "99", "synth", "--kind",
               "trips", "--valid-rows", "50", "--invalid-rows", "5"])
         assert (out / "trips.csv").read_bytes() != first
-
-    def test_archetype_pool(self, workspace):
-        config, out = workspace
-        assert run(config, "synth", "--kind", "archetypes") == 0
-        assert len(list((out / "archetypes").glob("*.csv"))) == 7
-        assert len(list((out / "training_sets").glob("*/*.csv"))) == 28
 
 
 class TestIngest:
@@ -243,6 +239,15 @@ class TestTrainClassifyCompare:
         snapshots = (out / "plotdata" / "trail_snapshots.csv").read_text()
         assert snapshots.startswith("archetype,cell_index,cell_center,intensity")
         assert "RushHour" in snapshots
+        # every intensity is the final trail the reference leaves for the
+        # archetype under its trained field
+        rows = [ln.split(",") for ln in snapshots.strip().split("\n")[1:]]
+        expected = []
+        for archetype, params in load_sp(out / "sp.ini", 96).fields:
+            trail = oracle_final_trail(archetype.samples, params)
+            expected.extend([archetype.name, str(i), f"{(i + 0.5) / 100:.6g}",
+                             f"{value:.6g}"] for i, value in enumerate(trail))
+        assert rows == expected
 
     def test_plotdata_without_report_exits_3(self, trained):
         config, _ = trained

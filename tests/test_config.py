@@ -1,7 +1,12 @@
+import re
 from pathlib import Path
 
+import pytest
+
 from citytrails.calibrate import DeConfig
+from citytrails.cli import _HANDLERS, main
 from citytrails.config import (
+    DE_STAGES,
     HotspotSettings,
     PipelineConfig,
     TrainingSettings,
@@ -103,3 +108,47 @@ def test_missing_keys_fall_back_to_defaults(tmp_path):
                                  de_overrides={"pattern": {"generations": 2}})
     assert load_config() == PipelineConfig()
 
+
+
+def test_readme_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "pipeline.ini"
+    path.write_text(example, encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.hotspots.count_cap == 10.0
+    assert cfg.de_overrides == {"pattern": {"population_size": 16, "generations": 50}}
+    assert cfg.de_for("pattern").generations == 50
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[hotspots]\ntrail_detla = 0.1\n", "trail_detla"),
+    ("[sedes]\nmaster = 3\n", "[sedes]"),
+    ("[de.patern]\ngenerations = 2\n", "[de.patern]"),
+    ("[de.local]\npopulation = 5\n", "population"),
+    ("[paths]\ntrip = data/trips.csv\n", "trip"),
+], ids=["key", "section", "de-stage", "de-stage-key", "paths-key"])
+def test_unknown_section_or_key_rejected(tmp_path, text, named):
+    path = tmp_path / "pipeline.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_config(path)
+
+
+def test_every_de_stage_accepts_overrides(tmp_path):
+    path = tmp_path / "pipeline.ini"
+    path.write_text("".join(f"[de.{stage}]\ngenerations = {i}\n\n"
+                            for i, stage in enumerate(DE_STAGES)), encoding="utf-8")
+    cfg = load_config(path)
+    assert [cfg.de_for(stage).generations for stage in DE_STAGES] == list(
+        range(len(DE_STAGES)))
+    with pytest.raises(ValueError):
+        cfg.de_for("thresholds:euclid")
+
+
+@pytest.mark.parametrize("command", sorted(_HANDLERS))
+def test_misspelled_key_exits_2_naming_it(tmp_path, capsys, command):
+    path = tmp_path / "pipeline.ini"
+    path.write_text("[hotspots]\ntrail_detla = 0.1\n", encoding="utf-8")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), command]) == 2
+    assert "trail_detla" in capsys.readouterr().err

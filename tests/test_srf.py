@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,29 +8,73 @@ from citytrails.series import generate_archetype
 from citytrails.srf import (
     PARAM_KEYS,
     SrfParams,
-    SrfState,
     activate,
     clump,
     default_warmup,
+    final_trail,
     indexed_similarity,
     pair_similarity,
-    step,
 )
+from citytrails.stigspace import jaccard
+
+# Brute-force reference for the SRF trail mechanics. It spells out each step
+# cell by cell and shares no trail code with the package: 100 cells on [0, 1],
+# a unit trapezoid with a plateau of half its width, evaporation clamped at
+# zero, and the Jaccard coefficient as sum of minima over sum of maxima.
+ORACLE_CELLS = 100
 
 
-def run_object_path(xa, xb, p):
-    """Reference stepwise run; returns the raw similarity stream."""
-    state = SrfState.fresh(p)
-    raws = []
-    for a, b in zip(xa, xb):
-        state, raw = step(state, float(a), float(b))
-        raws.append(raw)
-    return np.array(raws)
+def oracle_mark(center, width):
+    half = width / 2.0
+    plateau = 0.5 * half
+    cells = []
+    for i in range(ORACLE_CELLS):
+        r = abs((i + 0.5) / ORACLE_CELLS - center)
+        if r <= plateau:
+            cells.append(1.0)
+        elif r < half:
+            cells.append((half - r) / (half - plateau))
+        else:
+            cells.append(0.0)
+    return cells
 
 
-def reference_streams(xa, xb, p, warmup):
-    """Activated stepwise-reference streams past warmup."""
-    return activate(run_object_path(xa, xb, p)[warmup:], p)
+def oracle_trails(xs, p):
+    """The trail after each sample of one stream."""
+    trail = [0.0] * ORACLE_CELLS
+    trails = []
+    for x in xs:
+        mark = oracle_mark(float(clump(float(x), p)), p.epsilon)
+        trail = [max(v + m - p.delta, 0.0) for v, m in zip(trail, mark)]
+        trails.append(trail)
+    return trails
+
+
+def oracle_final_trail(xs, p):
+    return oracle_trails(xs, p)[-1]
+
+
+def oracle_jaccard(t1, t2):
+    union = sum(max(a, b) for a, b in zip(t1, t2))
+    if union == 0.0:
+        return 1.0
+    return sum(min(a, b) for a, b in zip(t1, t2)) / union
+
+
+def oracle_raws(xa, xb, p):
+    """The raw similarity stream of one pair."""
+    return np.array([oracle_jaccard(ta, tb)
+                     for ta, tb in zip(oracle_trails(xa, p), oracle_trails(xb, p))])
+
+
+def oracle_streams(xa, xb, p, warmup):
+    """The activated similarity stream of one pair past warmup."""
+    return activate(oracle_raws(xa, xb, p)[warmup:], p)
+
+
+def engine_streams(xa, xb, p):
+    """The engine's activated similarity stream of one pair, no warmup."""
+    return pair_similarity(xa, xb, p, warmup=0, return_streams=True)[1][0]
 
 
 class TestClump:
@@ -75,16 +120,19 @@ class TestActivate:
 
 
 class TestStep:
+    # With beta_a at the expected raw similarity the activation sits at its
+    # steep midpoint, where a raw value off by a rounding step moves the
+    # engine's stream off 0.5.
     def test_identical_streams_give_raw_one(self):
-        p = SrfParams.defaults()
+        p = dataclasses.replace(SrfParams.defaults(), beta_a=1.0)
         xs = np.random.default_rng(0).uniform(0, 1, 30)
-        raws = run_object_path(xs, xs, p)
-        assert np.all(raws == 1.0)
+        assert np.all(oracle_raws(xs, xs, p) == 1.0)
+        assert np.all(engine_streams(xs, xs, p) == 0.5)
 
     def test_constant_extremes_give_raw_zero(self):
-        p = SrfParams.defaults()
-        raws = run_object_path(np.zeros(20), np.ones(20), p)
-        assert np.all(raws == 0.0)
+        p = dataclasses.replace(SrfParams.defaults(), beta_a=0.0)
+        assert np.all(oracle_raws(np.zeros(20), np.ones(20), p) == 0.0)
+        assert np.all(engine_streams(np.zeros(20), np.ones(20), p) == 0.5)
 
     def test_delay_lowers_similarity(self):
         p = SrfParams(30, 1 / 3, 30, 2 / 3, epsilon=0.1, delta=0.6,
@@ -93,13 +141,6 @@ class TestStep:
         aligned = pair_similarity(xs, xs, p)[0]
         delayed = pair_similarity(xs, np.roll(xs, 6), p)[0]
         assert delayed < aligned
-
-    def test_counts_steps(self):
-        p = SrfParams.defaults()
-        state = SrfState.fresh(p)
-        state, _ = step(state, 0.5, 0.5)
-        state, _ = step(state, 0.2, 0.8)
-        assert state.steps_processed == 2
 
 
 class TestSimilaritySeries:
@@ -147,7 +188,7 @@ class TestEngineEquivalence:
         xb = rng.uniform(0, 1, (5, 36))
         means, streams = pair_similarity(xa, xb, p, warmup=4, return_streams=True)
         for i in range(5):
-            raws = run_object_path(xa[i], xb[i], p)
+            raws = oracle_raws(xa[i], xb[i], p)
             assert np.allclose(streams[i], activate(raws[4:], p), atol=1e-12)
             assert means[i] == pytest.approx(float(activate(raws[4:], p).mean()))
 
@@ -174,7 +215,7 @@ class TestEngineEquivalence:
                                          return_streams=True)
         assert means.shape == (6,)
         for k, (a, b) in enumerate(zip(ia, ib)):
-            expected = reference_streams(streams[a], streams[b], p, 3)
+            expected = oracle_streams(streams[a], streams[b], p, 3)
             assert np.allclose(acts[k], expected, atol=1e-12)
             assert means[k] == pytest.approx(float(expected.mean()))
 
@@ -190,7 +231,7 @@ class TestEngineEquivalence:
         assert means.shape == (3, 4)
         for k, p in enumerate(rows):
             for j, (a, b) in enumerate(zip(ia, ib)):
-                expected = reference_streams(streams[a], streams[b], p, 2)
+                expected = oracle_streams(streams[a], streams[b], p, 2)
                 assert np.allclose(acts[k, j], expected, atol=1e-12)
                 assert means[k, j] == pytest.approx(float(expected.mean()))
 
@@ -205,7 +246,7 @@ class TestEngineEquivalence:
         assert means.shape == (2, 3)
         for k, p in enumerate(rows):
             for j in range(3):
-                expected = reference_streams(streams[ia[k, j]], streams[ib[k, j]], p, 4)
+                expected = oracle_streams(streams[ia[k, j]], streams[ib[k, j]], p, 4)
                 assert means[k, j] == pytest.approx(float(expected.mean()))
         # a broadcast column matches every pair of its row against one stream
         column = indexed_similarity(streams, ia, np.array([[2], [0]]), pmat, warmup=4)
@@ -230,8 +271,20 @@ class TestEngineEquivalence:
         p = SrfParams(30, 1 / 3, 30, 2 / 3, 0.2, delta=0.0, alpha_a=20, beta_a=0.5)
         rng = np.random.default_rng(6)
         xs = rng.uniform(0, 1, 40)
-        raws = run_object_path(xs, rng.permutation(xs), p)
+        shuffled = rng.permutation(xs)
+        raws = oracle_raws(xs, shuffled, p)
         assert raws[-1] == pytest.approx(1.0, abs=1e-9)
+        last = jaccard(final_trail(xs, p), final_trail(shuffled, p))
+        assert float(last) == pytest.approx(1.0, abs=1e-9)
+
+    def test_final_trail_matches_reference(self):
+        rng = np.random.default_rng(10)
+        for p in (SrfParams.defaults(),
+                  SrfParams(45, 0.25, 20, 0.75, 0.08, 0.6, 12, 0.45),
+                  SrfParams(15, 0.3, 35, 0.7, 0.37, 0.02, 30, 0.5)):
+            xs = rng.uniform(0, 1, 33)
+            assert np.allclose(final_trail(xs, p), oracle_final_trail(xs, p),
+                               atol=1e-12)
 
 
 class TestParams:

@@ -4,105 +4,87 @@ import numpy as np
 import pytest
 
 from citytrails.stigspace import (
+    CELL_CENTERS,
+    CELL_COUNT,
     ConeMark,
-    Trail1D,
     Trail2D,
-    TrapezoidMark,
-    deposit_1d,
     deposit_2d,
     evaporate,
     jaccard,
     to_ascii_grid,
+    trapezoid_profile,
 )
 
+CELL_WIDTH = 1.0 / CELL_COUNT
 
-def cell_center(trail, i):
-    return trail.axis_min + (i + 0.5) * trail.cell_width
+
+def row(cells):
+    """A 1-D trail as a one-row grid, the shape ``evaporate`` takes."""
+    return Trail2D(np.atleast_2d(cells))
 
 
 class TestTrapezoidDeposit:
     def test_peak_equals_intensity_at_cell_center(self):
-        t = Trail1D.empty(100)
-        center = cell_center(t, 50)
-        out = deposit_1d(t, TrapezoidMark(center, intensity=2.0, width=0.2))
-        assert out.cells[50] == 2.0
-        assert out.cells.max() == 2.0
+        out = 2.0 * trapezoid_profile(CELL_CENTERS[50], 0.2)
+        assert out[50] == 2.0
+        assert out.max() == 2.0
 
     def test_same_center_twice_doubles(self):
-        t = Trail1D.empty(100)
-        mark = TrapezoidMark(cell_center(t, 30), intensity=1.5, width=0.2)
-        once = deposit_1d(t, mark)
-        twice = deposit_1d(once, mark)
-        assert np.allclose(twice.cells, 2 * once.cells)
-        assert twice.cells[30] == 3.0
+        mark = 1.5 * trapezoid_profile(CELL_CENTERS[30], 0.2)
+        once = np.zeros(CELL_COUNT) + mark
+        twice = once + mark
+        assert np.allclose(twice, 2 * once)
+        assert twice[30] == 3.0
 
     def test_mass_matches_trapezoid_area(self):
         # oracle: closed-form area h * w * (1 + plateau_fraction) / 2 vs grid sum
-        t = Trail1D.empty(200)
         h, w, pf = 1.7, 0.24, 0.5
-        out = deposit_1d(t, TrapezoidMark(0.5, h, w, plateau_fraction=pf))
-        grid_mass = out.cells.sum() * t.cell_width
+        grid_mass = (h * trapezoid_profile(0.5, w)).sum() * CELL_WIDTH
         area = h * w * (1 + pf) / 2
-        assert abs(grid_mass - area) <= h * t.cell_width
+        assert abs(grid_mass - area) <= h * CELL_WIDTH
 
     def test_two_marks_commute_exactly(self):
-        t = Trail1D.empty(100)
-        a = TrapezoidMark(0.3, 1.0, 0.2)
-        b = TrapezoidMark(0.42, 0.7, 0.15)
-        ab = deposit_1d(deposit_1d(t, a), b)
-        ba = deposit_1d(deposit_1d(t, b), a)
-        assert np.array_equal(ab.cells, ba.cells)
+        t = np.zeros(CELL_COUNT)
+        a = 1.0 * trapezoid_profile(0.3, 0.2)
+        b = 0.7 * trapezoid_profile(0.42, 0.15)
+        assert np.array_equal((t + a) + b, (t + b) + a)
 
     def test_mark_multiset_order_insensitive(self):
         rng = np.random.default_rng(5)
-        marks = [TrapezoidMark(float(c), float(h), 0.2)
+        marks = [float(h) * trapezoid_profile(float(c), 0.2)
                  for c, h in zip(rng.uniform(0.1, 0.9, 6), rng.uniform(0.5, 2, 6))]
-        t1 = Trail1D.empty(100)
-        t2 = Trail1D.empty(100)
+        t1 = np.zeros(CELL_COUNT)
+        t2 = np.zeros(CELL_COUNT)
         for m in marks:
-            t1 = deposit_1d(t1, m)
+            t1 = t1 + m
         for m in reversed(marks):
-            t2 = deposit_1d(t2, m)
-        assert np.allclose(t1.cells, t2.cells, atol=1e-12)
-
-    def test_center_outside_axis_rejected(self):
-        t = Trail1D.empty(100)
-        with pytest.raises(ValueError):
-            deposit_1d(t, TrapezoidMark(1.2, 1.0, 0.2))
-
-    def test_mark_validation(self):
-        with pytest.raises(ValueError):
-            TrapezoidMark(0.5, 1.0, width=0.0)
-        with pytest.raises(ValueError):
-            TrapezoidMark(0.5, -1.0, width=0.1)
+            t2 = t2 + m
+        assert np.allclose(t1, t2, atol=1e-12)
 
 
 class TestEvaporation:
     def test_subtracts_delta(self):
-        t = Trail1D(np.array([1.0, 0.5, 0.0]))
-        out = evaporate(t, 0.3)
-        assert np.allclose(out.cells, [0.7, 0.2, 0.0])
+        out = evaporate(row([1.0, 0.5, 0.0]), 0.3)
+        assert np.allclose(out.cells, [[0.7, 0.2, 0.0]])
 
     def test_clamps_at_zero(self):
-        t = Trail1D(np.array([0.2, 0.1]))
-        assert np.allclose(evaporate(t, 0.3).cells, [0.0, 0.0])
+        assert np.allclose(evaporate(row([0.2, 0.1]), 0.3).cells, [[0.0, 0.0]])
 
     def test_zero_delta_is_identity(self):
-        t = Trail1D(np.array([0.4, 0.9, 0.0]))
+        t = row([0.4, 0.9, 0.0])
         assert np.array_equal(evaporate(t, 0.0).cells, t.cells)
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
-            evaporate(Trail1D.empty(10), -0.1)
+            evaporate(row(np.zeros(10)), -0.1)
 
     def test_monotone_under_deposit(self):
-        t = Trail1D.empty(100)
-        t = deposit_1d(t, TrapezoidMark(0.4, 1.0, 0.2))
-        heavier = deposit_1d(t, TrapezoidMark(0.6, 0.5, 0.2))
+        t = row(trapezoid_profile(0.4, 0.2))
+        heavier = row(t.cells + 0.5 * trapezoid_profile(0.6, 0.2))
         assert np.all(evaporate(heavier, 0.2).cells >= evaporate(t, 0.2).cells)
 
     def test_repeated_evaporation_reaches_zero(self):
-        t = deposit_1d(Trail1D.empty(100), TrapezoidMark(0.5, 2.0, 0.3))
+        t = row(2.0 * trapezoid_profile(0.5, 0.3))
         delta = 0.3
         steps = math.ceil(t.cells.max() / delta)
         for _ in range(steps):
@@ -110,7 +92,7 @@ class TestEvaporation:
         assert np.all(t.cells == 0.0)
 
     def test_isolated_mark_vanishes(self):
-        t = deposit_1d(Trail1D.empty(100), TrapezoidMark(0.5, 1.0, 0.2))
+        t = row(trapezoid_profile(0.5, 0.2))
         for _ in range(math.ceil(1.0 / 0.4)):
             t = evaporate(t, 0.4)
         assert np.all(t.cells == 0.0)
@@ -118,46 +100,53 @@ class TestEvaporation:
     def test_redeposit_below_delta_reaches_fixed_point(self):
         # reinforcement weaker than evaporation settles to a steady trail
         h, delta = 0.3, 0.5
-        mark = TrapezoidMark(0.5, h, 0.2)
-        t = Trail1D.empty(100)
+        mark = h * trapezoid_profile(0.5, 0.2)
+        t = row(np.zeros(CELL_COUNT))
         for _ in range(math.ceil(10 * h / delta)):
-            t = evaporate(deposit_1d(t, mark), delta)
-        settled = evaporate(deposit_1d(t, mark), delta)
+            t = evaporate(row(t.cells + mark), delta)
+        settled = evaporate(row(t.cells + mark), delta)
         assert np.allclose(settled.cells, t.cells, atol=1e-9)
 
 
 class TestJaccard:
     def test_identical_nonempty_is_one(self):
-        t = deposit_1d(Trail1D.empty(50), TrapezoidMark(0.5, 1.0, 0.2))
+        t = trapezoid_profile(0.5, 0.2)
         assert jaccard(t, t) == 1.0
 
     def test_disjoint_supports_zero(self):
-        t1 = deposit_1d(Trail1D.empty(100), TrapezoidMark(0.1, 1.0, 0.1))
-        t2 = deposit_1d(Trail1D.empty(100), TrapezoidMark(0.9, 1.0, 0.1))
+        t1 = trapezoid_profile(0.1, 0.1)
+        t2 = trapezoid_profile(0.9, 0.1)
         assert jaccard(t1, t2) == 0.0
 
     def test_hand_value(self):
-        t1 = Trail1D(np.array([1.0, 1.0, 0.0]))
-        t2 = Trail1D(np.array([1.0, 0.0, 1.0]))
+        t1 = np.array([1.0, 1.0, 0.0])
+        t2 = np.array([1.0, 0.0, 1.0])
         assert jaccard(t1, t2) == pytest.approx(1.0 / 3.0)
 
     def test_both_empty_is_one(self):
-        assert jaccard(Trail1D.empty(20), Trail1D.empty(20)) == 1.0
+        assert jaccard(np.zeros(20), np.zeros(20)) == 1.0
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
-            t1 = Trail1D(rng.uniform(0, 3, 40))
-            t2 = Trail1D(rng.uniform(0, 3, 40))
+            t1 = rng.uniform(0, 3, 40)
+            t2 = rng.uniform(0, 3, 40)
             s12, s21 = jaccard(t1, t2), jaccard(t2, t1)
             assert s12 == s21
             assert 0.0 <= s12 <= 1.0
 
-    def test_axis_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            jaccard(Trail1D.empty(10), Trail1D.empty(20))
-        with pytest.raises(ValueError):
-            jaccard(Trail1D.empty(10), Trail1D.empty(10, axis_max=2.0))
+    def test_stacks_compare_row_by_row(self):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(0, 2, (3, 4, 50))
+        b = rng.uniform(0, 2, (3, 4, 50))
+        b[1, 2] = 0.0
+        a[1, 2] = 0.0
+        stacked = jaccard(a, b)
+        assert stacked.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                assert stacked[i, j] == jaccard(a[i, j], b[i, j])
+        assert stacked[1, 2] == 1.0
 
 
 class TestConeDeposit:
