@@ -9,7 +9,7 @@ import time
 
 from citytrails.anomaly import classification_run, similarity_matrix
 from citytrails.baseline import (
-    baseline_classify,
+    baseline_matrix,
     dtw,
     frechet_discrete,
     normalized_similarity,
@@ -56,6 +56,7 @@ srf = classification_run(levels, year.classes, year.anomaly_flags,
                          de_cfg=DeConfig(seed=13), cluster_seed=4)
 print(f"  {'SRF':8s} accuracy {srf.accuracy:.4f} correlation {srf.correlation:.4f}")
 for method, label in (("dtw", "DTW"), ("frechet", "Frechet")):
-    run = baseline_classify(levels, year.classes, year.anomaly_flags, method,
-                            DeConfig(seed=13), cluster_seed=4)
+    run = classification_run(levels, year.classes, year.anomaly_flags,
+                             matrix_fn=lambda p: baseline_matrix(p, method),
+                             de_cfg=DeConfig(seed=13), cluster_seed=4)
     print(f"  {label:8s} accuracy {run.accuracy:.4f} correlation {run.correlation:.4f}")

@@ -21,11 +21,11 @@ from citytrails.stigspace import Trail2D
 from citytrails.synth import planted_trips_csv
 
 box = GeoBox(lon_min=-74.02, lon_max=-73.98, lat_min=40.70, lat_max=40.74)
-path = Path(tempfile.mkdtemp()) / "trips.csv"
-path.write_text(planted_trips_csv(box, n_valid=3000, n_invalid=120, seed=0),
-                encoding="utf-8")
-
-records, rejections = parse_trips(path, box)
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "trips.csv"
+    path.write_text(planted_trips_csv(box, n_valid=3000, n_invalid=120, seed=0),
+                    encoding="utf-8")
+    records, rejections = parse_trips(path, box)
 print(f"parsed {len(records)} trips, rejected {len(rejections)} rows")
 print("rejection reasons:", dict(Counter(r.reason for r in rejections)))
 

@@ -17,7 +17,7 @@ from datetime import date
 import numpy as np
 
 from .calibrate import DeConfig, ThresholdResult, tune_thresholds
-from .perceptron import ActivityLevelSeries, scale_levels
+from .perceptron import scale_levels
 from .series import CLASS_LETTERS, CLASS_NAMES, AffinityTriple
 from .srf import SrfParams, indexed_similarity
 
@@ -217,22 +217,6 @@ def index_from_similarities(sims) -> float:
     return float(np.abs(sims.mean() - 1.0))
 
 
-def _day_similarities(day: ActivityLevelSeries, reps, p: SrfParams,
-                      warmup: int | None) -> np.ndarray:
-    """Pattern-field similarity of one day to each of the given days."""
-    streams = np.stack([scale_levels(day)] + [scale_levels(r) for r in reps])
-    return indexed_similarity(streams, 0, np.arange(1, len(reps) + 1), p, warmup)
-
-
-def anomaly_index(day: ActivityLevelSeries, reps, p: SrfParams,
-                  warmup: int | None = None) -> float:
-    """Anomaly index of a day against its class's representative days."""
-    reps = list(reps)
-    if not reps:
-        raise ValueError("anomaly index needs at least one representative day")
-    return index_from_similarities(_day_similarities(day, reps, p, warmup))
-
-
 @dataclass(frozen=True)
 class AnomalyRecord:
     """Per-day verdict; anomalous exactly when the index exceeds the threshold."""
@@ -258,18 +242,20 @@ def classify_day(day_id: str, day_class: str, index: float,
     return AnomalyRecord(day_id, day_class, float(index), float(thresholds[day_class]))
 
 
-def affinity_triple(day: ActivityLevelSeries, reps_by_class: dict[str, list],
-                    p: SrfParams, warmup: int | None = None) -> AffinityTriple:
-    """Classes ordered by mean similarity of the day to each class's
-    representatives; exact ties keep the W, E, L precedence and are flagged."""
+def affinity_triple(similarities, reps_by_class: dict[str, list[int]]) -> AffinityTriple:
+    """Classes ordered by the mean similarity of a day to each class's
+    representatives; exact ties keep the W, E, L precedence and are flagged.
+
+    ``similarities`` is the day's row of the similarity matrix and
+    ``reps_by_class`` holds each class's representative days as indices into
+    it (``ClassificationReport.representatives_by_class``).
+    """
     missing = [c for c in CLASS_LETTERS if not reps_by_class.get(c)]
     if missing:
         raise ValueError(f"representatives missing for class(es) {missing}")
-    sims = _day_similarities(day, [r for c in CLASS_LETTERS for r in reps_by_class[c]],
-                             p, warmup)
-    ends = np.cumsum([len(reps_by_class[c]) for c in CLASS_LETTERS])
-    means = {letter: float(np.mean(class_sims))
-             for letter, class_sims in zip(CLASS_LETTERS, np.split(sims, ends[:-1]))}
+    row = np.asarray(similarities, dtype=float)
+    means = {letter: float(np.mean(row[reps_by_class[letter]]))
+             for letter in CLASS_LETTERS}
     precedence = {c: i for i, c in enumerate(CLASS_LETTERS)}
     ordered = sorted(CLASS_LETTERS, key=lambda c: (-means[c], precedence[c]))
     values = sorted(means.values())

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .anomaly import ClassificationReport, SimilarityMatrix, classification_run
-from .calibrate import DeConfig
+from .anomaly import SimilarityMatrix
 from .perceptron import scale_levels
 
 METHODS = ("dtw", "frechet")
@@ -92,12 +91,3 @@ def baseline_matrix(patterns, method: str) -> SimilarityMatrix:
                 for k, s in enumerate(patterns))
     return SimilarityMatrix(values, ids)
 
-
-def baseline_classify(patterns, expected_classes, known_anomaly, method: str,
-                      de_cfg: DeConfig, *, reps_k: int = 5,
-                      cluster_seed: int = 0) -> ClassificationReport:
-    """Rerun the classification pipeline with a baseline similarity measure."""
-    return classification_run(
-        patterns, expected_classes, known_anomaly,
-        matrix_fn=lambda series: baseline_matrix(series, method),
-        de_cfg=de_cfg, reps_k=reps_k, cluster_seed=cluster_seed)

@@ -98,41 +98,31 @@ class ParamBounds:
 
 
 @dataclass(frozen=True)
-class TrainingPair:
-    """A labeled couple: target similarity 1 for matching behavior, else 0."""
+class TrainingCouples:
+    """Labeled couples over one pool of distinct streams: couple k matches
+    ``streams[ia[k]]`` against ``streams[ib[k]]``, target similarity
+    ``targets[k]`` (1 for matching behavior, else 0)."""
 
-    series_a: np.ndarray
-    series_b: np.ndarray
-    target: float
-
-    def __post_init__(self) -> None:
-        if self.target not in (0.0, 1.0):
-            raise ValueError("target similarity must be 0 or 1")
-        a = np.asarray(getattr(self.series_a, "samples", self.series_a), dtype=float)
-        b = np.asarray(getattr(self.series_b, "samples", self.series_b), dtype=float)
-        if a.shape != b.shape:
-            raise ValueError("paired series must have equal lengths")
-        object.__setattr__(self, "series_a", a)
-        object.__setattr__(self, "series_b", b)
+    streams: np.ndarray
+    ia: np.ndarray
+    ib: np.ndarray
+    targets: np.ndarray
 
 
-def population_fitness(param_matrix: np.ndarray, pairs,
+def population_fitness(param_matrix: np.ndarray, couples: TrainingCouples,
                        warmup: int | None = None) -> np.ndarray:
     """Fitness of every candidate parameter vector, one engine pass: the mean
-    squared error between the field's similarities and the pair targets.
+    squared error between the field's similarities and the couple targets.
 
-    Series shared between pairs (a field's reference archetype, a pattern day
-    in every couple it belongs to) are matched through one trail each.
+    A stream of the pool that recurs across couples (a field's reference
+    archetype, a pattern day in every couple it belongs to) is one trail.
     """
-    if not pairs:
-        raise ValueError("fitness needs at least one training pair")
+    if couples.targets.size == 0:
+        raise ValueError("fitness needs at least one training couple")
     param_matrix = np.atleast_2d(np.asarray(param_matrix, dtype=float))
-    series = np.stack([p.series_a for p in pairs] + [p.series_b for p in pairs])
-    streams, index = np.unique(series, axis=0, return_inverse=True)
-    ia, ib = index.reshape(2, len(pairs))
-    targets = np.array([p.target for p in pairs])
-    sims = indexed_similarity(streams, ia, ib, param_matrix, warmup)
-    return np.mean((sims - targets) ** 2, axis=1)
+    sims = indexed_similarity(couples.streams, couples.ia, couples.ib,
+                              param_matrix, warmup)
+    return np.mean((sims - couples.targets) ** 2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -182,11 +172,11 @@ def de_minimize(objective, bounds, cfg: DeConfig) -> DeResult:
 
 
 def training_pairs_for_field(enumeration: int, sets_by_enum: dict[int, list],
-                             reference: np.ndarray) -> list[TrainingPair]:
+                             reference: np.ndarray) -> TrainingCouples:
     """Labeled couples for one field: own-class signals target 1, signals from
-    the enumeration neighbors target 0, balanced half and half."""
+    the enumeration neighbors target 0, balanced half and half. Stream 0 of
+    the pool is the reference; couple k matches stream k + 1 against it."""
     own = sets_by_enum[enumeration]
-    pairs = [TrainingPair(s, reference, 1.0) for s in own]
     neighbors = [e for e in (enumeration - 1, enumeration + 1) if e in sets_by_enum]
     budget = len(own)
     share = budget // len(neighbors)
@@ -197,8 +187,11 @@ def training_pairs_for_field(enumeration: int, sets_by_enum: dict[int, list],
         if len(negatives) >= budget:
             break
         negatives.append(extra)
-    pairs.extend(TrainingPair(s, reference, 0.0) for s in negatives)
-    return pairs
+    signals = own + negatives
+    streams = np.stack([reference] + [s.samples for s in signals])
+    targets = np.repeat([1.0, 0.0], [len(own), len(negatives)])
+    return TrainingCouples(streams, np.arange(1, len(signals) + 1),
+                           np.zeros(len(signals), dtype=int), targets)
 
 
 def narrowest_quality_interval(values: np.ndarray,
@@ -223,13 +216,13 @@ def global_training(archetypes, synthetic_sets: dict[str, list],
 
     per_field = []
     for archetype in archetypes:
-        pairs = training_pairs_for_field(
+        couples = training_pairs_for_field(
             archetype.enumeration,
             {a.enumeration: synthetic_sets[a.name] for a in archetypes},
             archetype.samples)
         pmat = np.tile(mid, (DELTA_GRID_POINTS, 1))
         pmat[:, delta_col] = deltas
-        per_field.append(population_fitness(pmat, pairs, warmup))
+        per_field.append(population_fitness(pmat, couples, warmup))
     # One fitness per grid point: the mean across fields, so a delta is only
     # good when every field can work with it (mirror-shaped archetypes are
     # what rules out the no-evaporation end).
@@ -262,37 +255,37 @@ def local_training(sp, bounds: ParamBounds, cfg: DeConfig,
     histories: dict[str, tuple[float, ...]] = {}
     trained = sp
     for archetype, _ in sp.fields:
-        pairs = training_pairs_for_field(archetype.enumeration, sets_by_enum,
-                                         archetype.samples)
+        couples = training_pairs_for_field(archetype.enumeration, sets_by_enum,
+                                           archetype.samples)
         field_cfg = dataclasses.replace(cfg, seed=cfg.seed + archetype.enumeration)
-        result = de_minimize(lambda m: population_fitness(m, pairs, warmup),
+        result = de_minimize(lambda m: population_fitness(m, couples, warmup),
                              bounds.as_pairs(), field_cfg)
         trained = trained.with_params(archetype.name, SrfParams.from_vector(result.best))
         histories[archetype.name] = result.history
     return trained, histories
 
 
-def pattern_training_pairs(level_sets_by_class: dict[str, list]) -> list[TrainingPair]:
+def pattern_training_pairs(level_sets_by_class: dict[str, list]) -> TrainingCouples:
     """Couples over the pooled pattern set: same class targets 1, else 0.
 
     Level series are rescaled onto [0, 1] so the clumping axis matches.
-    Unordered couples including self-matches; similarity is symmetric, so the
-    ordered duplicates would only repeat work.
+    Unordered couples i <= j, self-matches included, in the pair order of
+    ``anomaly.similarity_matrix``; similarity is symmetric, so the ordered
+    duplicates would only repeat work.
     """
-    pool = [(letter, scale_levels(s))
-            for letter in CLASS_LETTERS for s in level_sets_by_class[letter]]
-    pairs = []
-    for i, (ci, si) in enumerate(pool):
-        for cj, sj in pool[i:]:
-            pairs.append(TrainingPair(si, sj, 1.0 if ci == cj else 0.0))
-    return pairs
+    letters = np.array([letter for letter in CLASS_LETTERS
+                        for _ in level_sets_by_class[letter]])
+    streams = np.stack([scale_levels(s) for letter in CLASS_LETTERS
+                        for s in level_sets_by_class[letter]])
+    ia, ib = np.triu_indices(len(letters))
+    return TrainingCouples(streams, ia, ib, (letters[ia] == letters[ib]).astype(float))
 
 
 def train_pattern_field(level_sets_by_class: dict[str, list], bounds: ParamBounds,
                         cfg: DeConfig, *, warmup: int | None = None):
     """Train the pattern-level field that compares whole activity-level days."""
-    pairs = pattern_training_pairs(level_sets_by_class)
-    result = de_minimize(lambda m: population_fitness(m, pairs, warmup),
+    couples = pattern_training_pairs(level_sets_by_class)
+    result = de_minimize(lambda m: population_fitness(m, couples, warmup),
                          bounds.as_pairs(), cfg)
     return SrfParams.from_vector(result.best), result.history
 

@@ -19,7 +19,7 @@ from .anomaly import (
     expected_class_for,
     similarity_matrix,
 )
-from .baseline import baseline_classify
+from .baseline import baseline_matrix
 from .calibrate import (
     ParamBounds,
     global_training,
@@ -31,14 +31,21 @@ from .hotspot import ConeMark, TimeSlot, extract_hotspots, hotspots_from_geojson
     hotspots_to_geojson, relevance_mask, build_slot_trail
 from .ingest import BucketGrid, bucketize, hotspot_activity, parse_trips, \
     rejections_to_csv, slot_event_batches
-from .perceptron import StigmergicPerceptron, load_sp, save_sp, transform_many
+from .perceptron import (
+    StigmergicPerceptron,
+    load_sp,
+    params_from_config,
+    params_to_config,
+    save_sp,
+    transform_many,
+)
 from .series import (
     CLASS_LETTERS,
     all_archetypes,
     series_from_csv,
     series_to_csv,
 )
-from .srf import PARAM_KEYS, SrfParams, final_trail
+from .srf import final_trail
 from .stigspace import CELL_CENTERS, Trail2D, to_ascii_grid
 
 EXIT_OK = 0
@@ -47,13 +54,9 @@ EXIT_FORMAT = 2
 EXIT_MISSING = 3
 
 
-class MissingArtifact(Exception):
-    pass
-
-
 def _require(path: Path) -> Path:
     if not Path(path).exists():
-        raise MissingArtifact(str(path))
+        raise FileNotFoundError(str(path))
     return Path(path)
 
 
@@ -150,15 +153,15 @@ def _load_series_dir(cfg: PipelineConfig, hotspot_id: str | None):
     if hotspot_id is not None:
         chosen = root / hotspot_id
         if not chosen.is_dir():
-            raise MissingArtifact(str(chosen))
+            raise FileNotFoundError(str(chosen))
     elif len(subdirs) == 1:
         chosen = subdirs[0]
     else:
         raise ValueError(f"multiple hotspots under {root}; pass --hotspot")
     days = [series_from_csv(p.read_text()) for p in sorted(chosen.glob("*.csv"))]
     if not days:
-        raise MissingArtifact(f"{chosen}/*.csv")
-    return days, chosen.name
+        raise FileNotFoundError(f"{chosen}/*.csv")
+    return days
 
 
 def _load_labels(cfg: PipelineConfig) -> dict[str, tuple[bool, str]]:
@@ -168,21 +171,6 @@ def _load_labels(cfg: PipelineConfig) -> dict[str, tuple[bool, str]]:
 
 def _pattern_params_path(cfg: PipelineConfig) -> Path:
     return cfg.out_dir / "pattern.ini"
-
-
-def _save_pattern(path: Path, params: SrfParams) -> None:
-    parser = configparser.ConfigParser()
-    parser["pattern"] = {k: repr(v) for k, v in params.to_block().items()}
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        parser.write(fh)
-
-
-def _load_pattern(path: Path) -> SrfParams:
-    parser = configparser.ConfigParser()
-    parser.read(_require(path), encoding="utf-8")
-    block = parser["pattern"]
-    return SrfParams(**{k: float(block[k]) for k in PARAM_KEYS})
 
 
 def cmd_train(cfg: PipelineConfig, args) -> None:
@@ -206,7 +194,7 @@ def cmd_train(cfg: PipelineConfig, args) -> None:
     if not (series_root.exists() and labels_path.exists()):
         print("train: no series/labels present, skipping pattern-field training")
         return
-    days, _ = _load_series_dir(cfg, args.hotspot)
+    days = _load_series_dir(cfg, args.hotspot)
     labels = _load_labels(cfg)
     levels = transform_many(sp, days)
     by_class: dict[str, list] = {c: [] for c in CLASS_LETTERS}
@@ -216,7 +204,7 @@ def cmd_train(cfg: PipelineConfig, args) -> None:
         if not flag and len(by_class[cls]) < cfg.training.pattern_per_class:
             by_class[cls].append(level_series)
     params, history = train_pattern_field(by_class, bounds, cfg.de_for("pattern"))
-    _save_pattern(_pattern_params_path(cfg), params)
+    _write(_pattern_params_path(cfg), params_to_config({"pattern": params}))
     write_history_csv(cfg.out_dir / "history" / "pattern.csv", history)
     print(f"train: pattern field saved to {_pattern_params_path(cfg)}")
 
@@ -224,13 +212,30 @@ def cmd_train(cfg: PipelineConfig, args) -> None:
 # --- classify / compare -------------------------------------------------------
 
 def _classification_inputs(cfg: PipelineConfig, hotspot_id: str | None):
-    days, hid = _load_series_dir(cfg, hotspot_id)
+    days = _load_series_dir(cfg, hotspot_id)
     labels = _load_labels(cfg)
     sp = load_sp(_require(cfg.out_dir / "sp.ini"), cfg.training.day_length)
     levels = transform_many(sp, days)
     classes = [expected_class_for(date.fromisoformat(s.day_id)) for s in levels]
     flags = [labels.get(s.day_id, (False, ""))[0] for s in levels]
-    return levels, classes, flags, hid
+    return levels, classes, flags
+
+
+def _classification_run(cfg: PipelineConfig, inputs, matrix_fn, de_stage: str):
+    levels, classes, flags = inputs
+    return classification_run(levels, classes, flags, matrix_fn=matrix_fn,
+                              de_cfg=cfg.de_for(de_stage),
+                              reps_k=cfg.training.representatives,
+                              cluster_seed=cfg.stage_seed("fcm"))
+
+
+def _srf_run(cfg: PipelineConfig, args):
+    """The classification inputs and their run with the trained pattern field."""
+    inputs = _classification_inputs(cfg, args.hotspot)
+    text = _require(_pattern_params_path(cfg)).read_text(encoding="utf-8")
+    pattern = params_from_config(text, ["pattern"])["pattern"]
+    return inputs, _classification_run(
+        cfg, inputs, lambda pats: similarity_matrix(pats, pattern), "thresholds")
 
 
 def report_csv(report) -> str:
@@ -242,14 +247,7 @@ def report_csv(report) -> str:
 
 
 def cmd_classify(cfg: PipelineConfig, args) -> None:
-    levels, classes, flags, _ = _classification_inputs(cfg, args.hotspot)
-    pattern = _load_pattern(_pattern_params_path(cfg))
-    report = classification_run(
-        levels, classes, flags,
-        matrix_fn=lambda pats: similarity_matrix(pats, pattern),
-        de_cfg=cfg.de_for("thresholds"),
-        reps_k=cfg.training.representatives,
-        cluster_seed=cfg.stage_seed("fcm"))
+    _, report = _srf_run(cfg, args)
     _write(cfg.out_dir / "report.csv", report_csv(report))
     _write(cfg.out_dir / "matrix.csv", report.matrix.to_csv())
     print(f"classify: accuracy {report.accuracy:.4f}, "
@@ -257,19 +255,12 @@ def cmd_classify(cfg: PipelineConfig, args) -> None:
 
 
 def cmd_compare(cfg: PipelineConfig, args) -> None:
-    levels, classes, flags, _ = _classification_inputs(cfg, args.hotspot)
-    pattern = _load_pattern(_pattern_params_path(cfg))
-    runs = {"SRF": classification_run(
-        levels, classes, flags,
-        matrix_fn=lambda pats: similarity_matrix(pats, pattern),
-        de_cfg=cfg.de_for("thresholds"),
-        reps_k=cfg.training.representatives,
-        cluster_seed=cfg.stage_seed("fcm"))}
+    inputs, srf = _srf_run(cfg, args)
+    runs = {"SRF": srf}
     for method, label in (("dtw", "DTW"), ("frechet", "Frechet")):
-        runs[label] = baseline_classify(
-            levels, classes, flags, method, cfg.de_for(f"thresholds:{method}"),
-            reps_k=cfg.training.representatives,
-            cluster_seed=cfg.stage_seed("fcm"))
+        runs[label] = _classification_run(
+            cfg, inputs, lambda pats: baseline_matrix(pats, method),
+            f"thresholds:{method}")
     lines = ["method,accuracy,correlation"]
     for label in ("SRF", "DTW", "Frechet"):
         r = runs[label]
@@ -369,9 +360,6 @@ def main(argv=None) -> int:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         _HANDLERS[args.command](cfg, args)
         return EXIT_OK
-    except MissingArtifact as exc:
-        print(f"error: missing artifact: {exc}", file=sys.stderr)
-        return EXIT_MISSING
     except FileNotFoundError as exc:
         print(f"error: missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING

@@ -130,28 +130,38 @@ def transform(sp: StigmergicPerceptron, a, warmup: int | None = None) -> Activit
     return transform_many(sp, [a], warmup)[0]
 
 
-# --- persistence: one named parameter block per archetype --------------------
+# --- persistence: one named parameter block per field -----------------------
 
-def sp_to_config(sp: StigmergicPerceptron) -> str:
+def params_to_config(blocks: dict[str, SrfParams]) -> str:
+    """INI text with one ``[name]`` section of PARAM_KEYS values per block:
+    the format of both ``sp.ini`` and ``pattern.ini``."""
     cfg = configparser.ConfigParser()
-    for archetype, params in sp.fields:
-        cfg[archetype.name] = {k: repr(v) for k, v in params.to_block().items()}
+    for name, params in blocks.items():
+        cfg[name] = {k: repr(v) for k, v in params.to_block().items()}
     out = io.StringIO()
     cfg.write(out)
     return out.getvalue()
 
 
-def sp_from_config(text: str, length: int = 144) -> StigmergicPerceptron:
+def params_from_config(text: str, names) -> dict[str, SrfParams]:
+    """The named parameter blocks of ``params_to_config`` text."""
     cfg = configparser.ConfigParser()
     cfg.read_string(text)
-    fields = []
-    for archetype in all_archetypes(length):
-        if archetype.name not in cfg:
-            raise ValueError(f"missing parameter block for archetype {archetype.name}")
-        block = cfg[archetype.name]
-        params = SrfParams(**{k: float(block[k]) for k in PARAM_KEYS})
-        fields.append((archetype, params))
-    return StigmergicPerceptron(tuple(fields))
+    missing = [name for name in names if name not in cfg]
+    if missing:
+        raise ValueError(f"missing parameter block(s) {missing}")
+    return {name: SrfParams(**{k: float(cfg[name][k]) for k in PARAM_KEYS})
+            for name in names}
+
+
+def sp_to_config(sp: StigmergicPerceptron) -> str:
+    return params_to_config({a.name: p for a, p in sp.fields})
+
+
+def sp_from_config(text: str, length: int = 144) -> StigmergicPerceptron:
+    archetypes = all_archetypes(length)
+    blocks = params_from_config(text, [a.name for a in archetypes])
+    return StigmergicPerceptron(tuple((a, blocks[a.name]) for a in archetypes))
 
 
 def save_sp(sp: StigmergicPerceptron, path) -> None:

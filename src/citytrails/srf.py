@@ -7,17 +7,17 @@ evaporate by a constant delta per step; the Jaccard coefficient of the two
 trails is the raw per-step similarity, sharpened by an activation sigmoid.
 
 A trail depends only on its stream and the field parameters, so the engine
-``indexed_similarity`` builds one trail per distinct stream and parameter
-row, then matches pairs of trails through index arrays at every step: a
-similarity matrix over N days steps N trails, and DE candidates share the
-trails of series that recur across training pairs. ``pair_similarity`` is
-the row-aligned wrapper (row i of one matrix against row i of the other),
-and ``final_trail`` the trail one stream leaves, which plot bundles export.
-Both step their trails through ``_advance``. Every trail has the one
-geometry of ``stigspace``: the value axis [0, 1] in CELL_COUNT cells; only
-the eight field parameters vary. The test suite pins the engine to a
-brute-force reference that spells out the trapezoid, the evaporation and the
-Jaccard cell by cell.
+``indexed_similarity`` takes one pool of distinct streams plus index pairs:
+it builds one trail per stream and parameter row, then matches pairs of
+trails by index at every step. A similarity matrix over N days steps N
+trails, and DE candidates share the trails of series that recur across
+training couples. ``pair_similarity`` is the row-aligned wrapper (row i of
+one matrix against row i of the other), and ``final_trail`` the trail one
+stream leaves, which plot bundles export. Both step their trails through
+``_advance``. Every trail has the one geometry of ``stigspace``: the value
+axis [0, 1] in CELL_COUNT cells; only the eight field parameters vary. The
+test suite pins the engine to a brute-force reference that spells out the
+trapezoid, the evaporation and the Jaccard cell by cell.
 """
 
 from __future__ import annotations
@@ -117,11 +117,10 @@ def indexed_similarity(streams, ia, ib, params, warmup: int | None = None, *,
                        return_streams: bool = False):
     """SRF similarity of indexed stream pairs, one trail per distinct stream.
 
-    ``streams`` is an (N, L) matrix of distinct sample streams shared by every
-    parameter row, or (K, N, L) with one stream set per row. ``ia`` and ``ib``
-    index the two sides of each pair into the N streams; they broadcast
-    against each other to (P,) when every parameter row matches the same
-    pairs, or to (K, P) when the pairs differ per row. ``params`` is one
+    ``streams`` is an (N, L) matrix of distinct sample streams. ``ia`` and
+    ``ib`` index the two sides of each pair into the N streams; they
+    broadcast against each other to (P,) when every parameter row matches the
+    same pairs, or to (K, P) when the pairs differ per row. ``params`` is one
     SrfParams or a (K, 8) matrix in PARAM_KEYS order. Returns the mean
     activated similarity per pair, shaped (P,) for one SrfParams and (K, P)
     for a matrix, plus the activated streams past warmup, shaped
@@ -133,9 +132,9 @@ def indexed_similarity(streams, ia, ib, params, warmup: int | None = None, *,
         raise ValueError("expected one SrfParams or a (K, 8) parameter matrix")
     n_rows = pmat.shape[0]
     x = np.asarray(streams, dtype=float)
-    if x.ndim not in (2, 3) or (x.ndim == 3 and x.shape[0] != n_rows):
-        raise ValueError(f"streams must be (N, L) or ({n_rows}, N, L)")
-    n_streams, length = x.shape[-2:]
+    if x.ndim != 2:
+        raise ValueError("streams must be an (N, L) matrix")
+    n_streams, length = x.shape
     if warmup is None:
         warmup = default_warmup(length)
     if not 0 <= warmup < length:
@@ -174,31 +173,20 @@ def indexed_similarity(streams, ia, ib, params, warmup: int | None = None, *,
     return means
 
 
-def pair_similarity(xa, xb, params, warmup: int | None = None, *,
+def pair_similarity(xa, xb, params: SrfParams, warmup: int | None = None, *,
                     return_streams: bool = False):
     """SRF similarity of row-aligned stream pairs: row i of ``xa`` against row i
     of ``xb``.
 
     ``xa`` and ``xb`` are (P, L) sample matrices (or a single pair of 1-D
-    streams). ``params`` is one SrfParams shared by every row, or a (P, 8)
-    matrix in PARAM_KEYS order for per-row parameters. Returns the (P,) mean
-    activated similarity, plus the (P, L - warmup) activated streams when
+    streams), matched under one SrfParams. Returns the (P,) mean activated
+    similarity, plus the (P, L - warmup) activated streams when
     ``return_streams`` is set.
     """
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
     if xa.shape != xb.shape:
         raise ValueError("paired streams must have identical shapes")
-    n_rows = xa.shape[0]
-    if isinstance(params, SrfParams):
-        pairs = np.arange(n_rows)
-        return indexed_similarity(np.concatenate([xa, xb]), pairs, n_rows + pairs,
-                                  params, warmup, return_streams=return_streams)
-    # Per-row parameters: parameter row i sees only its own two streams.
-    result = indexed_similarity(np.stack([xa, xb], axis=1), np.zeros((n_rows, 1), int),
-                                np.ones((n_rows, 1), int), params, warmup,
-                                return_streams=return_streams)
-    if return_streams:
-        return result[0][:, 0], result[1][:, 0]
-    return result[:, 0]
-
+    pairs = np.arange(xa.shape[0])
+    return indexed_similarity(np.concatenate([xa, xb]), pairs, xa.shape[0] + pairs,
+                              params, warmup, return_streams=return_streams)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import pytest
 
 from citytrails.anomaly import classification_run, similarity_matrix
-from citytrails.baseline import baseline_classify
+from citytrails.baseline import baseline_matrix
 from citytrails.calibrate import (
     DeConfig,
     ParamBounds,
@@ -80,8 +80,10 @@ class PipelineCache:
                 levels, year.classes, year.anomaly_flags,
                 matrix_fn=lambda pats: similarity_matrix(pats, pattern_params),
                 de_cfg=THRESHOLD_DE, cluster_seed=CLUSTER_SEED)
-            dtw = baseline_classify(levels, year.classes, year.anomaly_flags,
-                                    "dtw", THRESHOLD_DE, cluster_seed=CLUSTER_SEED)
+            dtw = classification_run(
+                levels, year.classes, year.anomaly_flags,
+                matrix_fn=lambda pats: baseline_matrix(pats, "dtw"),
+                de_cfg=THRESHOLD_DE, cluster_seed=CLUSTER_SEED)
             self._year_run = YearRun(year, levels, pattern_sets, pattern_params,
                                      srf, dtw)
         return self._year_run

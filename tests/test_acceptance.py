@@ -196,18 +196,14 @@ def test_criterion_08_similarity_block_structure(pipeline):
 def test_criterion_09_triple_assessment(pipeline):
     with criterion(9, "mean assessment error of affinity triples <= 1.5"):
         run = pipeline.year_run()
-        reps_by_class = {
-            letter: [run.levels[i]
-                     for i in run.srf.representatives_by_class[letter]]
-            for letter in CLASS_LETTERS}
         profiles = {letter: class_profile(letter, len(run.year.days[0]))
                     for letter in CLASS_LETTERS}
         errors = []
         for i, flagged in enumerate(run.year.anomaly_flags):
             if not flagged:
                 continue
-            predicted = affinity_triple(run.levels[i], reps_by_class,
-                                        run.pattern_params)
+            predicted = affinity_triple(run.srf.matrix.values[i],
+                                        run.srf.representatives_by_class)
             distances = {letter: float(np.linalg.norm(
                 run.year.days[i].samples - profiles[letter]))
                 for letter in CLASS_LETTERS}

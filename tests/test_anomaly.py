@@ -7,7 +7,6 @@ from citytrails.anomaly import (
     AnomalyRecord,
     SimilarityMatrix,
     affinity_triple,
-    anomaly_index,
     classify_day,
     expected_class_for,
     fcm_objective,
@@ -264,12 +263,10 @@ class TestAnomalyIndex:
                 for _ in range(5)]
         day = level_series(base)
         shifted = level_series(np.clip(np.roll(base, 12) + 2.5, 0, 7))
-        p = SrfParams.defaults()
-        assert anomaly_index(day, reps, p) < anomaly_index(shifted, reps, p)
-
-    def test_empty_reps_rejected(self):
-        with pytest.raises(ValueError):
-            anomaly_index(level_series(np.ones(10)), [], SrfParams.defaults())
+        matrix = similarity_matrix([day, shifted] + reps, SrfParams.defaults())
+        reps_at = list(range(2, 7))
+        assert (index_from_similarities(matrix.values[0, reps_at])
+                < index_from_similarities(matrix.values[1, reps_at]))
 
 
 class TestClassifyDay:
@@ -301,18 +298,26 @@ class TestAffinityTriple:
         return {letter: [level_series(v)] * 3
                 for letter, v in (("W", w), ("E", e), ("L", l))}
 
+    def day_row(self, day, reps):
+        """The day's similarity-matrix row and each class's representative
+        indices into it: the day is row 0, the representatives follow."""
+        pool, indices = [day], {}
+        for letter, days in reps.items():
+            indices[letter] = list(range(len(pool), len(pool) + len(days)))
+            pool.extend(days)
+        return similarity_matrix(pool, SrfParams.defaults()).values[0], indices
+
     def test_clean_working_day_leads_with_w(self):
         reps = self.make_reps()
-        day = level_series(np.full(30, 1.5))
-        triple = affinity_triple(day, reps, SrfParams.defaults())
+        row, indices = self.day_row(level_series(np.full(30, 1.5)), reps)
+        triple = affinity_triple(row, indices)
         assert triple.classes == ("W", "E", "L")
         assert not triple.tie
 
     def test_identical_reps_flag_tie(self):
         shared = [level_series(np.full(30, 3.0))]
         reps = {"W": shared, "E": shared, "L": shared}
-        triple = affinity_triple(level_series(np.full(30, 3.0)), reps,
-                                 SrfParams.defaults())
+        triple = affinity_triple(*self.day_row(level_series(np.full(30, 3.0)), reps))
         assert triple.tie
         assert triple.classes == ("W", "E", "L")
 
@@ -320,8 +325,7 @@ class TestAffinityTriple:
         reps = self.make_reps()
         del reps["L"]
         with pytest.raises(ValueError):
-            affinity_triple(level_series(np.full(30, 1.5)), reps,
-                            SrfParams.defaults())
+            affinity_triple(*self.day_row(level_series(np.full(30, 1.5)), reps))
 
 
 class TestPointBiserial:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from citytrails.anomaly import classification_run
 from citytrails.baseline import (
-    baseline_classify,
     baseline_matrix,
     dtw,
     frechet_discrete,
@@ -162,16 +162,19 @@ class TestBaselineClassify:
             pool[k] = ActivityLevelSeries(scrambled, day_id=pool[k].day_id)
             flags[k] = True
         for method in ("dtw", "frechet"):
-            report = baseline_classify(pool, classes, flags, method,
-                                       DeConfig(population_size=12,
-                                                generations=40, seed=4))
+            report = classification_run(
+                pool, classes, flags,
+                matrix_fn=lambda pats: baseline_matrix(pats, method),
+                de_cfg=DeConfig(population_size=12, generations=40, seed=4))
             assert report.accuracy == 1.0
 
     def test_deterministic_given_seeds(self):
         pool, classes = make_level_pool(5, per_class=6)
         flags = [i % 9 == 0 for i in range(len(pool))]
         cfg = DeConfig(population_size=10, generations=15, seed=8)
-        r1 = baseline_classify(pool, classes, flags, "dtw", cfg, cluster_seed=2)
-        r2 = baseline_classify(pool, classes, flags, "dtw", cfg, cluster_seed=2)
+        r1, r2 = (classification_run(pool, classes, flags,
+                                     matrix_fn=lambda pats: baseline_matrix(pats, "dtw"),
+                                     de_cfg=cfg, cluster_seed=2)
+                  for _ in range(2))
         assert r1.accuracy == r2.accuracy
         assert np.array_equal(r1.indices, r2.indices)

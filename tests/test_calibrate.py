@@ -5,7 +5,7 @@ import citytrails.calibrate as calibrate
 from citytrails.calibrate import (
     DeConfig,
     ParamBounds,
-    TrainingPair,
+    TrainingCouples,
     de_minimize,
     global_training,
     local_training,
@@ -35,41 +35,47 @@ def archetypes():
     return all_archetypes(DAY)
 
 
+def couples(pairs):
+    """TrainingCouples over (series_a, series_b, target) triples, one pool
+    stream per series as given."""
+    series = [a for a, _, _ in pairs] + [b for _, b, _ in pairs]
+    n = len(pairs)
+    return TrainingCouples(np.array(series).reshape(2 * n, -1), np.arange(n),
+                           n + np.arange(n), np.array([t for _, _, t in pairs]))
+
+
 class TestFitness:
     def test_perfect_fit_is_zero(self):
         xs = np.random.default_rng(0).uniform(0, 1, 30)
         p = SrfParams(30, 1 / 3, 30, 2 / 3, 0.2, 0.1, alpha_a=100, beta_a=0.0)
-        pairs = [TrainingPair(xs, xs, 1.0)]
+        pairs = couples([(xs, xs, 1.0)])
         assert population_fitness(p.to_vector(), pairs)[0] == 0.0
 
     def test_half_similarity_quarter_error(self):
         # a self pair with beta_a = 1 activates exactly to 0.5
         xs = np.random.default_rng(1).uniform(0, 1, 30)
         p = SrfParams(30, 1 / 3, 30, 2 / 3, 0.2, 0.1, alpha_a=20, beta_a=1.0)
-        pairs = [TrainingPair(xs, xs, 1.0)]
+        pairs = couples([(xs, xs, 1.0)])
         assert population_fitness(p.to_vector(), pairs)[0] == pytest.approx(0.25)
 
     def test_pure_function(self):
         rng = np.random.default_rng(2)
-        pairs = [TrainingPair(rng.uniform(0, 1, 30), rng.uniform(0, 1, 30), 0.0)
-                 for _ in range(3)]
+        pairs = couples([(rng.uniform(0, 1, 30), rng.uniform(0, 1, 30), 0.0)
+                         for _ in range(3)])
         p = SrfParams.defaults()
         assert (population_fitness(p.to_vector(), pairs)[0]
                 == population_fitness(p.to_vector(), pairs)[0])
 
     def test_empty_pairs_rejected(self):
+        empty = TrainingCouples(np.zeros((1, 10)), np.zeros(0, int), np.zeros(0, int),
+                                np.zeros(0))
         with pytest.raises(ValueError):
-            population_fitness(SrfParams.defaults().to_vector(), [])[0]
-
-    def test_target_must_be_binary(self):
-        xs = np.zeros(10)
-        with pytest.raises(ValueError):
-            TrainingPair(xs, xs, 0.5)
+            population_fitness(SrfParams.defaults().to_vector(), empty)[0]
 
     def test_population_fitness_matches_scalar_loop(self):
         rng = np.random.default_rng(3)
-        pairs = [TrainingPair(rng.uniform(0, 1, 24), rng.uniform(0, 1, 24),
-                              float(t)) for t in (1, 0, 1)]
+        pairs = couples([(rng.uniform(0, 1, 24), rng.uniform(0, 1, 24), float(t))
+                         for t in (1, 0, 1)])
         rows = [SrfParams.defaults(),
                 SrfParams(12, 0.3, 40, 0.7, 0.15, 0.3, 25, 0.55)]
         pmat = np.stack([r.to_vector() for r in rows])
@@ -78,19 +84,19 @@ class TestFitness:
             single = population_fitness(params.to_vector(), pairs)[0]
             assert row == pytest.approx(single, rel=1e-12)
 
-        # Equal-content series in distinct arrays and a shared reference share
-        # trails in the engine; every pair run on its own gives the same bits.
+        # A pool stream shared by several couples (the reference, as in field
+        # training) and equal-content streams at distinct pool indices give the
+        # same bits as every couple run on its own.
         reference, own = rng.uniform(0, 1, 24), rng.uniform(0, 1, 24)
-        shared = [TrainingPair(own, reference, 1.0),
-                  TrainingPair(own.copy(), reference, 1.0),
-                  TrainingPair(rng.uniform(0, 1, 24), reference, 0.0),
-                  TrainingPair(reference.copy(), reference, 1.0)]
-        targets = np.array([p.target for p in shared])
+        pool = np.stack([reference, own, own.copy(), rng.uniform(0, 1, 24),
+                         reference.copy()])
+        shared = TrainingCouples(pool, np.array([1, 2, 3, 4]), np.zeros(4, int),
+                                 np.array([1.0, 1.0, 0.0, 1.0]))
         batched = population_fitness(pmat, shared)
         for row, params in zip(batched, rows):
-            sims = np.array([pair_similarity(p.series_a, p.series_b, params)[0]
-                             for p in shared])
-            assert row == np.mean((sims - targets) ** 2)
+            sims = np.array([pair_similarity(pool[a], pool[b], params)[0]
+                             for a, b in zip(shared.ia, shared.ib)])
+            assert row == np.mean((sims - shared.targets) ** 2)
 
 
 class TestDeMinimize:
@@ -151,18 +157,20 @@ class TestTrainingPairs:
     def test_interior_field_balanced_half_half(self, small_sets, archetypes):
         by_enum = {a.enumeration: small_sets[a.name] for a in archetypes}
         pairs = training_pairs_for_field(4, by_enum, archetypes[3].samples)
-        targets = [p.target for p in pairs]
+        targets = pairs.targets.tolist()
         assert targets.count(1.0) == 6
         assert targets.count(0.0) == 6
 
     def test_end_field_uses_single_neighbor(self, small_sets, archetypes):
         by_enum = {a.enumeration: small_sets[a.name] for a in archetypes}
         pairs = training_pairs_for_field(1, by_enum, archetypes[0].samples)
-        negatives = [p for p in pairs if p.target == 0.0]
+        negatives = pairs.streams[pairs.ia[pairs.targets == 0.0]]
         assert len(negatives) == 6
+        assert np.all(pairs.ib == 0)
+        assert np.array_equal(pairs.streams[0], archetypes[0].samples)
         neighbor = np.stack([s.samples for s in small_sets[archetypes[1].name]])
-        for p in negatives:
-            assert any(np.array_equal(p.series_a, row) for row in neighbor)
+        for series in negatives:
+            assert any(np.array_equal(series, row) for row in neighbor)
 
 
 class TestQuantileInterval:
@@ -266,8 +274,8 @@ class TestPatternTraining:
     def test_pair_count_and_targets(self):
         sets = self.make_levels(0)
         pairs = pattern_training_pairs(sets)
-        assert len(pairs) == 12 * 13 // 2
-        assert {p.target for p in pairs} == {0.0, 1.0}
+        assert pairs.targets.size == 12 * 13 // 2
+        assert set(pairs.targets.tolist()) == {0.0, 1.0}
 
     def test_training_separates_classes(self):
         sets = self.make_levels(1)

@@ -213,10 +213,12 @@ class TestTrainClassifyCompare:
         assert run(config, "classify") == 0
         assert (out / "report.csv").read_text() == report
 
-    def test_classify_without_pattern_exits_3(self, trained):
+    def test_classify_without_pattern_exits_3(self, trained, capsys):
         config, out = trained
         (out / "pattern.ini").unlink()
+        capsys.readouterr()
         assert run(config, "classify") == 3
+        assert capsys.readouterr().err == f"error: missing artifact: {out / 'pattern.ini'}\n"
 
     def test_compare_emits_three_methods(self, trained):
         config, out = trained

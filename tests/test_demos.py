@@ -4,6 +4,7 @@ import contextlib
 import io
 import re
 import runpy
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,15 @@ def test_demo_runs(name):
     assert run_demo(name).startswith("== ")
 
 
+def test_trails_demo_reports_peak_growth():
+    # reinforcement outpaces evaporation by 1.0 - 0.4 per step: no fixed point
+    text = run_demo("01_trails_and_marks.py")
+    assert re.search(r"^after 12 reinforced steps: \|.*\| peak 7\.20$", text,
+                     re.MULTILINE)
+    assert "12 x 0.6 = 7.20" in text
+    assert "stable" not in text
+
+
 def test_hotspot_discovery_demo_recovers_every_cluster():
     text = run_demo("04_hotspot_discovery.py")
     assert "recovered 7 hotspots from 7 planted clusters" in text
@@ -30,7 +40,9 @@ def test_hotspot_discovery_demo_recovers_every_cluster():
     assert sorted(int(i) for i in inside) == list(range(7))
 
 
-def test_trip_ingestion_demo_extracts_a_series():
+def test_trip_ingestion_demo_extracts_a_series(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     text = run_demo("07_trip_ingestion.py")
+    assert list(tmp_path.iterdir()) == []  # the demo removes its trip CSV
     assert "parsed 3000 trips, rejected 120 rows" in text
     assert "hotspot A, 2015-02-02: 144 samples, normalized to [0, 1]" in text

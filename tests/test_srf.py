@@ -192,19 +192,6 @@ class TestEngineEquivalence:
             assert np.allclose(streams[i], activate(raws[4:], p), atol=1e-12)
             assert means[i] == pytest.approx(float(activate(raws[4:], p).mean()))
 
-    def test_per_row_parameter_matrix(self):
-        rng = np.random.default_rng(5)
-        xa = rng.uniform(0, 1, (3, 24))
-        xb = rng.uniform(0, 1, (3, 24))
-        rows = [SrfParams.defaults(),
-                SrfParams(10, 0.2, 10, 0.8, 0.1, 0.4, 15, 0.4),
-                SrfParams(60, 0.4, 60, 0.6, 0.3, 0.05, 80, 0.7)]
-        pmat = np.stack([r.to_vector() for r in rows])
-        batched = pair_similarity(xa, xb, pmat, warmup=3)
-        for i, p in enumerate(rows):
-            single = pair_similarity(xa[i], xb[i], p, warmup=3)
-            assert batched[i] == pytest.approx(single[0], rel=1e-12)
-
     def test_repeated_stream_indices(self):
         p = SrfParams(20, 0.35, 50, 0.65, epsilon=0.12, delta=0.3,
                       alpha_a=25, beta_a=0.55)
