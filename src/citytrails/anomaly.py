@@ -63,7 +63,7 @@ class SimilarityMatrix:
         return cls(np.asarray(rows), tuple(ids))
 
 
-def similarity_matrix(patterns, params: SrfParams, warmup: int | None = None, *,
+def similarity_matrix(patterns, params: SrfParams, *,
                       chunk_pairs: int = MATRIX_CHUNK_PAIRS) -> SimilarityMatrix:
     """Pattern-field similarity of every unordered pair of level series.
 
@@ -77,7 +77,7 @@ def similarity_matrix(patterns, params: SrfParams, warmup: int | None = None, *,
     values = np.empty((n, n))
     for start in range(0, ii.size, chunk_pairs):
         sel = slice(start, start + chunk_pairs)
-        sims = indexed_similarity(scaled, ii[sel], jj[sel], params, warmup)
+        sims = indexed_similarity(scaled, ii[sel], jj[sel], params)
         values[ii[sel], jj[sel]] = sims
         values[jj[sel], ii[sel]] = sims
     ids = tuple(p.day_id if p.day_id is not None else str(k)

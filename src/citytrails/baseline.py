@@ -39,37 +39,26 @@ def normalized_similarity(distance: float, length: int) -> float:
 
 def _batch_distance(xa: np.ndarray, xb: np.ndarray, method: str) -> np.ndarray:
     """DTW or discrete Frechet distance of every row pair: row i of ``xa``
-    (P, n) against row i of ``xb`` (P, m), one dynamic program for the batch."""
+    (P, n) against row i of ``xb`` (P, m), one dynamic program for the batch.
+
+    The table is padded with an infinite first row and column, 0 at the
+    corner; a cell combines its cost with the cheapest of its three
+    predecessors by a sum (DTW) or a max (Frechet).
+    """
+    combine = np.add if method == "dtw" else np.maximum
     n, m = xa.shape[1], xb.shape[1]
     p = xa.shape[0]
-    if method == "dtw":
-        prev = np.full((p, m + 1), np.inf)
-        prev[:, 0] = 0.0
-        for i in range(1, n + 1):
-            cur = np.full((p, m + 1), np.inf)
-            cost = np.abs(xa[:, i - 1:i] - xb)
-            for j in range(1, m + 1):
-                cur[:, j] = cost[:, j - 1] + np.minimum(
-                    np.minimum(prev[:, j], cur[:, j - 1]), prev[:, j - 1])
-            prev = cur
-        return prev[:, m]
-    prev = np.full((p, m), np.inf)
-    for i in range(n):
-        cur = np.empty((p, m))
-        cost = np.abs(xa[:, i:i + 1] - xb)
-        for j in range(m):
-            if i == 0 and j == 0:
-                reach = np.zeros(p)
-            elif i == 0:
-                reach = cur[:, j - 1]
-            elif j == 0:
-                reach = prev[:, j]
-            else:
-                reach = np.minimum(np.minimum(prev[:, j], cur[:, j - 1]),
-                                   prev[:, j - 1])
-            cur[:, j] = np.maximum(cost[:, j], reach)
+    prev = np.full((p, m + 1), np.inf)
+    prev[:, 0] = 0.0
+    for i in range(1, n + 1):
+        cur = np.empty((p, m + 1))
+        cur[:, 0] = np.inf
+        cost = np.abs(xa[:, i - 1:i] - xb)
+        for j in range(1, m + 1):
+            cur[:, j] = combine(cost[:, j - 1], np.minimum(
+                np.minimum(prev[:, j], cur[:, j - 1]), prev[:, j - 1]))
         prev = cur
-    return prev[:, m - 1]
+    return prev[:, m]
 
 
 def baseline_matrix(patterns, method: str) -> SimilarityMatrix:

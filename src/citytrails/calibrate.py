@@ -109,8 +109,7 @@ class TrainingCouples:
     targets: np.ndarray
 
 
-def population_fitness(param_matrix: np.ndarray, couples: TrainingCouples,
-                       warmup: int | None = None) -> np.ndarray:
+def population_fitness(param_matrix: np.ndarray, couples: TrainingCouples) -> np.ndarray:
     """Fitness of every candidate parameter vector, one engine pass: the mean
     squared error between the field's similarities and the couple targets.
 
@@ -120,8 +119,7 @@ def population_fitness(param_matrix: np.ndarray, couples: TrainingCouples,
     if couples.targets.size == 0:
         raise ValueError("fitness needs at least one training couple")
     param_matrix = np.atleast_2d(np.asarray(param_matrix, dtype=float))
-    sims = indexed_similarity(couples.streams, couples.ia, couples.ib,
-                              param_matrix, warmup)
+    sims = indexed_similarity(couples.streams, couples.ia, couples.ib, param_matrix)
     return np.mean((sims - couples.targets) ** 2, axis=1)
 
 
@@ -204,8 +202,7 @@ def narrowest_quality_interval(values: np.ndarray,
 
 
 def global_training(archetypes, synthetic_sets: dict[str, list],
-                    coarse_bounds: ParamBounds, cfg: DeConfig, *,
-                    warmup: int | None = None) -> ParamBounds:
+                    coarse_bounds: ParamBounds, cfg: DeConfig) -> ParamBounds:
     """Sweep evaporation over a log grid for every field (other parameters at
     mid-bounds), pool the per-point quality, and narrow the evaporation
     interval to the best decile. Other intervals pass through unchanged."""
@@ -222,7 +219,7 @@ def global_training(archetypes, synthetic_sets: dict[str, list],
             archetype.samples)
         pmat = np.tile(mid, (DELTA_GRID_POINTS, 1))
         pmat[:, delta_col] = deltas
-        per_field.append(population_fitness(pmat, couples, warmup))
+        per_field.append(population_fitness(pmat, couples))
     # One fitness per grid point: the mean across fields, so a delta is only
     # good when every field can work with it (mirror-shaped archetypes are
     # what rules out the no-evaporation end).
@@ -243,8 +240,7 @@ def global_training(archetypes, synthetic_sets: dict[str, list],
 
 
 def local_training(sp, bounds: ParamBounds, cfg: DeConfig,
-                   synthetic_sets: dict[str, list], *,
-                   warmup: int | None = None):
+                   synthetic_sets: dict[str, list]):
     """Tune every field by DE against its own/adjacent training couples.
 
     Field runs are independent; each gets its own seed derived from the base
@@ -258,7 +254,7 @@ def local_training(sp, bounds: ParamBounds, cfg: DeConfig,
         couples = training_pairs_for_field(archetype.enumeration, sets_by_enum,
                                            archetype.samples)
         field_cfg = dataclasses.replace(cfg, seed=cfg.seed + archetype.enumeration)
-        result = de_minimize(lambda m: population_fitness(m, couples, warmup),
+        result = de_minimize(lambda m: population_fitness(m, couples),
                              bounds.as_pairs(), field_cfg)
         trained = trained.with_params(archetype.name, SrfParams.from_vector(result.best))
         histories[archetype.name] = result.history
@@ -282,10 +278,10 @@ def pattern_training_pairs(level_sets_by_class: dict[str, list]) -> TrainingCoup
 
 
 def train_pattern_field(level_sets_by_class: dict[str, list], bounds: ParamBounds,
-                        cfg: DeConfig, *, warmup: int | None = None):
+                        cfg: DeConfig):
     """Train the pattern-level field that compares whole activity-level days."""
     couples = pattern_training_pairs(level_sets_by_class)
-    result = de_minimize(lambda m: population_fitness(m, couples, warmup),
+    result = de_minimize(lambda m: population_fitness(m, couples),
                          bounds.as_pairs(), cfg)
     return SrfParams.from_vector(result.best), result.history
 

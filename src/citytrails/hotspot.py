@@ -193,22 +193,27 @@ def polygon_area(poly: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
 
 
-def point_in_polygon(poly: np.ndarray, x: float, y: float) -> bool:
-    """Ray casting with points on an edge counted inside."""
-    inside = False
+def point_in_polygon(poly: np.ndarray, x, y):
+    """Ray casting with points on an edge counted inside. ``x`` and ``y`` may
+    be arrays of points, tested edge by edge; scalars give one bool."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    inside = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+    on_edge = np.zeros_like(inside)
     n = poly.shape[0]
     for i in range(n):
         x1, y1 = poly[i]
         x2, y2 = poly[(i + 1) % n]
         cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-        if (abs(cross) < 1e-9 and min(x1, x2) - 1e-9 <= x <= max(x1, x2) + 1e-9
-                and min(y1, y2) - 1e-9 <= y <= max(y1, y2) + 1e-9):
-            return True
-        if (y1 > y) != (y2 > y):
-            x_int = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < x_int:
-                inside = not inside
-    return inside
+        on_edge |= ((np.abs(cross) < 1e-9)
+                    & (min(x1, x2) - 1e-9 <= x) & (x <= max(x1, x2) + 1e-9)
+                    & (min(y1, y2) - 1e-9 <= y) & (y <= max(y1, y2) + 1e-9))
+        if y1 == y2:  # a horizontal edge never straddles the ray
+            continue
+        x_int = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= ((y1 > y) != (y2 > y)) & (x < x_int)
+    hit = inside | on_edge
+    return bool(hit) if hit.ndim == 0 else hit
 
 
 def _hotspot_letter(index: int) -> str:

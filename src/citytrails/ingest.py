@@ -2,15 +2,16 @@
 
 Trips carry pick-up and drop-off endpoints; both endpoints contribute their
 passenger count to a (10-foot cell, 5-minute bucket) grid under a local
-equirectangular projection. Per-hotspot activity series are read back out of
-the grid by summing the cells whose centers fall inside the polygon.
+equirectangular projection, held as NumPy columns sorted by (day, bucket,
+ix, iy). Slot event batches are contiguous slices of them; a hotspot's series
+for a day is one polygon test of that day's cell centers and one bincount.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
@@ -147,43 +148,54 @@ def rejections_to_csv(rejections) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
 class BucketGrid:
     """Passenger counts per (spatial cell, 5-minute bucket), per day.
 
-    Keys are (day ISO date, intraday bucket index, cell ix, cell iy); buckets
-    are aligned to midnight local time.
+    One row per occupied key, held as columns sorted by (day ISO date,
+    intraday bucket index, cell ix, cell iy); ``counts`` is the count column.
+    Buckets are aligned to midnight local time.
     """
 
-    box: GeoBox
-    cell_m: float = DEFAULT_CELL_M
-    bucket_minutes: int = DEFAULT_BUCKET_MINUTES
-    counts: dict[tuple[str, int, int, int], int] = field(default_factory=dict)
+    def __init__(self, box: GeoBox, cell_m: float, bucket_minutes: int, entries) -> None:
+        """Sum the counts of repeated keys among the ((day, bucket, ix, iy),
+        count) ``entries`` and sort the keys into columns."""
+        if bucket_minutes <= 0 or 1440 % bucket_minutes:
+            raise ValueError(f"bucket_minutes = {bucket_minutes} does not divide "
+                             "the 1440 minutes of a day")
+        self.box = box
+        self.cell_m = cell_m
+        self.bucket_minutes = bucket_minutes
+        summed: dict[tuple[str, int, int, int], int] = {}
+        for key, count in entries:
+            summed[key] = summed.get(key, 0) + count
+        days, *cells = zip(*summed) if summed else ((),) * 4
+        day = np.array(days, dtype=str)
+        bucket, ix, iy = (np.array(c, dtype=np.int64) for c in cells)
+        if summed and not 0 <= bucket.min() <= bucket.max() < self.buckets_per_day:
+            raise ValueError(f"bucket index outside 0..{self.buckets_per_day - 1}")
+        counts = np.fromiter(summed.values(), dtype=np.int64, count=len(summed))
+        order = np.lexsort((iy, ix, bucket, day))
+        self.day, self.bucket, self.ix, self.iy, self.counts = (
+            column[order] for column in (day, bucket, ix, iy, counts))
 
     @property
     def buckets_per_day(self) -> int:
         return 1440 // self.bucket_minutes
 
-    def add(self, day: str, bucket: int, ix: int, iy: int, count: int) -> None:
-        key = (day, bucket, ix, iy)
-        self.counts[key] = self.counts.get(key, 0) + count
-
     def total_mass(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
     def days(self) -> list[str]:
-        return sorted({key[0] for key in self.counts})
-
-    def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
-        return ((ix + 0.5) * self.cell_m, (iy + 0.5) * self.cell_m)
+        return np.unique(self.day).tolist()
 
     def to_csv(self) -> str:
         header = (f"# lon_min={self.box.lon_min!r},lon_max={self.box.lon_max!r},"
                   f"lat_min={self.box.lat_min!r},lat_max={self.box.lat_max!r},"
                   f"cell_m={self.cell_m!r},bucket_minutes={self.bucket_minutes}")
         lines = [header, "day,bucket,ix,iy,count"]
-        for key in sorted(self.counts):
-            lines.append(f"{key[0]},{key[1]},{key[2]},{key[3]},{self.counts[key]}")
+        lines.extend(f"{d},{b},{x},{y},{c}" for d, b, x, y, c in zip(
+            self.day.tolist(), self.bucket.tolist(), self.ix.tolist(),
+            self.iy.tolist(), self.counts.tolist()))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -195,13 +207,12 @@ class BucketGrid:
         for item in lines[0].lstrip("#").strip().split(","):
             key, _, value = item.partition("=")
             meta[key.strip()] = float(value)
-        grid = cls(GeoBox(meta["lon_min"], meta["lon_max"],
+        rows = (line.split(",") for line in lines[2:])
+        return cls(GeoBox(meta["lon_min"], meta["lon_max"],
                           meta["lat_min"], meta["lat_max"]),
-                   cell_m=meta["cell_m"], bucket_minutes=int(meta["bucket_minutes"]))
-        for line in lines[2:]:
-            day, bucket, ix, iy, count = line.split(",")
-            grid.add(day, int(bucket), int(ix), int(iy), int(count))
-        return grid
+                   meta["cell_m"], int(meta["bucket_minutes"]),
+                   (((day, int(bucket), int(ix), int(iy)), int(count))
+                    for day, bucket, ix, iy, count in rows))
 
 
 def bucketize(records, box: GeoBox, cell_m: float = DEFAULT_CELL_M,
@@ -211,32 +222,34 @@ def bucketize(records, box: GeoBox, cell_m: float = DEFAULT_CELL_M,
     Order independent: cells sum passenger counts, so any permutation of the
     record stream produces the same grid.
     """
-    grid = BucketGrid(box, cell_m, bucket_minutes)
-    for record in records:
-        for timestamp, lon, lat in (record.pickup, record.dropoff):
-            mx, my = box.to_meters(lon, lat)
-            bucket = (timestamp.hour * 60 + timestamp.minute) // bucket_minutes
-            grid.add(timestamp.date().isoformat(), bucket,
-                     int(mx // cell_m), int(my // cell_m), record.passenger_count)
-    return grid
+    def entries():
+        for record in records:
+            for timestamp, lon, lat in (record.pickup, record.dropoff):
+                mx, my = box.to_meters(lon, lat)
+                bucket = (timestamp.hour * 60 + timestamp.minute) // bucket_minutes
+                yield ((timestamp.date().isoformat(), bucket,
+                        int(mx // cell_m), int(my // cell_m)), record.passenger_count)
+
+    return BucketGrid(box, cell_m, bucket_minutes, entries())
 
 
 def slot_event_batches(grid: BucketGrid) -> dict[TimeSlot, list[SpatialEventBatch]]:
-    """Bucket counts regrouped into per-slot streams of 5-minute event batches.
+    """Bucket counts cut into per-slot streams of 5-minute event batches.
 
-    Events carry the center of their spatial cell; batches are ordered by
-    (day, bucket) so trail building is deterministic.
+    Each batch is one contiguous (day, bucket) run of the sorted archive, so
+    batches come in (day, bucket) order and events in (ix, iy) order; events
+    carry the center of their spatial cell.
     """
-    grouped: dict[tuple[str, int], list] = {}
-    for (day, bucket, ix, iy), count in grid.counts.items():
-        grouped.setdefault((day, bucket), []).append((ix, iy, count))
+    events = np.column_stack([(grid.ix + 0.5) * grid.cell_m,
+                              (grid.iy + 0.5) * grid.cell_m,
+                              grid.counts.astype(float)])
+    starts = np.ones(grid.counts.size, dtype=bool)
+    starts[1:] = (grid.day[1:] != grid.day[:-1]) | (grid.bucket[1:] != grid.bucket[:-1])
+    starts = np.flatnonzero(starts).tolist()
     batches: dict[TimeSlot, list[SpatialEventBatch]] = {slot: [] for slot in TimeSlot}
-    for day, bucket in sorted(grouped):
-        hour = bucket * grid.bucket_minutes // 60
-        slot = slot_for_hour(hour)
-        events = [(*grid.cell_center(ix, iy), count)
-                  for ix, iy, count in sorted(grouped[(day, bucket)])]
-        batches[slot].append(SpatialEventBatch(np.asarray(events, dtype=float), slot))
+    for start, stop in zip(starts, starts[1:] + [grid.counts.size]):
+        slot = slot_for_hour(int(grid.bucket[start]) * grid.bucket_minutes // 60)
+        batches[slot].append(SpatialEventBatch(events[start:stop], slot))
     return batches
 
 
@@ -256,22 +269,15 @@ def hotspot_raw_activity(grid: BucketGrid, h: Hotspot, day: str) -> np.ndarray:
         raise ValueError("hotspot polygon extends outside the grid box")
     x_hi = min(x_hi, grid.box.width_m)
     y_hi = min(y_hi, grid.box.height_m)
-    raw = np.zeros(grid.buckets_per_day)
-    inside_cache: dict[tuple[int, int], bool] = {}
-    for (key_day, bucket, ix, iy), count in grid.counts.items():
-        if key_day != day:
-            continue
-        cx, cy = grid.cell_center(ix, iy)
-        if not (x_lo <= cx <= x_hi and y_lo <= cy <= y_hi):
-            continue
-        cell = (ix, iy)
-        hit = inside_cache.get(cell)
-        if hit is None:
-            hit = point_in_polygon(poly, cx, cy)
-            inside_cache[cell] = hit
-        if hit:
-            raw[bucket] += count
-    return raw
+    rows = slice(np.searchsorted(grid.day, day, "left"),
+                 np.searchsorted(grid.day, day, "right"))
+    cx = (grid.ix[rows] + 0.5) * grid.cell_m
+    cy = (grid.iy[rows] + 0.5) * grid.cell_m
+    hit = (x_lo <= cx) & (cx <= x_hi) & (y_lo <= cy) & (cy <= y_hi)
+    hit[hit] = point_in_polygon(poly, cx[hit], cy[hit])
+    # an empty selection would come back as integers
+    return np.bincount(grid.bucket[rows][hit], weights=grid.counts[rows][hit],
+                       minlength=grid.buckets_per_day).astype(float)
 
 
 def hotspot_activity(grid: BucketGrid, h: Hotspot, day: str,

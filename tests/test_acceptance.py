@@ -156,6 +156,42 @@ def test_criterion_05_synthetic_year_classification(pipeline):
         assert run.srf.accuracy >= run.dtw.accuracy
 
 
+def exact_threshold_accuracy(classes, indices, flags) -> float:
+    """Best accuracy any per-class rule "anomalous iff index > threshold" can
+    reach: for each class, sort its indices and try every cut between
+    distinct values, plus calling all or none of its days anomalous."""
+    classes = np.asarray(classes)
+    indices = np.asarray(indices, dtype=float)
+    flags = np.asarray(flags, dtype=bool)
+    correct = 0
+    for letter in set(classes.tolist()):
+        order = np.argsort(indices[classes == letter], kind="stable")
+        values = indices[classes == letter][order]
+        anomalous = flags[classes == letter][order]
+        best = 0
+        for cut in range(values.size + 1):  # days from the cut on are called anomalous
+            if 0 < cut < values.size and values[cut - 1] == values[cut]:
+                continue
+            best = max(best, int((~anomalous[:cut]).sum() + anomalous[cut:].sum()))
+        correct += best
+    return correct / flags.size
+
+
+def test_exact_threshold_oracle_on_small_cases():
+    assert exact_threshold_accuracy(list("WWWL"), [0.3, 0.1, 0.2, 0.5],
+                                    [True, False, False, True]) == 1.0
+    # equal indices cannot be split, so one of the two is misclassified
+    assert exact_threshold_accuracy(list("WW"), [0.2, 0.2], [False, True]) == 0.5
+
+
+def test_threshold_search_reaches_exact_optimum(pipeline):
+    run = pipeline.year_run()
+    for report in (run.srf, run.dtw):
+        exact = exact_threshold_accuracy(run.year.classes, report.indices,
+                                         run.year.anomaly_flags)
+        assert report.accuracy == pytest.approx(exact, abs=1e-12)
+
+
 def test_criterion_06_correlation_analogue(pipeline):
     with criterion(6, "point-biserial correlation of index vs injection >= 0.8"):
         run = pipeline.year_run()

@@ -116,6 +116,24 @@ class TestIngest:
         assert run(config, "ingest", "--trips", str(bad)) == 2
         assert "pickup_datetime" in capsys.readouterr().err
 
+    def test_bucket_minutes_not_dividing_a_day_exits_2(self, workspace, capsys):
+        config, out = workspace
+        text = config.read_text(encoding="utf-8")
+        config.write_text(text.replace("resolution_minutes = 10",
+                                       "bucket_minutes = 7\nresolution_minutes = 14"),
+                          encoding="utf-8")
+        run(config, "synth", "--kind", "trips", "--valid-rows", "300",
+            "--invalid-rows", "0")
+        capsys.readouterr()
+        assert run(config, "ingest") == 2
+        assert "bucket_minutes" in capsys.readouterr().err
+        (out / "buckets.csv").write_text(
+            "# lon_min=-74.02,lon_max=-73.98,lat_min=40.7,lat_max=40.74,"
+            "cell_m=3.048,bucket_minutes=7\nday,bucket,ix,iy,count\n",
+            encoding="utf-8")
+        assert run(config, "hotspots") == 2
+        assert "bucket_minutes" in capsys.readouterr().err
+
 
 class TestSpatialPipeline:
     @pytest.fixture()

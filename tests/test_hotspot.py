@@ -241,8 +241,58 @@ class TestPolygons:
             Hotspot("A", np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), ())
 
 
+def reference_point_in_polygon(poly, x, y):
+    """Scalar ray casting, one point and one edge at a time, points on an
+    edge counted inside."""
+    inside = False
+    n = poly.shape[0]
+    for i in range(n):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
+        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+        if (abs(cross) < 1e-9 and min(x1, x2) - 1e-9 <= x <= max(x1, x2) + 1e-9
+                and min(y1, y2) - 1e-9 <= y <= max(y1, y2) + 1e-9):
+            return True
+        if (y1 > y) != (y2 > y):
+            x_int = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if x < x_int:
+                inside = not inside
+    return inside
+
+
+def probe_points(poly, rng):
+    """Random points around the polygon, its vertices, its edge midpoints,
+    and points 1e-10 to either side of each edge midpoint."""
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    span = hi - lo
+    random = rng.uniform(lo - 0.1 * span, hi + 0.1 * span, size=(500, 2))
+    nxt = np.roll(poly, -1, axis=0)
+    mids = 0.5 * (poly + nxt)
+    edge = nxt - poly
+    normal = np.column_stack([-edge[:, 1], edge[:, 0]])
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    return np.vstack([random, poly, mids, mids + 1e-10 * normal,
+                      mids - 1e-10 * normal])
+
+
 class TestPointInPolygon:
     SQUARE = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]])
+    CONCAVE = np.array([[0, 0], [6, 0], [6, 6], [3, 3], [0, 6]], dtype=float)
+
+    @pytest.mark.parametrize("shape", ["convex", "concave", "traced"])
+    def test_array_matches_scalar_reference(self, shape):
+        poly = {"convex": lambda: np.array([[0.5, 0.0], [4.0, 1.0], [3.0, 4.5],
+                                            [-1.0, 2.0]]),
+                "concave": lambda: self.CONCAVE,
+                "traced": lambda: extract_hotspots(blob_trails(),
+                                                   min_area_km2=0.01)[0].polygon}[shape]()
+        points = probe_points(poly, np.random.default_rng(len(poly)))
+        expected = np.array([reference_point_in_polygon(poly, x, y)
+                             for x, y in points])
+        assert np.array_equal(point_in_polygon(poly, points[:, 0], points[:, 1]),
+                              expected)
+        assert [point_in_polygon(poly, x, y) for x, y in points] == expected.tolist()
+        assert expected.any() and not expected.all()
 
     def test_interior_and_exterior(self):
         assert point_in_polygon(self.SQUARE, 2.0, 2.0)

@@ -19,6 +19,7 @@ from citytrails.ingest import (
     slot_event_batches,
 )
 from citytrails.synth import planted_trips_csv
+from test_hotspot import reference_point_in_polygon
 
 BOX = GeoBox(lon_min=-74.02, lon_max=-73.96, lat_min=40.70, lat_max=40.76)
 
@@ -112,14 +113,14 @@ class TestBucketize:
     def test_both_endpoints_counted(self):
         grid = bucketize([record()], BOX)
         assert len(grid.counts) == 2
-        assert all(v == 2 for v in grid.counts.values())
+        assert all(v == 2 for v in grid.counts)
         assert grid.total_mass() == 4
 
     def test_bucket_boundaries(self):
         r = record(pickup="2015-02-02 08:04:59", dropoff="2015-02-02 08:05:00",
                    plon=-74.0, plat=40.73, dlon=-74.0, dlat=40.73)
         grid = bucketize([r], BOX)
-        buckets = {key[1] for key in grid.counts}
+        buckets = set(grid.bucket.tolist())
         assert buckets == {96, 97}  # 8:04 and 8:05 straddle a 5-minute edge
 
     def test_mass_conservation(self):
@@ -135,13 +136,24 @@ class TestBucketize:
                    for _ in range(15)]
         a = bucketize(records, BOX)
         b = bucketize(list(reversed(records)), BOX)
-        assert a.counts == b.counts
+        assert a.to_csv() == b.to_csv()
 
     def test_archive_round_trip_and_determinism(self):
         records = [record(), record(passengers=1, plon=-73.999)]
         grid = bucketize(records, BOX)
         text = grid.to_csv()
         assert text == BucketGrid.from_csv(text).to_csv()
+
+    def test_empty_archive_round_trip(self):
+        grid = BucketGrid.from_csv(bucketize([], BOX).to_csv())
+        assert grid.days() == []
+        assert all(batches == [] for batches in slot_event_batches(grid).values())
+        assert grid.total_mass() == 0
+
+    def test_archive_bucket_outside_the_day_rejected(self):
+        text = bucketize([record()], BOX).to_csv()
+        with pytest.raises(ValueError, match="bucket index"):
+            BucketGrid.from_csv(text.replace(",96,", ",288,", 1))
 
     def test_cell_size_is_ten_feet(self):
         assert DEFAULT_CELL_M == pytest.approx(3.048)
@@ -163,7 +175,39 @@ def square_hotspot(x0, y0, size, hid="A"):
     return Hotspot(hid, ring, ("Morning",))
 
 
+def reference_raw_activity(grid, h, day):
+    """Per-bucket counts by one scalar polygon test per archive row."""
+    raw = np.zeros(grid.buckets_per_day)
+    for d, bucket, ix, iy, count in zip(grid.day, grid.bucket, grid.ix, grid.iy,
+                                        grid.counts):
+        cx, cy = (ix + 0.5) * grid.cell_m, (iy + 0.5) * grid.cell_m
+        if (d == day and cx <= grid.box.width_m and cy <= grid.box.height_m
+                and reference_point_in_polygon(h.polygon, cx, cy)):
+            raw[bucket] += count
+    return raw
+
+
 class TestHotspotActivity:
+    def test_matches_scalar_reference(self):
+        rng = np.random.default_rng(5)
+        records = [record(pickup=f"2015-02-0{d} {h:02d}:{m:02d}:00",
+                          dropoff=f"2015-02-0{d} {h:02d}:{m:02d}:30",
+                          plon=float(rng.uniform(-74.0, -73.99)),
+                          plat=float(rng.uniform(40.72, 40.73)),
+                          dlon=float(rng.uniform(-74.0, -73.99)),
+                          dlat=float(rng.uniform(40.72, 40.73)),
+                          passengers=int(rng.integers(1, 5)))
+                   for d, h, m in zip(rng.integers(2, 4, 400), rng.integers(0, 24, 400),
+                                      rng.integers(0, 60, 400))]
+        grid = BucketGrid.from_csv(bucketize(records, BOX).to_csv())
+        x0, y0 = BOX.to_meters(-74.0, 40.72)
+        concave = Hotspot("A", np.array([[x0, y0], [x0 + 800, y0], [x0 + 800, y0 + 1100],
+                                         [x0 + 400, y0 + 300], [x0, y0 + 1100]]), ())
+        for day in grid.days():
+            raw = hotspot_raw_activity(grid, concave, day)
+            assert np.array_equal(raw, reference_raw_activity(grid, concave, day))
+            assert 0 < raw.sum() < grid.total_mass()
+
     def test_inactive_polygon_gives_flagged_zeros(self):
         grid = bucketize([record()], BOX)
         far = square_hotspot(3000.0, 3000.0, 200.0)
