@@ -23,6 +23,7 @@ from .srf import SrfParams, indexed_similarity
 
 DEFAULT_REPRESENTATIVES = 5
 MATRIX_CHUNK_PAIRS = 8192
+FCM_RESTARTS = 8  # seeded fuzzy c-means starts; the lowest objective wins
 
 # Expected behavioral class by weekday (Monday = 0): working routines hold
 # through Thursday, nightlife marks Friday and Saturday, Sunday is leisure.
@@ -87,11 +88,10 @@ def similarity_matrix(patterns, params: SrfParams, *,
 
 @dataclass(frozen=True)
 class ClusterModel:
-    """Fuzzy c-means result: centroids, row-stochastic memberships, fuzziness."""
+    """Fuzzy c-means result: centroids and row-stochastic memberships."""
 
     centroids: np.ndarray
     memberships: np.ndarray
-    fuzziness: float
 
     def __post_init__(self) -> None:
         u = np.asarray(self.memberships, dtype=float)
@@ -135,17 +135,17 @@ def _fcm_single(points: np.ndarray, centroids: np.ndarray, m: float,
         memberships = _fcm_memberships(points, centroids, m)
         if shift < tol:
             break
-    return ClusterModel(centroids, memberships, m)
+    return ClusterModel(centroids, memberships)
 
 
 def fuzzy_cmeans(points, c: int = 3, m: float = 2.0, tol: float = 1e-6,
-                 max_iter: int = 300, seed: int = 0, init_centroids=None,
-                 n_init: int = 8) -> ClusterModel:
+                 max_iter: int = 300, seed: int = 0,
+                 init_centroids=None) -> ClusterModel:
     """Alternating fuzzy c-means, initialized from c distinct data points.
 
     The alternation only finds a local optimum and an unlucky draw can split
-    one group while merging two others, so ``n_init`` seeded restarts run and
-    the model with the lowest objective wins. An explicit ``init_centroids``
+    one group while merging two others, so FCM_RESTARTS seeded restarts run
+    and the model with the lowest objective wins. An explicit ``init_centroids``
     runs exactly once.
     """
     points = np.asarray(points, dtype=float)
@@ -159,7 +159,7 @@ def fuzzy_cmeans(points, c: int = 3, m: float = 2.0, tol: float = 1e-6,
     rng = np.random.default_rng(seed)
     best = None
     best_objective = np.inf
-    for _ in range(max(1, n_init)):
+    for _ in range(FCM_RESTARTS):
         centroids = points[rng.choice(points.shape[0], size=c, replace=False)]
         model = _fcm_single(points, centroids.copy(), m, tol, max_iter)
         objective = fcm_objective(points, model.centroids, model.memberships, m)
@@ -168,25 +168,21 @@ def fuzzy_cmeans(points, c: int = 3, m: float = 2.0, tol: float = 1e-6,
     return best
 
 
-def representatives(model: ClusterModel, points, ids=None,
-                    k: int = DEFAULT_REPRESENTATIVES) -> list[list]:
-    """Per-cluster ids of the k members nearest the centroid.
+def representatives(model: ClusterModel, points,
+                    k: int = DEFAULT_REPRESENTATIVES) -> list[list[int]]:
+    """Per-cluster row indices of the k members nearest the centroid.
 
     Members are assigned by maximum membership; ordering is ascending
-    distance with ties broken by id. Clusters with fewer than k members
+    distance with ties broken by index. Clusters with fewer than k members
     return everything they have, with a warning.
     """
     points = np.asarray(points, dtype=float)
-    if ids is None:
-        ids = list(range(points.shape[0]))
-    ids = list(ids)
     assigned = model.hard_assignments()
     out: list[list] = []
     for cluster in range(model.cluster_count):
         members = np.flatnonzero(assigned == cluster)
         distances = np.linalg.norm(points[members] - model.centroids[cluster], axis=1)
-        ranked = sorted(zip(distances, [ids[i] for i in members]),
-                        key=lambda t: (t[0], t[1]))
+        ranked = sorted(zip(distances, members.tolist()))
         if len(ranked) < k:
             warnings.warn(f"cluster {cluster} has only {len(ranked)} members "
                           f"(requested {k} representatives)")

@@ -2,15 +2,15 @@
 
 Events (position, passenger count) from one time slot are smoothed by a
 sigmoid, deposited as truncated cones, and evaporated each 5-minute step, so
-only persistently dense locations keep a relevant trail. Hotspots are the
-connected regions whose trail stays relevant in all four daily slots; each
-region's outer contour is traced into a polygon by marching squares.
+only persistently dense locations keep a relevant trail; each step is one
+array deposit. Hotspots are the connected regions, labelled in one pass, whose
+trail stays relevant in all four daily slots; each region's outer contour is
+traced into a polygon by marching squares on the region's bounding box.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -80,7 +80,7 @@ def smooth_sample(value: float, alpha_s: float = DEFAULT_SMOOTH_ALPHA,
 
 
 def build_slot_trail(batches, delta: float, grid: Trail2D, *,
-                     cone: ConeMark | None = None,
+                     cone: ConeMark = ConeMark((0.0, 0.0), 1.0),
                      smooth_alpha: float = DEFAULT_SMOOTH_ALPHA,
                      smooth_beta: float = DEFAULT_SMOOTH_BETA,
                      count_cap: float = 10.0) -> Trail2D:
@@ -92,7 +92,8 @@ def build_slot_trail(batches, delta: float, grid: Trail2D, *,
     """
     if delta < 0:
         raise ValueError("evaporation delta must be non-negative")
-    geometry = cone if cone is not None else ConeMark((0.0, 0.0), 1.0)
+    if not count_cap > 0:
+        raise ValueError(f"count_cap must be positive, got {count_cap}")
     cells = np.array(grid.cells, dtype=float, copy=True)
     slot = None
     for batch in batches:
@@ -100,13 +101,15 @@ def build_slot_trail(batches, delta: float, grid: Trail2D, *,
             slot = batch.slot
         elif batch.slot is not slot:
             raise ValueError("all batches of one trail must share the time slot")
-        for x, y, count in batch.events:
-            if not grid.contains(x, y):
-                raise ValueError(f"event ({x}, {y}) outside grid bounding box")
-            intensity = float(smooth_sample(min(count / count_cap, 1.0),
-                                            smooth_alpha, smooth_beta))
-            add_cone(cells, grid.origin, grid.cell_size, x, y, intensity,
-                     geometry.base_radius, geometry.top_radius)
+        x, y, count = batch.events.T
+        outside = np.flatnonzero(~grid.contains(x, y))
+        if outside.size:
+            k = outside[0]
+            raise ValueError(f"event ({x[k]}, {y[k]}) outside grid bounding box")
+        intensity = smooth_sample(np.minimum(count / count_cap, 1.0),
+                                  smooth_alpha, smooth_beta)
+        add_cone(cells, grid.origin, grid.cell_size, x, y, intensity,
+                 cone.base_radius, cone.top_radius)
         np.maximum(cells - delta, 0.0, out=cells)
     return Trail2D(cells, grid.origin, grid.cell_size)
 
@@ -118,28 +121,26 @@ def relevance_mask(trail: Trail2D, fraction: float) -> np.ndarray:
     return trail.cells >= fraction * peak
 
 
-def _connected_components(mask: np.ndarray) -> list[np.ndarray]:
-    """8-connected components of a boolean grid, as boolean masks."""
+def _connected_components(mask: np.ndarray) -> np.ndarray:
+    """8-connected components of a boolean grid as one label grid: 0 off the
+    mask, 1..n on it in row-major order of each component's first cell."""
     labels = np.zeros(mask.shape, dtype=int)
     current = 0
     rows, cols = mask.shape
-    for r0 in range(rows):
-        for c0 in range(cols):
-            if not mask[r0, c0] or labels[r0, c0]:
-                continue
-            current += 1
-            queue = deque([(r0, c0)])
-            labels[r0, c0] = current
-            while queue:
-                r, c = queue.popleft()
-                for dr in (-1, 0, 1):
-                    for dc in (-1, 0, 1):
-                        rr, cc = r + dr, c + dc
-                        if (0 <= rr < rows and 0 <= cc < cols
-                                and mask[rr, cc] and not labels[rr, cc]):
-                            labels[rr, cc] = current
-                            queue.append((rr, cc))
-    return [labels == k for k in range(1, current + 1)]
+    for r0, c0 in np.argwhere(mask).tolist():
+        if labels[r0, c0]:
+            continue
+        current += 1
+        stack = [(r0, c0)]
+        labels[r0, c0] = current
+        while stack:
+            r, c = stack.pop()
+            for rr in range(max(r - 1, 0), min(r + 2, rows)):
+                for cc in range(max(c - 1, 0), min(c + 2, cols)):
+                    if mask[rr, cc] and not labels[rr, cc]:
+                        labels[rr, cc] = current
+                        stack.append((rr, cc))
+    return labels
 
 
 # Marching-squares segments per square configuration, oriented with the
@@ -161,19 +162,15 @@ def _trace_rings(mask: np.ndarray) -> list[np.ndarray]:
     coordinates are (col, row) with integers at cell centers. Stored doubled
     so they hash exactly while chaining.
     """
-    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
-    padded[1:-1, 1:-1] = mask
+    padded = np.pad(mask, 1)
+    config = (padded[:-1, :-1] + 2 * padded[:-1, 1:] + 4 * padded[1:, 1:]
+              + 8 * padded[1:, :-1])
     segments: dict[tuple[int, int], tuple[int, int]] = {}
-    for r in range(padded.shape[0] - 1):
-        for c in range(padded.shape[1] - 1):
-            idx = (int(padded[r, c]) + 2 * int(padded[r, c + 1])
-                   + 4 * int(padded[r + 1, c + 1]) + 8 * int(padded[r + 1, c]))
-            if idx in (0, 15):
-                continue
-            points = {"B": (2 * c + 1, 2 * r), "R": (2 * c + 2, 2 * r + 1),
-                      "T": (2 * c + 1, 2 * r + 2), "L": (2 * c, 2 * r + 1)}
-            for start, end in _SEGMENTS[idx]:
-                segments[points[start]] = points[end]
+    for r, c in np.argwhere((config > 0) & (config < 15)).tolist():
+        points = {"B": (2 * c + 1, 2 * r), "R": (2 * c + 2, 2 * r + 1),
+                  "T": (2 * c + 1, 2 * r + 2), "L": (2 * c, 2 * r + 1)}
+        for start, end in _SEGMENTS[config[r, c]]:
+            segments[points[start]] = points[end]
 
     rings = []
     while segments:
@@ -234,8 +231,8 @@ def extract_hotspots(slot_trails: dict[TimeSlot, Trail2D],
     Each slot trail is binarized at ``relevance_fraction`` of its own peak
     (so uniform rescaling of the trails cannot change the result), the four
     masks are intersected, and each surviving 8-connected component above the
-    minimum area is traced into its outer contour. An empty intersection
-    yields an empty list.
+    minimum area is traced into its outer contour and lettered by its topmost
+    row, then leftmost column. An empty intersection yields an empty list.
     """
     if set(slot_trails) != set(TimeSlot):
         raise ValueError("need one trail per time slot")
@@ -246,30 +243,36 @@ def extract_hotspots(slot_trails: dict[TimeSlot, Trail2D],
                 or t.cell_size != first.cell_size):
             raise ValueError("slot trails must share the grid")
 
-    combined = np.ones(first.cells.shape, dtype=bool)
-    for t in trails:
-        combined &= relevance_mask(t, relevance_fraction)
+    combined = np.logical_and.reduce([relevance_mask(t, relevance_fraction)
+                                      for t in trails])
     if not combined.any():
         return []
 
+    labels = _connected_components(combined)
+    cells = np.argwhere(labels)
+    owner = labels[tuple(cells.T)]
+    size = np.bincount(owner)
+    # bounding box [lo, hi) of each label, as (row, col) pairs
+    lo = np.full((size.size, 2), max(labels.shape))
+    hi = np.zeros((size.size, 2), dtype=int)
+    np.minimum.at(lo, owner, cells)
+    np.maximum.at(hi, owner, cells + 1)
     min_cells = min_area_km2 * 1e6 / first.cell_size ** 2
-    components = [m for m in _connected_components(combined)
-                  if m.sum() >= min_cells]
-    components.sort(key=lambda m: (np.flatnonzero(m.any(axis=1))[0],
-                                   np.flatnonzero(m.any(axis=0))[0]))
+    kept = sorted((k for k in range(1, size.size) if size[k] >= min_cells),
+                  key=lambda k: tuple(lo[k]))
 
     x0, y0 = first.origin
     s = first.cell_size
+    # every component lies inside all four slot masks
+    coverage = tuple(sorted(slot.value for slot in TimeSlot))
     hotspots = []
-    for k, component in enumerate(components):
-        rings = _trace_rings(component)
+    for n, k in enumerate(kept):
+        component = labels[lo[k, 0]:hi[k, 0], lo[k, 1]:hi[k, 1]] == k
+        rings = [ring + lo[k, ::-1] for ring in _trace_rings(component)]
         outer = max(rings, key=lambda r: abs(polygon_area(r)))
         polygon = np.column_stack([x0 + (outer[:, 0] + 0.5) * s,
                                    y0 + (outer[:, 1] + 0.5) * s])
-        coverage = tuple(sorted(
-            slot.value for slot, trail in slot_trails.items()
-            if bool(relevance_mask(trail, relevance_fraction)[component].all())))
-        hotspots.append(Hotspot(_hotspot_letter(k), polygon, coverage))
+        hotspots.append(Hotspot(_hotspot_letter(n), polygon, coverage))
     return hotspots
 
 

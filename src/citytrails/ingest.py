@@ -48,6 +48,8 @@ class GeoBox:
     def __post_init__(self) -> None:
         if not (self.lon_min < self.lon_max and self.lat_min < self.lat_max):
             raise ValueError("box bounds must satisfy min < max")
+        cos_c = math.cos(math.radians(0.5 * (self.lat_min + self.lat_max)))
+        object.__setattr__(self, "_cos_center_lat", cos_c)
 
     def contains(self, lon: float, lat: float) -> bool:
         return (self.lon_min <= lon <= self.lon_max
@@ -55,8 +57,7 @@ class GeoBox:
 
     def to_meters(self, lon: float, lat: float) -> tuple[float, float]:
         """Meters east/north of the box's southwest corner."""
-        lat_c = math.radians(0.5 * (self.lat_min + self.lat_max))
-        mx = math.radians(lon - self.lon_min) * EARTH_RADIUS_M * math.cos(lat_c)
+        mx = math.radians(lon - self.lon_min) * EARTH_RADIUS_M * self._cos_center_lat
         my = math.radians(lat - self.lat_min) * EARTH_RADIUS_M
         return mx, my
 

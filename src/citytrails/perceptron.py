@@ -113,13 +113,9 @@ def transform_many(sp: StigmergicPerceptron, days,
     _, streams = indexed_similarity(streams, np.arange(n_days),
                                     n_days + np.arange(FIELD_COUNT)[:, None],
                                     pmat, warmup, return_streams=True)
-    streams = streams.transpose(1, 0, 2)
-
-    weights = np.arange(1, FIELD_COUNT + 1, dtype=float)[None, :, None]
     # sigmoid outputs are positive, but deep saturation can underflow to 0.0;
     # the floor keeps the weighted average defined at such steps
-    streams = np.maximum(streams, 1e-12)
-    levels = (streams * weights).sum(axis=1) / streams.sum(axis=1)
+    levels = activity_level(np.maximum(streams, 1e-12).transpose(1, 2, 0))
     return [ActivityLevelSeries(levels[i], days[i].resolution_minutes,
                                 days[i].day_id, days[i].hotspot_id)
             for i in range(n_days)]

@@ -9,7 +9,7 @@ built from two sample streams are compared with the Jaccard coefficient
 The 1-D value axis has one geometry, [0, 1] in CELL_COUNT cells, and its
 trails are plain arrays whose last axis is the cell axis, so one call
 deposits on or compares a whole stack of trails. 2-D trails are Trail2D
-values with their own origin and cell size.
+values with their own origin and cell size; add_cone deposits arrays of cones.
 """
 
 from __future__ import annotations
@@ -87,10 +87,11 @@ class Trail2D:
     def cols(self) -> int:
         return self.cells.shape[1]
 
-    def contains(self, x: float, y: float) -> bool:
+    def contains(self, x, y):
+        """Whether points (x, y), scalars or arrays, lie in the grid's box."""
         x0, y0 = self.origin
-        return (x0 <= x <= x0 + self.cols * self.cell_size
-                and y0 <= y <= y0 + self.rows * self.cell_size)
+        return ((x0 <= x) & (x <= x0 + self.cols * self.cell_size)
+                & (y0 <= y) & (y <= y0 + self.rows * self.cell_size))
 
     def cell_center(self, row: int, col: int) -> tuple[float, float]:
         x0, y0 = self.origin
@@ -111,22 +112,30 @@ def trapezoid_profile(centers, width) -> np.ndarray:
 
 
 def add_cone(cells: np.ndarray, origin: tuple[float, float], cell_size: float,
-             cx: float, cy: float, intensity: float, base_radius: float,
-             top_radius: float) -> None:
-    """Add a truncated cone centered at (cx, cy) to a grid of cells, in place."""
+             cx, cy, intensity, base_radius: float, top_radius: float) -> None:
+    """Add one truncated cone per event, centered at (cx[e], cy[e]) with
+    height intensity[e], to a grid of cells, in place. One unbuffered
+    ``np.add.at`` gives every cell its additions in event order."""
     x0, y0 = origin
     rows, cols = cells.shape
-    # Only cells within base_radius of the center can change.
-    c_lo = max(0, int((cx - base_radius - x0) / cell_size) - 1)
-    c_hi = min(cols, int((cx + base_radius - x0) / cell_size) + 2)
-    r_lo = max(0, int((cy - base_radius - y0) / cell_size) - 1)
-    r_hi = min(rows, int((cy + base_radius - y0) / cell_size) + 2)
-    xs = x0 + (np.arange(c_lo, c_hi) + 0.5) * cell_size
-    ys = y0 + (np.arange(r_lo, r_hi) + 0.5) * cell_size
-    rr = np.hypot(xs[None, :] - cx, ys[:, None] - cy)
+    cx, cy, intensity = (np.asarray(v, dtype=float) for v in (cx, cy, intensity))
+    # Only cells within base_radius of a center can change.
+    c_lo = np.maximum(0, ((cx - base_radius - x0) / cell_size).astype(int) - 1)
+    c_hi = np.minimum(cols, ((cx + base_radius - x0) / cell_size).astype(int) + 2)
+    r_lo = np.maximum(0, ((cy - base_radius - y0) / cell_size).astype(int) - 1)
+    r_hi = np.minimum(rows, ((cy + base_radius - y0) / cell_size).astype(int) + 2)
+    c = c_lo[:, None] + np.arange((c_hi - c_lo).max(initial=0))
+    r = r_lo[:, None] + np.arange((r_hi - r_lo).max(initial=0))
+    xs = x0 + (c + 0.5) * cell_size
+    ys = y0 + (r + 0.5) * cell_size
+    rr = np.hypot(xs[:, None, :] - cx[:, None, None], ys[:, :, None] - cy[:, None, None])
     slope = (base_radius - rr) / (base_radius - top_radius)
-    cells[r_lo:r_hi, c_lo:c_hi] += intensity * np.clip(
+    marks = intensity[:, None, None] * np.clip(
         np.where(rr <= top_radius, 1.0, slope), 0.0, 1.0)
+    # windows narrower than the widest one are padded; the padding is dropped
+    window = (r < r_hi[:, None])[:, :, None] & (c < c_hi[:, None])[:, None, :]
+    ri, ci = np.broadcast_arrays(r[:, :, None], c[:, None, :])
+    np.add.at(cells, (ri[window], ci[window]), marks[window])
 
 
 def deposit_2d(t: Trail2D, m: ConeMark) -> Trail2D:
@@ -135,8 +144,8 @@ def deposit_2d(t: Trail2D, m: ConeMark) -> Trail2D:
     if not t.contains(cx, cy):
         raise ValueError(f"mark center {m.center} outside grid bounding box")
     cells = t.cells.copy()
-    add_cone(cells, t.origin, t.cell_size, cx, cy, m.intensity, m.base_radius,
-             m.top_radius)
+    add_cone(cells, t.origin, t.cell_size, [cx], [cy], [m.intensity],
+             m.base_radius, m.top_radius)
     return dataclasses.replace(t, cells=cells)
 
 

@@ -225,9 +225,9 @@ class TestRepresentatives:
         model = fuzzy_cmeans(pts, c=2, max_iter=0,
                              init_centroids=np.array([[0.0, 0.0], [9.0, 9.0]]))
         with pytest.warns(UserWarning):  # the second cluster has one member
-            reps = representatives(model, pts, ids=["a", "b", "c", "z"], k=3)
-        assert reps[0][0] == "a"
-        assert reps[0][1:] == ["b", "c"]  # equal distance, id order
+            reps = representatives(model, pts, k=3)
+        assert reps[0][0] == 0
+        assert reps[0][1:] == [1, 2]  # equal distance, index order
 
 
 class TestClusterClassMapping:

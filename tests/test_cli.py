@@ -165,6 +165,15 @@ class TestSpatialPipeline:
         config, out = ingested
         assert run(config, "extract") == 3
 
+    def test_negative_count_cap_exits_2(self, ingested, capsys):
+        config, out = ingested
+        text = config.read_text(encoding="utf-8")
+        config.write_text(text.replace("count_cap = 2", "count_cap = -2"),
+                          encoding="utf-8")
+        capsys.readouterr()
+        assert run(config, "hotspots") == 2
+        assert "count_cap" in capsys.readouterr().err
+
 
     def test_hotspot_on_east_edge_extracts(self, workspace):
         # The 0.04-degree box is about 3371 m wide, and the 50 m trail grid

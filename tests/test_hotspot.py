@@ -31,6 +31,42 @@ def batches_for(points_per_step, slot=TimeSlot.MORNING):
             for step in points_per_step]
 
 
+def random_cone_steps():
+    """12 steps of 0-4 random events on a 1000 m box, every third step with a
+    cone centered on the box's southeast corner, which clips it."""
+    rng = np.random.default_rng(9)
+    steps = []
+    for k in range(12):
+        n = int(rng.integers(0, 5))
+        xy = rng.uniform(0.0, 1000.0, (n, 2))
+        if k % 3 == 0 and n:
+            xy[0] = (1000.0, 0.0)  # a grid corner clips the cone
+        counts = rng.integers(1, 14, (n, 1)).astype(float)
+        steps.append(np.hstack([xy, counts]))
+    return steps
+
+
+def oracle_slot_trail(steps, delta, template, cone, smooth_alpha=12.0,
+                      smooth_beta=0.5, count_cap=10.0):
+    """Slot trail by plain NumPy: each event's cone is evaluated at every cell
+    centre of the grid, in event order, then the step evaporates. Outside a
+    cone's reach the cone is exactly 0.0, so no window is needed."""
+    x0, y0 = template.origin
+    xs = x0 + (np.arange(template.cols) + 0.5) * template.cell_size
+    ys = y0 + (np.arange(template.rows) + 0.5) * template.cell_size
+    cells = np.array(template.cells, dtype=float)
+    for events in steps:
+        intensities = smooth_sample(np.minimum(events[:, 2] / count_cap, 1.0),
+                                    smooth_alpha, smooth_beta)
+        for (x, y, _), intensity in zip(events, intensities):
+            rr = np.hypot(xs[None, :] - x, ys[:, None] - y)
+            slope = (cone.base_radius - rr) / (cone.base_radius - cone.top_radius)
+            cells = cells + intensity * np.clip(
+                np.where(rr <= cone.top_radius, 1.0, slope), 0.0, 1.0)
+        cells = np.maximum(cells - delta, 0.0)
+    return cells
+
+
 def blob_trails(center=(1500.0, 1500.0), steps=30, count=9.0, skip=()):
     """One persistent blob in every slot except the skipped ones."""
     trails = {}
@@ -102,16 +138,8 @@ class TestSlotTrail:
     def test_matches_deposit_and_evaporate_fold(self):
         # the in-place batch loop equals the immutable trail algebra, step by
         # step: one deposit_2d per smoothed event, then one evaporate
-        rng = np.random.default_rng(9)
         cone = ConeMark((0.0, 0.0), 1.0, base_radius=130.0, top_radius=35.0)
-        steps = []
-        for k in range(12):
-            n = int(rng.integers(0, 5))
-            xy = rng.uniform(0.0, 1000.0, (n, 2))
-            if k % 3 == 0 and n:
-                xy[0] = (1000.0, 0.0)  # a grid corner clips the cone
-            counts = rng.integers(1, 14, (n, 1)).astype(float)
-            steps.append(np.hstack([xy, counts]))
+        steps = random_cone_steps()
         template = grid(1000, 1000, 40)
         trail = build_slot_trail(batches_for(steps), 0.3, template, cone=cone,
                                  smooth_alpha=9.0, smooth_beta=0.4, count_cap=8.0)
@@ -127,6 +155,34 @@ class TestSlotTrail:
         assert np.array_equal(trail.cells, expected.cells)
         assert (trail.origin, trail.cell_size) == (template.origin, template.cell_size)
 
+    def test_random_fixture_matches_full_grid_oracle(self):
+        cone = ConeMark((0.0, 0.0), 1.0, base_radius=130.0, top_radius=35.0)
+        steps = random_cone_steps()
+        template = grid(1000, 1000, 40)
+        trail = build_slot_trail(batches_for(steps), 0.3, template, cone=cone,
+                                 smooth_alpha=9.0, smooth_beta=0.4, count_cap=8.0)
+        expected = oracle_slot_trail(steps, 0.3, template, cone, 9.0, 0.4, 8.0)
+        assert trail.cells.any()
+        assert np.array_equal(trail.cells, expected)
+
+    def test_planted_clusters_match_full_grid_oracle(self):
+        batches, _ = planted_cluster_batches(
+            n_clusters=4, width=4000, height=4000, steps_per_slot=25, seed=1)
+        template = Trail2D.for_box(4000, 4000, 50)
+        cone = ConeMark((0.0, 0.0), 1.0)
+        for slot in TimeSlot:
+            trail = build_slot_trail(batches[slot], 0.5, template)
+            expected = oracle_slot_trail([b.events for b in batches[slot]], 0.5,
+                                         template, cone)
+            assert trail.cells.any()
+            assert np.array_equal(trail.cells, expected)
+
+    def test_nonpositive_count_cap_rejected(self):
+        steps = batches_for([[(500.0, 500.0, 0.0)]])
+        for cap in (0.0, -2.0):
+            with pytest.raises(ValueError, match="count_cap"):
+                build_slot_trail(steps, 0.2, grid(), count_cap=cap)
+
     def test_two_clusters_one_scatter(self):
         # two locations reinforced every step, scatter hit once each: the
         # final trail keeps exactly 2 components above 10% of its peak
@@ -140,8 +196,8 @@ class TestSlotTrail:
         trail = build_slot_trail(batches_for(steps), 0.5, grid())
         mask = trail.cells > 0.1 * trail.cells.max()
         from citytrails.hotspot import _connected_components
-        components = _connected_components(mask)
-        assert len(components) == 2
+        labels = _connected_components(mask)
+        assert labels.max() == 2
 
 
 class TestExtraction:
