@@ -119,11 +119,13 @@ def add_cone(cells: np.ndarray, origin: tuple[float, float], cell_size: float,
     x0, y0 = origin
     rows, cols = cells.shape
     cx, cy, intensity = (np.asarray(v, dtype=float) for v in (cx, cy, intensity))
-    # Only cells within base_radius of a center can change.
-    c_lo = np.maximum(0, ((cx - base_radius - x0) / cell_size).astype(int) - 1)
-    c_hi = np.minimum(cols, ((cx + base_radius - x0) / cell_size).astype(int) + 2)
-    r_lo = np.maximum(0, ((cy - base_radius - y0) / cell_size).astype(int) - 1)
-    r_hi = np.minimum(rows, ((cy + base_radius - y0) / cell_size).astype(int) + 2)
+    # Only cells from the one holding center - base_radius to the one holding
+    # center + base_radius can change: any other cell's center lies at least
+    # half a cell beyond the cone's base.
+    c_lo = np.maximum(0, ((cx - base_radius - x0) / cell_size).astype(int))
+    c_hi = np.minimum(cols, ((cx + base_radius - x0) / cell_size).astype(int) + 1)
+    r_lo = np.maximum(0, ((cy - base_radius - y0) / cell_size).astype(int))
+    r_hi = np.minimum(rows, ((cy + base_radius - y0) / cell_size).astype(int) + 1)
     c = c_lo[:, None] + np.arange((c_hi - c_lo).max(initial=0))
     r = r_lo[:, None] + np.arange((r_hi - r_lo).max(initial=0))
     xs = x0 + (c + 0.5) * cell_size

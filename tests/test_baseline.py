@@ -3,13 +3,15 @@ import pytest
 
 from citytrails.anomaly import classification_run
 from citytrails.baseline import (
+    DP_CHUNK_PAIRS,
+    _batch_distance,
     baseline_matrix,
     dtw,
     frechet_discrete,
     normalized_similarity,
 )
 from citytrails.calibrate import DeConfig
-from citytrails.perceptron import ActivityLevelSeries
+from citytrails.perceptron import ActivityLevelSeries, scale_levels
 
 
 def brute_force_dtw(a, b):
@@ -44,6 +46,26 @@ def brute_force_frechet(a, b):
             best = min(best, walk(i - 1, j - 1))
         return max(cost, best)
     return walk(len(a) - 1, len(b) - 1)
+
+
+def reference_batch_distance(xa: np.ndarray, xb: np.ndarray, method: str) -> np.ndarray:
+    """Row-by-row DP, one strided column at a time: row i of ``xa`` (P, n)
+    against row i of ``xb`` (P, m). Each cell does the same float
+    operations as the anti-diagonal sweep, so the two must agree exactly."""
+    combine = np.add if method == "dtw" else np.maximum
+    n, m = xa.shape[1], xb.shape[1]
+    p = xa.shape[0]
+    prev = np.full((p, m + 1), np.inf)
+    prev[:, 0] = 0.0
+    for i in range(1, n + 1):
+        cur = np.empty((p, m + 1))
+        cur[:, 0] = np.inf
+        cost = np.abs(xa[:, i - 1:i] - xb)
+        for j in range(1, m + 1):
+            cur[:, j] = combine(cost[:, j - 1], np.minimum(
+                np.minimum(prev[:, j], cur[:, j - 1]), prev[:, j - 1]))
+        prev = cur
+    return prev[:, m]
 
 
 class TestDtw:
@@ -111,6 +133,54 @@ class TestFrechet:
             frechet_discrete([1.0], [])
 
 
+@pytest.mark.parametrize("fn, name", [(dtw, "dtw"), (frechet_discrete, "frechet")])
+class TestOnePairInputs:
+    def test_two_dimensional_rejected(self, fn, name):
+        with pytest.raises(ValueError, match=f"{name} needs 1-D"):
+            fn([[1, 2], [3, 4]], [1, 2])
+
+    def test_scalar_rejected(self, fn, name):
+        with pytest.raises(ValueError, match=f"{name} needs 1-D"):
+            fn(5.0, [1, 2])
+
+    def test_non_finite_rejected(self, fn, name):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} needs finite"):
+                fn([1, bad], [1, 2])
+            with pytest.raises(ValueError, match=f"{name} needs finite"):
+                fn([1, 2], [bad])
+
+
+class TestBatchAgainstReference:
+    """The anti-diagonal sweep against the row-by-row reference, on batches of
+    more than two DP_CHUNK_PAIRS blocks plus a partial one."""
+
+    P = 2 * DP_CHUNK_PAIRS + DP_CHUNK_PAIRS // 3 + 1
+
+    @pytest.mark.parametrize("method", ["dtw", "frechet"])
+    @pytest.mark.parametrize("n, m", [(12, 12), (9, 16), (16, 9), (1, 11),
+                                      (11, 1), (1, 1)])
+    @pytest.mark.parametrize("data", ["levels", "reals"])
+    def test_bit_equal(self, method, n, m, data):
+        rng = np.random.default_rng([n, m, len(data)])
+        if data == "levels":  # k/7 levels: many ties between predecessors
+            xa, xb = rng.integers(0, 8, (self.P, n)) / 7, rng.integers(0, 8, (self.P, m)) / 7
+        else:
+            xa, xb = rng.uniform(0, 1, (self.P, n)), rng.uniform(0, 1, (self.P, m))
+        expected = reference_batch_distance(xa, xb, method)
+        got = _batch_distance(xa, xb, np.arange(self.P), np.arange(self.P), method)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("method", ["dtw", "frechet"])
+    def test_index_pairs_gather_rows(self, method):
+        # pairs reuse and reorder rows across block boundaries
+        rng = np.random.default_rng(6)
+        xa, xb = rng.uniform(0, 1, (40, 10)), rng.uniform(0, 1, (25, 7))
+        ia, ib = rng.integers(0, 40, self.P), rng.integers(0, 25, self.P)
+        expected = reference_batch_distance(xa[ia], xb[ib], method)
+        assert np.array_equal(_batch_distance(xa, xb, ia, ib, method), expected)
+
+
 class TestMeasure:
     def test_normalization_formula(self):
         assert normalized_similarity(0.0, 10) == 1.0
@@ -143,6 +213,22 @@ class TestBaselineMatrix:
                 a, b = pool[i].levels / 7, pool[j].levels / 7
                 expected = normalized_similarity(dtw(a, b), a.size)
                 assert matrix.values[i, j] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("method, brute", [("dtw", brute_force_dtw),
+                                               ("frechet", brute_force_frechet)])
+    def test_matches_brute_force_pair_by_pair(self, method, brute):
+        rng = np.random.default_rng(12)
+        pool = [ActivityLevelSeries(rng.integers(0, 8, 5).astype(float), day_id=f"i{k}")
+                for k in range(15)]
+        pool += [ActivityLevelSeries(rng.uniform(0, 7, 5), day_id=f"r{k}")
+                 for k in range(15)]
+        matrix = baseline_matrix(pool, method)
+        scaled = [scale_levels(s) for s in pool]
+        for i in range(len(pool)):
+            for j in range(i, len(pool)):
+                expected = normalized_similarity(brute(scaled[i], scaled[j]), 5)
+                assert matrix.values[i, j] == expected
+                assert matrix.values[j, i] == expected
 
     def test_symmetric_with_unit_diagonal(self):
         pool, _ = make_level_pool(1, per_class=2, length=10)
