@@ -24,6 +24,7 @@ from .srf import SrfParams, indexed_similarity
 DEFAULT_REPRESENTATIVES = 5
 MATRIX_CHUNK_PAIRS = 8192
 FCM_RESTARTS = 8  # seeded fuzzy c-means starts; the lowest objective wins
+FCM_FUZZINESS = 2.0  # membership exponent m of fuzzy c-means
 
 # Expected behavioral class by weekday (Monday = 0): working routines hold
 # through Thursday, nightlife marks Friday and Saturday, Sunday is leisure.
@@ -56,34 +57,36 @@ class SimilarityMatrix:
             lines.append(day + "," + ",".join(f"{v:.12g}" for v in row))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "SimilarityMatrix":
-        lines = [ln for ln in text.split("\n") if ln.strip()]
-        ids = lines[0].split(",")[1:]
-        rows = [[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]]
-        return cls(np.asarray(rows), tuple(ids))
 
+def pair_matrix(patterns, pair_values) -> SimilarityMatrix:
+    """Symmetric matrix of every unordered pair of level series.
 
-def similarity_matrix(patterns, params: SrfParams, *,
-                      chunk_pairs: int = MATRIX_CHUNK_PAIRS) -> SimilarityMatrix:
-    """Pattern-field similarity of every unordered pair of level series.
-
-    Each entry is computed once and mirrored, so the matrix is exactly
-    symmetric; diagonal entries are the field's self-similarity.
+    The series are rescaled onto [0, 1] and stacked into one (N, L) pool;
+    ``pair_values(scaled, ii, jj)`` returns the value of each pair (ii[k],
+    jj[k]) of the pool's upper triangle, diagonal included. Each entry is
+    computed once and mirrored, so the matrix is exactly symmetric.
     """
     patterns = list(patterns)
     scaled = np.stack([scale_levels(p) for p in patterns])
     n = len(patterns)
     ii, jj = np.triu_indices(n)
     values = np.empty((n, n))
-    for start in range(0, ii.size, chunk_pairs):
-        sel = slice(start, start + chunk_pairs)
-        sims = indexed_similarity(scaled, ii[sel], jj[sel], params)
-        values[ii[sel], jj[sel]] = sims
-        values[jj[sel], ii[sel]] = sims
+    values[ii, jj] = values[jj, ii] = pair_values(scaled, ii, jj)
     ids = tuple(p.day_id if p.day_id is not None else str(k)
                 for k, p in enumerate(patterns))
     return SimilarityMatrix(values, ids)
+
+
+def similarity_matrix(patterns, params: SrfParams) -> SimilarityMatrix:
+    """Pattern-field similarity of every unordered pair of level series,
+    MATRIX_CHUNK_PAIRS pairs per engine call; diagonal entries are the
+    field's self-similarity."""
+    def pair_values(scaled, ii, jj):
+        return np.concatenate([
+            indexed_similarity(scaled, ii[s:s + MATRIX_CHUNK_PAIRS],
+                               jj[s:s + MATRIX_CHUNK_PAIRS], params)
+            for s in range(0, ii.size, MATRIX_CHUNK_PAIRS)])
+    return pair_matrix(patterns, pair_values)
 
 
 @dataclass(frozen=True)
@@ -106,11 +109,11 @@ class ClusterModel:
         return np.argmax(self.memberships, axis=1)
 
 
-def _fcm_memberships(points: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
+def _fcm_memberships(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     d = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=2)
     zero = d <= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = d ** (-2.0 / (m - 1.0))
+        inv = d ** (-2.0 / (FCM_FUZZINESS - 1.0))
         u = inv / inv.sum(axis=1, keepdims=True)
     hit = zero.any(axis=1)
     if np.any(hit):  # points sitting on a centroid take hard membership
@@ -119,26 +122,26 @@ def _fcm_memberships(points: np.ndarray, centroids: np.ndarray, m: float) -> np.
 
 
 def fcm_objective(points: np.ndarray, centroids: np.ndarray,
-                  memberships: np.ndarray, m: float) -> float:
+                  memberships: np.ndarray) -> float:
     d2 = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=2) ** 2
-    return float((memberships ** m * d2).sum())
+    return float((memberships ** FCM_FUZZINESS * d2).sum())
 
 
-def _fcm_single(points: np.ndarray, centroids: np.ndarray, m: float,
+def _fcm_single(points: np.ndarray, centroids: np.ndarray,
                 tol: float, max_iter: int) -> ClusterModel:
-    memberships = _fcm_memberships(points, centroids, m)
+    memberships = _fcm_memberships(points, centroids)
     for _ in range(max_iter):
-        weights = memberships ** m
+        weights = memberships ** FCM_FUZZINESS
         centroids_next = (weights.T @ points) / weights.sum(axis=0)[:, None]
         shift = np.abs(centroids_next - centroids).max()
         centroids = centroids_next
-        memberships = _fcm_memberships(points, centroids, m)
+        memberships = _fcm_memberships(points, centroids)
         if shift < tol:
             break
     return ClusterModel(centroids, memberships)
 
 
-def fuzzy_cmeans(points, c: int = 3, m: float = 2.0, tol: float = 1e-6,
+def fuzzy_cmeans(points, c: int = 3, tol: float = 1e-6,
                  max_iter: int = 300, seed: int = 0,
                  init_centroids=None) -> ClusterModel:
     """Alternating fuzzy c-means, initialized from c distinct data points.
@@ -151,18 +154,16 @@ def fuzzy_cmeans(points, c: int = 3, m: float = 2.0, tol: float = 1e-6,
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < c:
         raise ValueError("need at least c points in a 2-D array")
-    if m <= 1:
-        raise ValueError("fuzziness m must exceed 1")
     if init_centroids is not None:
         return _fcm_single(points, np.array(init_centroids, dtype=float),
-                           m, tol, max_iter)
+                           tol, max_iter)
     rng = np.random.default_rng(seed)
     best = None
     best_objective = np.inf
     for _ in range(FCM_RESTARTS):
         centroids = points[rng.choice(points.shape[0], size=c, replace=False)]
-        model = _fcm_single(points, centroids.copy(), m, tol, max_iter)
-        objective = fcm_objective(points, model.centroids, model.memberships, m)
+        model = _fcm_single(points, centroids.copy(), tol, max_iter)
+        objective = fcm_objective(points, model.centroids, model.memberships)
         if objective < best_objective:
             best, best_objective = model, objective
     return best
@@ -269,8 +270,6 @@ class ClassificationReport:
     thresholds: dict[str, float]
     matrix: SimilarityMatrix
     representatives_by_class: dict[str, list[int]]
-    cluster_classes: dict[int, str]
-    model: ClusterModel
 
     @property
     def indices(self) -> np.ndarray:
@@ -322,6 +321,4 @@ def classification_run(patterns, expected_classes, known_anomaly, matrix_fn,
         thresholds=tuned.thresholds,
         matrix=matrix,
         representatives_by_class=reps_by_class,
-        cluster_classes=cluster_classes,
-        model=model,
     )

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .anomaly import SimilarityMatrix
-from .perceptron import scale_levels
+from .anomaly import SimilarityMatrix, pair_matrix
 
 METHODS = ("dtw", "frechet")
 # Pairs per anti-diagonal sweep: small enough that a block's diagonal
@@ -96,15 +95,6 @@ def baseline_matrix(patterns, method: str) -> SimilarityMatrix:
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    patterns = list(patterns)
-    scaled = np.stack([scale_levels(s) for s in patterns])
-    n = len(patterns)
-    ii, jj = np.triu_indices(n)
-    distances = _batch_distance(scaled, scaled, ii, jj, method)
-    values = np.empty((n, n))
-    values[ii, jj] = normalized_similarity(distances, scaled.shape[1])
-    values[jj, ii] = values[ii, jj]
-    ids = tuple(s.day_id if s.day_id is not None else str(k)
-                for k, s in enumerate(patterns))
-    return SimilarityMatrix(values, ids)
+    return pair_matrix(patterns, lambda x, ii, jj: normalized_similarity(
+        _batch_distance(x, x, ii, jj, method), x.shape[1]))
 

@@ -290,7 +290,6 @@ def train_pattern_field(level_sets_by_class: dict[str, list], bounds: ParamBound
 class ThresholdResult:
     thresholds: dict[str, float]
     accuracy: float
-    history: tuple[float, ...]
 
 
 def tune_thresholds(entries, cfg: DeConfig) -> ThresholdResult:
@@ -319,4 +318,4 @@ def tune_thresholds(entries, cfg: DeConfig) -> ThresholdResult:
     result = de_minimize(objective, [(0.0, 1.0)] * len(CLASS_LETTERS), cfg)
     thresholds = {letter: float(scale * v)
                   for letter, v in zip(CLASS_LETTERS, result.best)}
-    return ThresholdResult(thresholds, 1.0 - result.fitness, result.history)
+    return ThresholdResult(thresholds, 1.0 - result.fitness)

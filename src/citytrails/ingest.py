@@ -163,6 +163,8 @@ class BucketGrid:
         if bucket_minutes <= 0 or 1440 % bucket_minutes:
             raise ValueError(f"bucket_minutes = {bucket_minutes} does not divide "
                              "the 1440 minutes of a day")
+        if not cell_m > 0:
+            raise ValueError(f"bucket_cell_m = {cell_m} must be positive")
         self.box = box
         self.cell_m = cell_m
         self.bucket_minutes = bucket_minutes
@@ -284,6 +286,8 @@ def hotspot_raw_activity(grid: BucketGrid, h: Hotspot, day: str) -> np.ndarray:
 def hotspot_activity(grid: BucketGrid, h: Hotspot, day: str,
                      resolution_minutes: int = 10) -> ActivityTimeSeries:
     """Min-max-normalized activity series for one hotspot and day."""
+    if resolution_minutes <= 0:
+        raise ValueError(f"resolution_minutes = {resolution_minutes} must be positive")
     if resolution_minutes % grid.bucket_minutes != 0:
         raise ValueError("target resolution must be a multiple of the bucket length")
     raw = hotspot_raw_activity(grid, h, day)

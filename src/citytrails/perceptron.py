@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import Archetype, all_archetypes, _readonly
-from .srf import PARAM_KEYS, SrfParams, default_warmup, indexed_similarity
+from .srf import PARAM_KEYS, SrfParams, indexed_similarity
 
 FIELD_COUNT = 7
 
@@ -57,9 +57,8 @@ class StigmergicPerceptron:
         object.__setattr__(self, "fields", ordered)
 
     @classmethod
-    def untrained(cls, length: int = 144,
-                  params: SrfParams | None = None) -> "StigmergicPerceptron":
-        p = params if params is not None else SrfParams.defaults()
+    def untrained(cls, length: int = 144) -> "StigmergicPerceptron":
+        p = SrfParams.defaults()
         return cls(tuple((a, p) for a in all_archetypes(length)))
 
     @property
@@ -69,9 +68,6 @@ class StigmergicPerceptron:
     def with_params(self, name: str, params: SrfParams) -> "StigmergicPerceptron":
         return StigmergicPerceptron(tuple(
             (a, params if a.name == name else p) for a, p in self.fields))
-
-    def params_by_name(self) -> dict[str, SrfParams]:
-        return {a.name: p for a, p in self.fields}
 
 
 def activity_level(similarities) -> float:
@@ -89,21 +85,16 @@ def scale_levels(levels) -> np.ndarray:
     return np.asarray(getattr(levels, "levels", levels), dtype=float) / FIELD_COUNT
 
 
-def transform_many(sp: StigmergicPerceptron, days,
-                   warmup: int | None = None) -> list[ActivityLevelSeries]:
+def transform_many(sp: StigmergicPerceptron, days) -> list[ActivityLevelSeries]:
     """Run the perceptron over many days in one vectorized pass."""
     days = list(days)
     if not days:
         return []
+    for d in days:
+        if len(d.samples) != sp.archetype_length:
+            raise ValueError(f"day {d.day_id} has {len(d.samples)} samples, but "
+                             f"the archetypes have {sp.archetype_length}")
     samples = np.stack([np.asarray(d.samples, dtype=float) for d in days])
-    length = samples.shape[1]
-    if length != sp.archetype_length:
-        raise ValueError(f"day length {length} does not match archetype length "
-                         f"{sp.archetype_length}")
-    if warmup is None:
-        warmup = default_warmup(length)
-    if warmup >= length:
-        raise ValueError("series shorter than the warmup window")
 
     # Streams are the days followed by the archetypes; parameter row f matches
     # every day against archetype f under field f's parameters.
@@ -112,7 +103,7 @@ def transform_many(sp: StigmergicPerceptron, days,
     pmat = np.stack([p.to_vector() for _, p in sp.fields])
     _, streams = indexed_similarity(streams, np.arange(n_days),
                                     n_days + np.arange(FIELD_COUNT)[:, None],
-                                    pmat, warmup, return_streams=True)
+                                    pmat, return_streams=True)
     # sigmoid outputs are positive, but deep saturation can underflow to 0.0;
     # the floor keeps the weighted average defined at such steps
     levels = activity_level(np.maximum(streams, 1e-12).transpose(1, 2, 0))
@@ -121,9 +112,9 @@ def transform_many(sp: StigmergicPerceptron, days,
             for i in range(n_days)]
 
 
-def transform(sp: StigmergicPerceptron, a, warmup: int | None = None) -> ActivityLevelSeries:
+def transform(sp: StigmergicPerceptron, a) -> ActivityLevelSeries:
     """Activity-level series of one day of normalized activity samples."""
-    return transform_many(sp, [a], warmup)[0]
+    return transform_many(sp, [a])[0]
 
 
 # --- persistence: one named parameter block per field -----------------------

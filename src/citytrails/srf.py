@@ -16,8 +16,10 @@ one matrix against row i of the other), and ``final_trail`` the trail one
 stream leaves, which plot bundles export. Both step their trails through
 ``_advance``. Every trail has the one geometry of ``stigspace``: the value
 axis [0, 1] in CELL_COUNT cells; only the eight field parameters vary. The
-test suite pins the engine to a brute-force reference that spells out the
-trapezoid, the evaporation and the Jaccard cell by cell.
+first ``default_warmup(L)`` steps of an L-step stream, a tenth of it, fill
+the trails and are left out of the mean. The test suite pins the engine to a
+brute-force reference that spells out the clumping, the trapezoid, the
+evaporation, the Jaccard and the activation cell by cell.
 """
 
 from __future__ import annotations
@@ -113,8 +115,7 @@ def default_warmup(length: int) -> int:
     return max(1, int(round(DEFAULT_WARMUP_FRACTION * length)))
 
 
-def indexed_similarity(streams, ia, ib, params, warmup: int | None = None, *,
-                       return_streams: bool = False):
+def indexed_similarity(streams, ia, ib, params, *, return_streams: bool = False):
     """SRF similarity of indexed stream pairs, one trail per distinct stream.
 
     ``streams`` is an (N, L) matrix of distinct sample streams. ``ia`` and
@@ -123,8 +124,8 @@ def indexed_similarity(streams, ia, ib, params, warmup: int | None = None, *,
     same pairs, or to (K, P) when the pairs differ per row. ``params`` is one
     SrfParams or a (K, 8) matrix in PARAM_KEYS order. Returns the mean
     activated similarity per pair, shaped (P,) for one SrfParams and (K, P)
-    for a matrix, plus the activated streams past warmup, shaped
-    (..., L - warmup), when ``return_streams`` is set.
+    for a matrix, plus the activated streams past the warmup, shaped
+    (..., L - default_warmup(L)), when ``return_streams`` is set.
     """
     single = isinstance(params, SrfParams)
     pmat = params.to_vector()[None, :] if single else np.asarray(params, dtype=float)
@@ -135,9 +136,8 @@ def indexed_similarity(streams, ia, ib, params, warmup: int | None = None, *,
     if x.ndim != 2:
         raise ValueError("streams must be an (N, L) matrix")
     n_streams, length = x.shape
-    if warmup is None:
-        warmup = default_warmup(length)
-    if not 0 <= warmup < length:
+    warmup = default_warmup(length)
+    if warmup >= length:
         raise ValueError("warmup must be shorter than the streams")
     # Flat row index into the (K * N, C) trail matrix, one row per parameter row.
     base = (np.arange(n_rows) * n_streams)[:, None]
@@ -173,15 +173,13 @@ def indexed_similarity(streams, ia, ib, params, warmup: int | None = None, *,
     return means
 
 
-def pair_similarity(xa, xb, params: SrfParams, warmup: int | None = None, *,
-                    return_streams: bool = False):
+def pair_similarity(xa, xb, params: SrfParams):
     """SRF similarity of row-aligned stream pairs: row i of ``xa`` against row i
     of ``xb``.
 
     ``xa`` and ``xb`` are (P, L) sample matrices (or a single pair of 1-D
     streams), matched under one SrfParams. Returns the (P,) mean activated
-    similarity, plus the (P, L - warmup) activated streams when
-    ``return_streams`` is set.
+    similarity.
     """
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
@@ -189,4 +187,4 @@ def pair_similarity(xa, xb, params: SrfParams, warmup: int | None = None, *,
         raise ValueError("paired streams must have identical shapes")
     pairs = np.arange(xa.shape[0])
     return indexed_similarity(np.concatenate([xa, xb]), pairs, xa.shape[0] + pairs,
-                              params, warmup, return_streams=return_streams)
+                              params)

@@ -72,12 +72,13 @@ class Trail2D:
 
     @classmethod
     def for_box(cls, width_m: float, height_m: float,
-                cell_size: float = DEFAULT_CELL_SIZE_M,
-                origin: tuple[float, float] = (0.0, 0.0)) -> "Trail2D":
-        """Empty trail whose grid covers a width x height box from ``origin``."""
+                cell_size: float = DEFAULT_CELL_SIZE_M) -> "Trail2D":
+        """Empty trail whose grid covers a width x height box from (0, 0)."""
+        if not cell_size > 0:
+            raise ValueError(f"trail_cell_m = {cell_size} must be positive")
         cols = int(np.ceil(width_m / cell_size))
         rows = int(np.ceil(height_m / cell_size))
-        return cls(np.zeros((rows, cols)), origin, cell_size)
+        return cls(np.zeros((rows, cols)), cell_size=cell_size)
 
     @property
     def rows(self) -> int:
@@ -92,10 +93,6 @@ class Trail2D:
         x0, y0 = self.origin
         return ((x0 <= x) & (x <= x0 + self.cols * self.cell_size)
                 & (y0 <= y) & (y <= y0 + self.rows * self.cell_size))
-
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        x0, y0 = self.origin
-        return (x0 + (col + 0.5) * self.cell_size, y0 + (row + 0.5) * self.cell_size)
 
 
 def trapezoid_profile(centers, width) -> np.ndarray:
@@ -173,7 +170,7 @@ def jaccard(a, b):
                     1.0)
 
 
-def to_ascii_grid(t: Trail2D, nodata: float = -9999.0) -> str:
+def to_ascii_grid(t: Trail2D) -> str:
     """Render a 2-D trail as an ESRI-ASCII-grid-style text block."""
     x0, y0 = t.origin
     lines = [
@@ -182,7 +179,7 @@ def to_ascii_grid(t: Trail2D, nodata: float = -9999.0) -> str:
         f"xllcorner {x0:.6f}",
         f"yllcorner {y0:.6f}",
         f"cellsize {t.cell_size:.6f}",
-        f"NODATA_value {nodata:.1f}",
+        "NODATA_value -9999.0",
     ]
     for row in range(t.rows - 1, -1, -1):  # northmost row first
         lines.append(" ".join(f"{v:.6g}" for v in t.cells[row]))

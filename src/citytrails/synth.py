@@ -14,6 +14,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
+from .anomaly import expected_class_for
 from .hotspot import SpatialEventBatch, TimeSlot
 from .ingest import GeoBox
 from .series import (
@@ -26,6 +27,19 @@ from .series import (
 
 DEFAULT_DAY_LENGTH = 144  # 10-minute samples
 DEFAULT_YEAR_START = date(2015, 1, 5)  # a Monday; 364 days = 52 exact weeks
+# A year's days perturb their class profile by this uniform noise amplitude
+# and a circular shift of up to this many samples.
+YEAR_NOISE = 0.04
+YEAR_MAX_SHIFT = 1
+TRIPS_START = date(2015, 2, 2)  # a Monday, the first day of a trip fixture
+
+# Planted spatial clusters: events per cluster and step, their spread in
+# meters, background events per step, and the two events' passenger counts.
+EVENTS_PER_CLUSTER = 6
+CLUSTER_SIGMA_M = 120.0
+SCATTER_EVENTS = 8
+CLUSTER_COUNT_VALUE = 9.0
+SCATTER_COUNT_VALUE = 1.0
 
 SUPPRESSION_FACTOR = 0.2
 SUPPRESSION_FROM_HOUR = 10
@@ -111,20 +125,17 @@ def _anomaly_quota(total: int, class_days: dict[str, list[int]]) -> dict[str, in
 
 
 def synthetic_year(n_days: int = 364, anomaly_count: int = 20,
-                   start: date = DEFAULT_YEAR_START,
-                   length: int = DEFAULT_DAY_LENGTH,
-                   noise: float = 0.04, max_shift: int = 1, seed: int = 0,
+                   length: int = DEFAULT_DAY_LENGTH, seed: int = 0,
                    hotspot_id: str = "D") -> SyntheticYear:
-    """Weekday-structured days with a seeded set of injected anomalies.
+    """Weekday-structured days from DEFAULT_YEAR_START with a seeded set of
+    injected anomalies.
 
     Every class receives at least three anomalies (the threshold search needs
     positives in each class); kinds alternate between suppression and shift.
     """
-    from .anomaly import expected_class_for  # local import avoids a cycle
-
     rng = np.random.default_rng(seed)
     profiles = {letter: class_profile(letter, length) for letter in CLASS_LETTERS}
-    dates = [start + timedelta(days=i) for i in range(n_days)]
+    dates = [DEFAULT_YEAR_START + timedelta(days=i) for i in range(n_days)]
     classes = [expected_class_for(d) for d in dates]
 
     class_days = {letter: [i for i, c in enumerate(classes) if c == letter]
@@ -138,7 +149,7 @@ def synthetic_year(n_days: int = 364, anomaly_count: int = 20,
 
     days, flags, kinds = [], [], []
     for i, (d, cls) in enumerate(zip(dates, classes)):
-        samples = perturb_samples(profiles[cls], noise, max_shift, rng)
+        samples = perturb_samples(profiles[cls], YEAR_NOISE, YEAR_MAX_SHIFT, rng)
         kind = anomalous.get(i, "")
         if kind == "suppression":
             samples = _suppress(samples, rng)
@@ -176,11 +187,7 @@ def _cluster_centers(n_clusters: int, width: float, height: float,
 
 def planted_cluster_batches(n_clusters: int = 7, width: float = 6000.0,
                             height: float = 6000.0, steps_per_slot: int = 60,
-                            events_per_cluster: int = 6,
-                            cluster_sigma: float = 120.0,
-                            scatter_events: int = 8, seed: int = 0,
-                            cluster_count_value: float = 9.0,
-                            scatter_count_value: float = 1.0):
+                            seed: int = 0):
     """Dense clusters active in every slot plus sparse background scatter.
 
     Returns (slot -> list of event batches, planted center coordinates).
@@ -193,15 +200,15 @@ def planted_cluster_batches(n_clusters: int = 7, width: float = 6000.0,
         for _ in range(steps_per_slot):
             points = []
             for cx, cy in centers:
-                offsets = rng.normal(0.0, cluster_sigma, size=(events_per_cluster, 2))
+                offsets = rng.normal(0.0, CLUSTER_SIGMA_M, size=(EVENTS_PER_CLUSTER, 2))
                 for dx, dy in offsets:
                     points.append((float(np.clip(cx + dx, 0, width)),
                                    float(np.clip(cy + dy, 0, height)),
-                                   cluster_count_value))
-            for _ in range(scatter_events):
+                                   CLUSTER_COUNT_VALUE))
+            for _ in range(SCATTER_EVENTS):
                 points.append((float(rng.uniform(0, width)),
                                float(rng.uniform(0, height)),
-                               scatter_count_value))
+                               SCATTER_COUNT_VALUE))
             slot_batches.append(SpatialEventBatch(np.asarray(points), slot))
         batches[slot] = slot_batches
     return batches, centers
@@ -214,8 +221,7 @@ TRIPS_HEADER = ("medallion,passenger_count,pickup_datetime,dropoff_datetime,"
 
 
 def planted_trips_csv(box: GeoBox, n_valid: int = 9500, n_invalid: int = 500,
-                      n_clusters: int = 4, days: int = 2, seed: int = 0,
-                      start: date = date(2015, 2, 2)) -> str:
+                      n_clusters: int = 4, days: int = 2, seed: int = 0) -> str:
     """A TLC-style trip CSV with seeded valid rows around planted clusters and
     a deterministic mix of rejectable rows."""
     rng = np.random.default_rng(seed)
@@ -233,7 +239,7 @@ def planted_trips_csv(box: GeoBox, n_valid: int = 9500, n_invalid: int = 500,
         return lon, lat
 
     def timestamp():
-        d = start + timedelta(days=int(rng.integers(days)))
+        d = TRIPS_START + timedelta(days=int(rng.integers(days)))
         minute = int(rng.integers(1440))
         return f"{d.isoformat()} {minute // 60:02d}:{minute % 60:02d}:00"
 
@@ -259,7 +265,7 @@ def planted_trips_csv(box: GeoBox, n_valid: int = 9500, n_invalid: int = 500,
             rows.append(f"T{i:04d},2,{ts},{ts},"
                         f"{box.lon_max + lon_span:.6f},{plat:.6f},{dlon:.6f},{dlat:.6f}")
         else:
-            d2 = start - timedelta(days=1)
+            d2 = TRIPS_START - timedelta(days=1)
             rows.append(f"T{i:04d},2,{ts},{d2.isoformat()} 00:00:00,"
                         f"{plon:.6f},{plat:.6f},{dlon:.6f},{dlat:.6f}")
     order = rng.permutation(len(rows))

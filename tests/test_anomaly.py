@@ -3,9 +3,9 @@ from datetime import date
 import numpy as np
 import pytest
 
+import citytrails.anomaly as anomaly
 from citytrails.anomaly import (
     AnomalyRecord,
-    SimilarityMatrix,
     affinity_triple,
     classify_day,
     expected_class_for,
@@ -99,11 +99,12 @@ class TestSimilarityMatrix:
         between = matrix.values[~same].mean()
         assert within > between
 
-    def test_chunking_matches_single_pass(self):
+    def test_chunking_matches_single_pass(self, monkeypatch):
         p = SrfParams.defaults()
         patterns = self.make_patterns(4)
-        a = similarity_matrix(patterns, p, chunk_pairs=7)
         b = similarity_matrix(patterns, p)
+        monkeypatch.setattr(anomaly, "MATRIX_CHUNK_PAIRS", 7)
+        a = similarity_matrix(patterns, p)
         assert np.array_equal(a.values, b.values)
 
     def test_length_mismatch_rejected(self):
@@ -113,9 +114,6 @@ class TestSimilarityMatrix:
 
     def test_csv_round_trip(self):
         matrix = similarity_matrix(self.make_patterns(5), SrfParams.defaults())
-        back = SimilarityMatrix.from_csv(matrix.to_csv())
-        assert back.day_ids == matrix.day_ids
-        assert np.allclose(back.values, matrix.values, atol=1e-10)
         header = matrix.to_csv().split("\n")[0].split(",")
         assert header[0] == "day_id"
         assert tuple(header[1:]) == matrix.day_ids
@@ -156,7 +154,7 @@ class TestFuzzyCMeans:
         for steps in range(1, 8):
             model = fuzzy_cmeans(pts, c=3, init_centroids=init, tol=0.0,
                                  max_iter=steps)
-            values.append(fcm_objective(pts, model.centroids, model.memberships, 2.0))
+            values.append(fcm_objective(pts, model.centroids, model.memberships))
             centroids = model.centroids
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 

@@ -208,7 +208,7 @@ class TestGlobalTraining:
     def test_flat_sweep_warns_and_keeps_full_interval(self, small_sets, archetypes,
                                                       monkeypatch):
         monkeypatch.setattr(calibrate, "population_fitness",
-                            lambda pmat, pairs, warmup=None:
+                            lambda pmat, pairs:
                             np.zeros(np.atleast_2d(pmat).shape[0]))
         with pytest.warns(UserWarning):
             bounds = global_training(archetypes, small_sets,
@@ -258,7 +258,7 @@ class TestLocalTraining:
         reordered = dict(reversed(list(small_sets.items())))
         sp2, _ = local_training(StigmergicPerceptron.untrained(DAY), bounds,
                                 SMALL_DE, reordered)
-        assert sp2.params_by_name() == sp.params_by_name()
+        assert [p for _, p in sp2.fields] == [p for _, p in sp.fields]
 
 
 class TestPatternTraining:

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 import citytrails.cli as cli
 from citytrails.cli import main
 from citytrails.perceptron import load_sp
+from citytrails.series import ActivityTimeSeries, series_to_csv
 from test_srf import oracle_final_trail
 
 TINY_CONFIG = """\
@@ -174,6 +176,27 @@ class TestSpatialPipeline:
         assert run(config, "hotspots") == 2
         assert "count_cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, replacement, stage, setting", [
+        ("resolution_minutes = 10", "resolution_minutes = 10\nbucket_cell_m = 0",
+         "ingest", "bucket_cell_m"),
+        ("resolution_minutes = 10", "resolution_minutes = 10\nbucket_cell_m = -3",
+         "ingest", "bucket_cell_m"),
+        ("trail_delta = 0.2", "trail_delta = 0.2\ntrail_cell_m = 0",
+         "hotspots", "trail_cell_m"),
+        ("resolution_minutes = 10", "resolution_minutes = 0",
+         "extract", "resolution_minutes"),
+    ], ids=["bucket_cell_m=0", "bucket_cell_m=-3", "trail_cell_m=0",
+            "resolution_minutes=0"])
+    def test_non_positive_grid_setting_exits_2(self, ingested, capsys, line,
+                                               replacement, stage, setting):
+        config, _ = ingested
+        if stage == "extract":
+            assert run(config, "hotspots") == 0
+        text = config.read_text(encoding="utf-8")
+        config.write_text(text.replace(line, replacement), encoding="utf-8")
+        capsys.readouterr()
+        assert run(config, stage) == 2
+        assert setting in capsys.readouterr().err
 
     def test_hotspot_on_east_edge_extracts(self, workspace):
         # The 0.04-degree box is about 3371 m wide, and the 50 m trail grid
@@ -281,6 +304,20 @@ class TestTrainClassifyCompare:
     def test_plotdata_without_report_exits_3(self, trained):
         config, _ = trained
         assert run(config, "plotdata") == 3
+
+
+def test_mixed_day_lengths_exit_2_naming_the_day(workspace, capsys):
+    # a trip series of 144 samples among the synthetic year's 96-sample days
+    config, out = workspace
+    run(config, "synth", "--kind", "year", "--days", "42", "--anomalies", "9")
+    day = ActivityTimeSeries(np.linspace(0.0, 1.0, 144), day_id="2015-02-16",
+                             hotspot_id="D")
+    (out / "series" / "D" / "2015-02-16.csv").write_text(series_to_csv(day),
+                                                          encoding="utf-8")
+    capsys.readouterr()
+    assert run(config, "train", "--hotspot", "D") == 2
+    err = capsys.readouterr().err
+    assert "2015-02-16" in err and "144" in err and "96" in err
 
 
 class TestExitCodes:

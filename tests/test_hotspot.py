@@ -261,7 +261,7 @@ class TestExtraction:
         masks = [relevance_mask(t, 0.3) for t in trails.values()]
         for row in range(first.rows):
             for col in range(first.cols):
-                x, y = first.cell_center(row, col)
+                x, y = (col + 0.5) * first.cell_size, (row + 0.5) * first.cell_size
                 if point_in_polygon(poly, x, y):
                     assert all(m[row, col] for m in masks)
 

@@ -81,19 +81,14 @@ class TestPerceptron:
     def test_output_length_and_metadata(self):
         sp = StigmergicPerceptron.untrained(60)
         day = ActivityTimeSeries(np.full(60, 0.5), 10, "2015-03-02", "E")
-        out = transform(sp, day, warmup=12)
-        assert len(out) == 48
+        out = transform(sp, day)
+        assert len(out) == 54
         assert (out.day_id, out.hotspot_id) == ("2015-03-02", "E")
 
     def test_length_mismatch_rejected(self):
         sp = StigmergicPerceptron.untrained(48)
         with pytest.raises(ValueError):
             transform(sp, ActivityTimeSeries(np.full(50, 0.5)))
-
-    def test_warmup_longer_than_series_rejected(self):
-        sp = StigmergicPerceptron.untrained(48)
-        with pytest.raises(ValueError):
-            transform(sp, ActivityTimeSeries(np.full(48, 0.5)), warmup=48)
 
     def test_transform_many_matches_single(self):
         sp = StigmergicPerceptron.untrained(48)
@@ -128,7 +123,7 @@ class TestPersistence:
         sp = StigmergicPerceptron.untrained(48)
         sp = sp.with_params("Flow", SrfParams(11, 0.21, 31, 0.81, 0.11, 0.21, 41, 0.61))
         back = sp_from_config(sp_to_config(sp), length=48)
-        assert back.params_by_name() == sp.params_by_name()
+        assert [p for _, p in back.fields] == [p for _, p in sp.fields]
 
     def test_blocks_keyed_by_archetype_name(self):
         text = sp_to_config(StigmergicPerceptron.untrained(48))

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from citytrails.series import generate_archetype
+from citytrails.perceptron import StigmergicPerceptron, transform_many
+from citytrails.series import ActivityTimeSeries, generate_archetype
 from citytrails.srf import (
     PARAM_KEYS,
     SrfParams,
@@ -17,11 +18,26 @@ from citytrails.srf import (
 )
 from citytrails.stigspace import jaccard
 
-# Brute-force reference for the SRF trail mechanics. It spells out each step
-# cell by cell and shares no trail code with the package: 100 cells on [0, 1],
-# a unit trapezoid with a plateau of half its width, evaporation clamped at
-# zero, and the Jaccard coefficient as sum of minima over sum of maxima.
+# Brute-force reference for the SRF mechanics. It spells out each step cell
+# by cell and shares no code with the package but the warmup length
+# (``default_warmup``, pinned on its own): the double-sigmoid clumping,
+# 100 cells on [0, 1], a unit trapezoid with a plateau of half its width,
+# evaporation clamped at zero, the Jaccard coefficient as sum of minima over
+# sum of maxima, and the activation sigmoid.
 ORACLE_CELLS = 100
+
+
+def oracle_sigmoid(z):
+    return 1.0 / (1.0 + math.exp(-z))
+
+
+def oracle_clump(x, p):
+    return 0.5 * (oracle_sigmoid(p.alpha_c1 * (x - p.beta_c1))
+                  + oracle_sigmoid(p.alpha_c2 * (x - p.beta_c2)))
+
+
+def oracle_activate(raws, p):
+    return np.array([oracle_sigmoid(p.alpha_a * (r - p.beta_a)) for r in raws])
 
 
 def oracle_mark(center, width):
@@ -44,7 +60,7 @@ def oracle_trails(xs, p):
     trail = [0.0] * ORACLE_CELLS
     trails = []
     for x in xs:
-        mark = oracle_mark(float(clump(float(x), p)), p.epsilon)
+        mark = oracle_mark(oracle_clump(float(x), p), p.epsilon)
         trail = [max(v + m - p.delta, 0.0) for v, m in zip(trail, mark)]
         trails.append(trail)
     return trails
@@ -67,14 +83,15 @@ def oracle_raws(xa, xb, p):
                      for ta, tb in zip(oracle_trails(xa, p), oracle_trails(xb, p))])
 
 
-def oracle_streams(xa, xb, p, warmup):
-    """The activated similarity stream of one pair past warmup."""
-    return activate(oracle_raws(xa, xb, p)[warmup:], p)
+def oracle_streams(xa, xb, p):
+    """The activated similarity stream of one pair past the warmup."""
+    return oracle_activate(oracle_raws(xa, xb, p)[default_warmup(len(xa)):], p)
 
 
 def engine_streams(xa, xb, p):
-    """The engine's activated similarity stream of one pair, no warmup."""
-    return pair_similarity(xa, xb, p, warmup=0, return_streams=True)[1][0]
+    """The engine's activated similarity stream of one pair past the warmup."""
+    return indexed_similarity(np.stack([xa, xb]), [0], [1], p,
+                              return_streams=True)[1][0]
 
 
 class TestClump:
@@ -164,18 +181,22 @@ class TestSimilaritySeries:
             pair_similarity(np.zeros(5), np.zeros(6), p)
 
     def test_stream_length_honors_warmup(self):
+        assert default_warmup(40) == 4
+        assert default_warmup(144) == 14
         p = SrfParams.defaults()
         xs = np.linspace(0, 1, 40)
-        _, streams = pair_similarity(xs, xs, p, warmup=7, return_streams=True)
-        assert streams.shape == (1, 33)
-        assert default_warmup(40) == 4
+        assert engine_streams(xs, xs, p).shape == (36,)
+        day = ActivityTimeSeries(np.linspace(0, 1, 144))
+        levels = transform_many(StigmergicPerceptron.untrained(144), [day])
+        assert len(levels[0]) == 130
+        with pytest.raises(ValueError):
+            indexed_similarity(np.zeros((2, 1)), [0], [1], p)
 
     def test_outputs_in_open_unit_interval(self):
         p = SrfParams.defaults()
         rng = np.random.default_rng(3)
         for _ in range(10):
-            _, streams = pair_similarity(rng.uniform(0, 1, 30), rng.uniform(0, 1, 30),
-                                         p, return_streams=True)
+            streams = engine_streams(rng.uniform(0, 1, 30), rng.uniform(0, 1, 30), p)
             assert np.all((streams > 0) & (streams < 1))
 
 
@@ -186,11 +207,13 @@ class TestEngineEquivalence:
         rng = np.random.default_rng(4)
         xa = rng.uniform(0, 1, (5, 36))
         xb = rng.uniform(0, 1, (5, 36))
-        means, streams = pair_similarity(xa, xb, p, warmup=4, return_streams=True)
+        means = pair_similarity(xa, xb, p)
+        _, streams = indexed_similarity(np.concatenate([xa, xb]), np.arange(5),
+                                        5 + np.arange(5), p, return_streams=True)
         for i in range(5):
-            raws = oracle_raws(xa[i], xb[i], p)
-            assert np.allclose(streams[i], activate(raws[4:], p), atol=1e-12)
-            assert means[i] == pytest.approx(float(activate(raws[4:], p).mean()))
+            expected = oracle_streams(xa[i], xb[i], p)
+            assert np.allclose(streams[i], expected, atol=1e-12)
+            assert means[i] == pytest.approx(float(expected.mean()))
 
     def test_repeated_stream_indices(self):
         p = SrfParams(20, 0.35, 50, 0.65, epsilon=0.12, delta=0.3,
@@ -198,11 +221,10 @@ class TestEngineEquivalence:
         streams = np.random.default_rng(7).uniform(0, 1, (4, 30))
         ia = np.array([0, 0, 2, 3, 1, 0])
         ib = np.array([1, 1, 2, 0, 3, 0])
-        means, acts = indexed_similarity(streams, ia, ib, p, warmup=3,
-                                         return_streams=True)
+        means, acts = indexed_similarity(streams, ia, ib, p, return_streams=True)
         assert means.shape == (6,)
         for k, (a, b) in enumerate(zip(ia, ib)):
-            expected = oracle_streams(streams[a], streams[b], p, 3)
+            expected = oracle_streams(streams[a], streams[b], p)
             assert np.allclose(acts[k], expected, atol=1e-12)
             assert means[k] == pytest.approx(float(expected.mean()))
 
@@ -213,12 +235,11 @@ class TestEngineEquivalence:
         pmat = np.stack([r.to_vector() for r in rows])
         streams = np.random.default_rng(8).uniform(0, 1, (3, 26))
         ia, ib = np.array([0, 1, 2, 2]), np.array([1, 2, 0, 2])
-        means, acts = indexed_similarity(streams, ia, ib, pmat, warmup=2,
-                                         return_streams=True)
+        means, acts = indexed_similarity(streams, ia, ib, pmat, return_streams=True)
         assert means.shape == (3, 4)
         for k, p in enumerate(rows):
             for j, (a, b) in enumerate(zip(ia, ib)):
-                expected = oracle_streams(streams[a], streams[b], p, 2)
+                expected = oracle_streams(streams[a], streams[b], p)
                 assert np.allclose(acts[k, j], expected, atol=1e-12)
                 assert means[k, j] == pytest.approx(float(expected.mean()))
 
@@ -229,16 +250,15 @@ class TestEngineEquivalence:
         streams = np.random.default_rng(9).uniform(0, 1, (5, 28))
         ia = np.array([[0, 1, 4], [3, 3, 2]])
         ib = np.array([[4, 1, 2], [0, 1, 2]])
-        means = indexed_similarity(streams, ia, ib, pmat, warmup=4)
+        means = indexed_similarity(streams, ia, ib, pmat)
         assert means.shape == (2, 3)
         for k, p in enumerate(rows):
             for j in range(3):
-                expected = oracle_streams(streams[ia[k, j]], streams[ib[k, j]], p, 4)
+                expected = oracle_streams(streams[ia[k, j]], streams[ib[k, j]], p)
                 assert means[k, j] == pytest.approx(float(expected.mean()))
         # a broadcast column matches every pair of its row against one stream
-        column = indexed_similarity(streams, ia, np.array([[2], [0]]), pmat, warmup=4)
-        full = indexed_similarity(streams, ia, np.array([[2] * 3, [0] * 3]), pmat,
-                                  warmup=4)
+        column = indexed_similarity(streams, ia, np.array([[2], [0]]), pmat)
+        full = indexed_similarity(streams, ia, np.array([[2] * 3, [0] * 3]), pmat)
         assert np.array_equal(column, full)
 
     def test_invalid_pair_indices_rejected(self):

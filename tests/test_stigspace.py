@@ -152,13 +152,13 @@ class TestJaccard:
 class TestConeDeposit:
     def test_center_cell_gains_full_intensity(self):
         t = Trail2D.for_box(2000, 2000, cell_size=50)
-        x, y = t.cell_center(20, 20)
+        x = y = (20 + 0.5) * 50
         out = deposit_2d(t, ConeMark((x, y), 1.3))
         assert out.cells[20, 20] == pytest.approx(1.3)
 
     def test_base_radius_boundary_gains_nothing(self):
         t = Trail2D.for_box(2000, 2000, cell_size=50)
-        x, y = t.cell_center(20, 20)
+        x = y = (20 + 0.5) * 50
         out = deposit_2d(t, ConeMark((x, y), 1.0, base_radius=150, top_radius=50))
         # the nearest cell center at exactly 150 m sits three cells east
         assert out.cells[20, 23] == 0.0
@@ -167,7 +167,7 @@ class TestConeDeposit:
         # oracle: V = pi * h * (top^2 + (base - top) * (base + 2 top) / 3)
         base, top, h, cell = 150.0, 50.0, 2.0, 10.0
         t = Trail2D.for_box(1000, 1000, cell_size=cell)
-        x, y = t.cell_center(50, 50)
+        x = y = (50 + 0.5) * cell
         out = deposit_2d(t, ConeMark((x, y), h, base, top))
         grid_volume = out.cells.sum() * cell * cell
         exact = math.pi * h * (top ** 2 + (base - top) * (base + 2 * top) / 3.0)
