@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .srf import logistic
-from .stigspace import ConeMark, Trail2D, add_cone
+from .stigspace import ConeMark, Trail2D, add_cone, cone_margin
 
 DEFAULT_RELEVANCE_FRACTION = 0.3
 DEFAULT_MIN_AREA_KM2 = 0.05
@@ -94,24 +94,24 @@ def build_slot_trail(batches, delta: float, grid: Trail2D, *,
         raise ValueError("evaporation delta must be non-negative")
     if not count_cap > 0:
         raise ValueError(f"count_cap must be positive, got {count_cap}")
-    cells = np.array(grid.cells, dtype=float, copy=True)
-    slot = None
-    for batch in batches:
-        if slot is None:
-            slot = batch.slot
-        elif batch.slot is not slot:
-            raise ValueError("all batches of one trail must share the time slot")
-        x, y, count = batch.events.T
-        outside = np.flatnonzero(~grid.contains(x, y))
-        if outside.size:
-            k = outside[0]
-            raise ValueError(f"event ({x[k]}, {y[k]}) outside grid bounding box")
-        intensity = smooth_sample(np.minimum(count / count_cap, 1.0),
-                                  smooth_alpha, smooth_beta)
-        add_cone(cells, grid.origin, grid.cell_size, x, y, intensity,
-                 cone.base_radius, cone.top_radius)
-        np.maximum(cells - delta, 0.0, out=cells)
-    return Trail2D(cells, grid.origin, grid.cell_size)
+    batches = list(batches)
+    if len({b.slot for b in batches}) > 1:
+        raise ValueError("all batches of one trail must share the time slot")
+    x, y, count = np.concatenate([np.empty((0, 3)), *(b.events for b in batches)]).T
+    outside = np.flatnonzero(~grid.contains(x, y))
+    if outside.size:
+        k = outside[0]
+        raise ValueError(f"event ({x[k]}, {y[k]}) outside grid bounding box")
+    intensity = smooth_sample(np.minimum(count / count_cap, 1.0),
+                              smooth_alpha, smooth_beta)
+    m = cone_margin(cone.base_radius, grid.cell_size)
+    padded = np.pad(grid.cells, m)
+    bounds = np.cumsum([0] + [len(b.events) for b in batches])
+    for start, stop in zip(bounds, bounds[1:]):
+        add_cone(padded, grid.origin, grid.cell_size, x[start:stop], y[start:stop],
+                 intensity[start:stop], cone.base_radius, cone.top_radius)
+        np.maximum(padded - delta, 0.0, out=padded)
+    return Trail2D(padded[m:-m, m:-m], grid.origin, grid.cell_size)
 
 
 def relevance_mask(trail: Trail2D, fraction: float) -> np.ndarray:
@@ -295,9 +295,13 @@ def hotspots_from_geojson(text: str) -> list[Hotspot]:
     data = json.loads(text)
     hotspots = []
     for feature in data["features"]:
-        ring = np.asarray(feature["geometry"]["coordinates"][0], dtype=float)
+        hotspot_id = feature["properties"]["id"]
+        rings = feature["geometry"]["coordinates"]
+        if not rings or np.ndim(rings[0]) != 2:
+            raise ValueError(f"hotspot {hotspot_id} has no polygon ring")
+        ring = np.asarray(rings[0], dtype=float)
         if np.array_equal(ring[0], ring[-1]):
             ring = ring[:-1]
-        hotspots.append(Hotspot(feature["properties"]["id"], ring,
+        hotspots.append(Hotspot(hotspot_id, ring,
                                 tuple(feature["properties"]["slot_coverage"])))
     return hotspots

@@ -111,10 +111,11 @@ def parse_trips(path, box: GeoBox) -> tuple[list[TripRecord], list[Rejection]]:
         if reader.fieldnames is None:
             raise ValueError("unreadable CSV: no header row")
         columns = _header_map(reader.fieldnames)
-        for line_number, row in enumerate(reader, start=2):
+        for row in reader:
             parsed = _parse_row(row, columns, box)
             if isinstance(parsed, str):
-                rejections.append(Rejection(line_number, parsed))
+                # the physical line: DictReader skips blank lines
+                rejections.append(Rejection(reader.line_num, parsed))
             else:
                 records.append(parsed)
     return records, rejections

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import Archetype, all_archetypes, _readonly
+from .series import Archetype, all_archetypes
 from .srf import PARAM_KEYS, SrfParams, indexed_similarity
+from .stigspace import _readonly
 
 FIELD_COUNT = 7
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stigspace import _readonly
+
 LEVEL_LOW = 0.1
 LEVEL_MID = 0.5
 LEVEL_HIGH = 0.9
@@ -26,12 +28,6 @@ ARCHETYPE_ENUMERATION = {name: i + 1 for i, name in enumerate(ARCHETYPE_NAMES)}
 
 CLASS_LETTERS = ("W", "E", "L")
 CLASS_NAMES = {"W": "Working", "E": "Entertainment", "L": "Leisure"}
-
-
-def _readonly(a, dtype=float) -> np.ndarray:
-    a = np.array(a, dtype=dtype, copy=True)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -215,8 +211,11 @@ def parse_series_csv(text: str) -> tuple[np.ndarray, dict]:
     for key in ("day_id", "hotspot_id"):
         if not meta.get(key):
             meta[key] = None
-    rows = [ln for ln in lines[1:] if not ln.startswith("index")]
-    values = np.array([float(ln.split(",")[1]) for ln in rows])
+    rows = [ln.split(",") for ln in lines[1:] if not ln.startswith("index")]
+    for fields in rows:
+        if len(fields) < 2:
+            raise ValueError(f"series row {','.join(fields)!r} has no value column")
+    values = np.array([float(fields[1]) for fields in rows])
     return values, meta
 
 

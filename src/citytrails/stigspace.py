@@ -9,7 +9,8 @@ built from two sample streams are compared with the Jaccard coefficient
 The 1-D value axis has one geometry, [0, 1] in CELL_COUNT cells, and its
 trails are plain arrays whose last axis is the cell axis, so one call
 deposits on or compares a whole stack of trails. 2-D trails are Trail2D
-values with their own origin and cell size; add_cone deposits arrays of cones.
+values with their own origin and cell size; add_cone deposits arrays of cones,
+each on the same square of cells, into a grid padded so no window is clipped.
 """
 
 from __future__ import annotations
@@ -108,33 +109,32 @@ def trapezoid_profile(centers, width) -> np.ndarray:
     return np.clip((half - r) / (half - PLATEAU_FRACTION * half), 0.0, 1.0)
 
 
-def add_cone(cells: np.ndarray, origin: tuple[float, float], cell_size: float,
+def cone_margin(base_radius: float, cell_size: float) -> int:
+    """Padding, in cells on every side, that keeps add_cone's windows unclipped."""
+    return int(np.ceil(base_radius / cell_size)) + 1
+
+
+def add_cone(padded: np.ndarray, origin: tuple[float, float], cell_size: float,
              cx, cy, intensity, base_radius: float, top_radius: float) -> None:
-    """Add one truncated cone per event, centered at (cx[e], cy[e]) with
-    height intensity[e], to a grid of cells, in place. One unbuffered
-    ``np.add.at`` gives every cell its additions in event order."""
+    """Add one truncated cone per event, centered at (cx[e], cy[e]) with height
+    intensity[e], in place, to a grid padded by cone_margin cells (``origin``
+    is the unpadded grid's). One unbuffered ``np.add.at`` gives every cell its
+    additions in event order."""
     x0, y0 = origin
-    rows, cols = cells.shape
+    m = cone_margin(base_radius, cell_size)
     cx, cy, intensity = (np.asarray(v, dtype=float) for v in (cx, cy, intensity))
-    # Only cells from the one holding center - base_radius to the one holding
-    # center + base_radius can change: any other cell's center lies at least
-    # half a cell beyond the cone's base.
-    c_lo = np.maximum(0, ((cx - base_radius - x0) / cell_size).astype(int))
-    c_hi = np.minimum(cols, ((cx + base_radius - x0) / cell_size).astype(int) + 1)
-    r_lo = np.maximum(0, ((cy - base_radius - y0) / cell_size).astype(int))
-    r_hi = np.minimum(rows, ((cy + base_radius - y0) / cell_size).astype(int) + 1)
-    c = c_lo[:, None] + np.arange((c_hi - c_lo).max(initial=0))
-    r = r_lo[:, None] + np.arange((r_hi - r_lo).max(initial=0))
+    # Each window spans ceil(base_radius / cell_size) cells either side of the
+    # centre's cell; the cells past the cone's base receive +0.0.
+    offsets = np.arange(1 - m, m)
+    c = ((cx - x0) / cell_size).astype(int)[:, None] + offsets
+    r = ((cy - y0) / cell_size).astype(int)[:, None] + offsets
     xs = x0 + (c + 0.5) * cell_size
     ys = y0 + (r + 0.5) * cell_size
     rr = np.hypot(xs[:, None, :] - cx[:, None, None], ys[:, :, None] - cy[:, None, None])
     slope = (base_radius - rr) / (base_radius - top_radius)
     marks = intensity[:, None, None] * np.clip(
         np.where(rr <= top_radius, 1.0, slope), 0.0, 1.0)
-    # windows narrower than the widest one are padded; the padding is dropped
-    window = (r < r_hi[:, None])[:, :, None] & (c < c_hi[:, None])[:, None, :]
-    ri, ci = np.broadcast_arrays(r[:, :, None], c[:, None, :])
-    np.add.at(cells, (ri[window], ci[window]), marks[window])
+    np.add.at(padded, (r[:, :, None] + m, c[:, None, :] + m), marks)
 
 
 def deposit_2d(t: Trail2D, m: ConeMark) -> Trail2D:
@@ -142,10 +142,11 @@ def deposit_2d(t: Trail2D, m: ConeMark) -> Trail2D:
     cx, cy = m.center
     if not t.contains(cx, cy):
         raise ValueError(f"mark center {m.center} outside grid bounding box")
-    cells = t.cells.copy()
-    add_cone(cells, t.origin, t.cell_size, [cx], [cy], [m.intensity],
+    margin = cone_margin(m.base_radius, t.cell_size)
+    padded = np.pad(t.cells, margin)
+    add_cone(padded, t.origin, t.cell_size, [cx], [cy], [m.intensity],
              m.base_radius, m.top_radius)
-    return dataclasses.replace(t, cells=cells)
+    return dataclasses.replace(t, cells=padded[margin:-margin, margin:-margin])
 
 
 def evaporate(t, delta: float):

@@ -133,6 +133,10 @@ def synthetic_year(n_days: int = 364, anomaly_count: int = 20,
     Every class receives at least three anomalies (the threshold search needs
     positives in each class); kinds alternate between suppression and shift.
     """
+    if n_days < 1:
+        raise ValueError(f"n_days = {n_days} must be at least 1")
+    if anomaly_count < 0:
+        raise ValueError(f"anomaly_count = {anomaly_count} must be non-negative")
     rng = np.random.default_rng(seed)
     profiles = {letter: class_profile(letter, length) for letter in CLASS_LETTERS}
     dates = [DEFAULT_YEAR_START + timedelta(days=i) for i in range(n_days)]
@@ -224,6 +228,9 @@ def planted_trips_csv(box: GeoBox, n_valid: int = 9500, n_invalid: int = 500,
                       n_clusters: int = 4, days: int = 2, seed: int = 0) -> str:
     """A TLC-style trip CSV with seeded valid rows around planted clusters and
     a deterministic mix of rejectable rows."""
+    for name, count in (("n_valid", n_valid), ("n_invalid", n_invalid)):
+        if count < 0:
+            raise ValueError(f"{name} = {count} must be non-negative")
     rng = np.random.default_rng(seed)
     lon_span = box.lon_max - box.lon_min
     lat_span = box.lat_max - box.lat_min

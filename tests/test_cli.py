@@ -75,6 +75,20 @@ class TestSynth:
             "--invalid-rows", "20")
         assert (out / "trips.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("args, name", [
+        (("--kind", "year", "--days", "0"), "n_days"),
+        (("--kind", "year", "--days", "-3"), "n_days"),
+        (("--kind", "year", "--anomalies", "-2"), "anomaly_count"),
+        (("--kind", "trips", "--valid-rows", "-5"), "n_valid"),
+        (("--kind", "trips", "--invalid-rows", "-1"), "n_invalid"),
+    ], ids=["days=0", "days=-3", "anomalies=-2", "valid-rows=-5", "invalid-rows=-1"])
+    def test_bad_count_exits_2_naming_it(self, workspace, capsys, args, name):
+        config, out = workspace
+        capsys.readouterr()
+        assert run(config, "synth", *args) == 2
+        assert name in capsys.readouterr().err
+        assert not (out / "series").exists() and not (out / "trips.csv").exists()
+
     def test_seed_flag_changes_output(self, workspace):
         config, out = workspace
         run(config, "synth", "--kind", "trips", "--valid-rows", "50",
@@ -162,6 +176,20 @@ class TestSpatialPipeline:
         text = series[0].read_text()
         assert text.startswith("#")
         assert "index,value" in text
+
+    @pytest.mark.parametrize("coordinates", ["[]", "[[]]", "[5]"],
+                             ids=["no-ring", "empty-ring", "number-ring"])
+    def test_hotspot_without_ring_exits_2_naming_it(self, ingested, capsys,
+                                                    coordinates):
+        config, out = ingested
+        (out / "hotspots.geojson").write_text(
+            '{"type": "FeatureCollection", "features": [{"type": "Feature", '
+            '"properties": {"id": "Q", "slot_coverage": []}, '
+            f'"geometry": {{"type": "Polygon", "coordinates": {coordinates}}}}}]}}\n',
+            encoding="utf-8")
+        capsys.readouterr()
+        assert run(config, "extract") == 2
+        assert "hotspot Q" in capsys.readouterr().err
 
     def test_extract_without_hotspots_exits_3(self, ingested):
         config, out = ingested
@@ -304,6 +332,17 @@ class TestTrainClassifyCompare:
     def test_plotdata_without_report_exits_3(self, trained):
         config, _ = trained
         assert run(config, "plotdata") == 3
+
+
+def test_series_row_without_value_exits_2_naming_it(workspace, capsys):
+    config, out = workspace
+    day = out / "series" / "D" / "2015-02-02.csv"
+    day.parent.mkdir(parents=True)
+    day.write_text("# day_id=2015-02-02,hotspot_id=D,resolution_minutes=10\n"
+                   "index,value\n0\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(config, "classify", "--hotspot", "D") == 2
+    assert "series row '0'" in capsys.readouterr().err
 
 
 def test_mixed_day_lengths_exit_2_naming_the_day(workspace, capsys):

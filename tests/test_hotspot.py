@@ -155,13 +155,22 @@ class TestSlotTrail:
         assert np.array_equal(trail.cells, expected.cells)
         assert (trail.origin, trail.cell_size) == (template.origin, template.cell_size)
 
-    def test_random_fixture_matches_full_grid_oracle(self):
-        cone = ConeMark((0.0, 0.0), 1.0, base_radius=130.0, top_radius=35.0)
-        steps = random_cone_steps()
-        template = grid(1000, 1000, 40)
-        trail = build_slot_trail(batches_for(steps), 0.3, template, cone=cone,
+    # base_radius / cell_size: an integer, a half-integer and neither
+    @pytest.mark.parametrize("base, top, cell", [(150.0, 50.0, 50), (125.0, 40.0, 50),
+                                                 (130.0, 35.0, 40)],
+                             ids=["150-50", "125-50", "130-40"])
+    def test_random_fixture_matches_full_grid_oracle(self, base, top, cell):
+        cone = ConeMark((0.0, 0.0), 1.0, base_radius=base, top_radius=top)
+        template = grid(1000, 1000, cell)
+        # a last step puts one cone on each corner of the grid's extent
+        w, h = template.cols * cell, template.rows * cell
+        steps = random_cone_steps() + [np.array([(0.0, 0.0, 9.0), (w, 0.0, 9.0),
+                                                 (0.0, h, 9.0), (w, h, 9.0)])]
+        # a delta below a quarter of the peak height keeps the cones' outer
+        # rings of cells, so a window one cell too narrow shows
+        trail = build_slot_trail(batches_for(steps), 0.1, template, cone=cone,
                                  smooth_alpha=9.0, smooth_beta=0.4, count_cap=8.0)
-        expected = oracle_slot_trail(steps, 0.3, template, cone, 9.0, 0.4, 8.0)
+        expected = oracle_slot_trail(steps, 0.1, template, cone, 9.0, 0.4, 8.0)
         assert trail.cells.any()
         assert np.array_equal(trail.cells, expected)
 

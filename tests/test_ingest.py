@@ -94,6 +94,12 @@ class TestParse:
         _, rejections = parse_trips(write_csv(tmp_path, [row]), BOX)
         assert [r.reason for r in rejections] == [REASON_BAD_VALUE]
 
+    def test_rejection_after_blank_line_names_its_physical_line(self, tmp_path):
+        # header, good row, blank line, then the bad row on line 4
+        bad = GOOD_ROW.replace("-74.000000", "")
+        _, rejections = parse_trips(write_csv(tmp_path, [GOOD_ROW, "", bad]), BOX)
+        assert [r.line_number for r in rejections] == [4]
+
     def test_conservation_on_mixed_fixture(self, tmp_path):
         text = planted_trips_csv(BOX, n_valid=180, n_invalid=20, seed=4)
         path = tmp_path / "trips.csv"
