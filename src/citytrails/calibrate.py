@@ -58,6 +58,8 @@ class DeConfig:
     def __post_init__(self) -> None:
         if self.population_size < 4:
             raise ValueError("population_size must be at least 4")
+        if self.generations < 0:
+            raise ValueError(f"generations must be non-negative, got {self.generations}")
         if not 0 < self.differential_weight <= 2:
             raise ValueError("differential_weight must lie in (0, 2]")
         if not 0 <= self.crossover_rate <= 1:
@@ -136,6 +138,11 @@ def de_minimize(objective, bounds, cfg: DeConfig) -> DeResult:
 
     The objective scores a whole population at once: it receives a
     (population, dim) matrix and returns a (population,) vector.
+
+    Each individual draws its three partners, its crossover uniforms and its
+    forced coordinate in turn from one generator; mutation, crossover and
+    clamping then run once over the whole population. They are elementwise,
+    so every trial is the same double as one built individual by individual.
     """
     box = np.asarray([tuple(b) for b in bounds], dtype=float)
     if box.ndim != 2 or box.shape[1] != 2 or not np.all(box[:, 0] < box[:, 1]):
@@ -149,16 +156,21 @@ def de_minimize(objective, bounds, cfg: DeConfig) -> DeResult:
     energies = np.asarray(objective(population), dtype=float)
     history = [float(energies.min())]
 
+    rows = np.arange(size)
+    picks = np.empty((size, 3), dtype=np.int64)
+    uniforms = np.empty((size, dim))
+    forced = np.empty(size, dtype=np.int64)
     for _ in range(cfg.generations):
-        trials = np.empty_like(population)
         for i in range(size):
-            picks = rng.choice(size - 1, size=3, replace=False)
-            picks[picks >= i] += 1
-            a, b, c = population[picks]
-            mutant = a + cfg.differential_weight * (b - c)
-            cross = rng.random(dim) < cfg.crossover_rate
-            cross[rng.integers(dim)] = True
-            trials[i] = np.clip(np.where(cross, mutant, population[i]), lo, hi)
+            picks[i] = rng.choice(size - 1, size=3, replace=False)
+            uniforms[i] = rng.random(dim)
+            forced[i] = rng.integers(dim)
+        # Partners are drawn from the size - 1 others: skip past the individual.
+        a, b, c = population[(picks + (picks >= rows[:, None])).T]
+        mutant = a + cfg.differential_weight * (b - c)
+        cross = uniforms < cfg.crossover_rate
+        cross[rows, forced] = True
+        trials = np.clip(np.where(cross, mutant, population), lo, hi)
         trial_energies = np.asarray(objective(trials), dtype=float)
         improved = trial_energies <= energies
         population[improved] = trials[improved]
@@ -202,10 +214,14 @@ def narrowest_quality_interval(values: np.ndarray,
 
 
 def global_training(archetypes, synthetic_sets: dict[str, list],
-                    coarse_bounds: ParamBounds, cfg: DeConfig) -> ParamBounds:
+                    coarse_bounds: ParamBounds,
+                    cfg: DeConfig | None = None) -> ParamBounds:
     """Sweep evaporation over a log grid for every field (other parameters at
     mid-bounds), pool the per-point quality, and narrow the evaporation
-    interval to the best decile. Other intervals pass through unchanged."""
+    interval to the best decile. Other intervals pass through unchanged.
+
+    The sweep runs no DE, so ``cfg`` is unread; it stays for existing callers.
+    """
     lo, hi = coarse_bounds.intervals["delta"]
     deltas = np.geomspace(lo, hi, DELTA_GRID_POINTS)
     mid = coarse_bounds.mid_params().to_vector()

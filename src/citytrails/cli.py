@@ -136,13 +136,18 @@ def cmd_extract(cfg: PipelineConfig, args) -> None:
     grid = BucketGrid.from_csv(_require(cfg.out_dir / "buckets.csv").read_text())
     found = hotspots_from_geojson(
         _require(cfg.out_dir / "hotspots.geojson").read_text())
-    count = 0
-    for h in found:
-        for day in grid.days():
-            a = hotspot_activity(grid, h, day, cfg.resolution_minutes)
-            _write(cfg.out_dir / "series" / h.id / f"{day}.csv", series_to_csv(a))
-            count += 1
-    print(f"extract: {count} series under {cfg.out_dir / 'series'}")
+    targets = {cfg.out_dir / "series" / h.id / f"{day}.csv":
+               series_to_csv(hotspot_activity(grid, h, day, cfg.resolution_minutes))
+               for h in found for day in grid.days()}
+    # A rerun rewrites the same bytes; any other file there belongs to another
+    # source (synth writes its year under series/<hotspot>), so write nothing.
+    for path, text in targets.items():
+        if path.exists() and path.read_bytes() != text.encode("utf-8"):
+            raise ValueError(f"{path} exists with other contents; "
+                             "extract would overwrite it")
+    for path, text in targets.items():
+        _write(path, text)
+    print(f"extract: {len(targets)} series under {cfg.out_dir / 'series'}")
 
 
 # --- train -------------------------------------------------------------------
@@ -178,8 +183,7 @@ def cmd_train(cfg: PipelineConfig, args) -> None:
     sets = synth.archetype_training_sets(length, cfg.training.per_class,
                                          cfg.training.noise, cfg.training.max_shift,
                                          seed=cfg.stage_seed("sp-train"))
-    bounds = global_training(all_archetypes(length), sets, ParamBounds.coarse(),
-                             cfg.de_for("global"))
+    bounds = global_training(all_archetypes(length), sets, ParamBounds.coarse())
     sp, histories = local_training(StigmergicPerceptron.untrained(length), bounds,
                                    cfg.de_for("local"), sets)
     save_sp(sp, cfg.out_dir / "sp.ini")

@@ -83,8 +83,7 @@ SCALAR_KEYS = {
 }
 # Stages that ask PipelineConfig.de_for for their DE settings; each may have
 # a [de.<stage>] section.
-DE_STAGES = ("global", "local", "pattern", "thresholds", "thresholds:dtw",
-             "thresholds:frechet")
+DE_STAGES = ("local", "pattern", "thresholds", "thresholds:dtw", "thresholds:frechet")
 
 
 def _accepted_keys(base: PipelineConfig) -> dict[str, set[str]]:

@@ -99,6 +99,105 @@ class TestFitness:
             assert row == np.mean((sims - shared.targets) ** 2)
 
 
+def reference_de_minimize(objective, bounds, cfg: DeConfig) -> calibrate.DeResult:
+    """Oracle: DE/rand/1/bin built one individual at a time."""
+    box = np.asarray([tuple(b) for b in bounds], dtype=float)
+    if box.ndim != 2 or box.shape[1] != 2 or not np.all(box[:, 0] < box[:, 1]):
+        raise ValueError("bounds must be (low, high) pairs with low < high")
+    lo, hi = box[:, 0], box[:, 1]
+    dim = box.shape[0]
+    size = cfg.population_size
+    rng = np.random.default_rng(cfg.seed)
+
+    population = rng.uniform(lo, hi, size=(size, dim))
+    energies = np.asarray(objective(population), dtype=float)
+    history = [float(energies.min())]
+
+    for _ in range(cfg.generations):
+        trials = np.empty_like(population)
+        for i in range(size):
+            picks = rng.choice(size - 1, size=3, replace=False)
+            picks[picks >= i] += 1
+            a, b, c = population[picks]
+            mutant = a + cfg.differential_weight * (b - c)
+            cross = rng.random(dim) < cfg.crossover_rate
+            cross[rng.integers(dim)] = True
+            trials[i] = np.clip(np.where(cross, mutant, population[i]), lo, hi)
+        trial_energies = np.asarray(objective(trials), dtype=float)
+        improved = trial_energies <= energies
+        population[improved] = trials[improved]
+        energies[improved] = trial_energies[improved]
+        history.append(float(energies.min()))
+
+    best = int(np.argmin(energies))
+    return calibrate.DeResult(population[best].copy(), float(energies[best]),
+                              tuple(history))
+
+
+class TestDeMinimizeMatchesReference:
+    @staticmethod
+    def run_both(bounds, cfg):
+        """Both minimizers on one objective; returns each result with every
+        matrix the objective was handed."""
+        centre = np.linspace(-0.3, 0.4, len(bounds))
+        out = []
+        for minimize in (de_minimize, reference_de_minimize):
+            seen = []
+
+            def objective(m):
+                seen.append(m.copy())
+                return np.sum(np.abs(m - centre) * (1 + np.arange(m.shape[1])), axis=1)
+
+            out.append((minimize(objective, bounds, cfg), seen))
+        return out
+
+    def assert_same(self, bounds, cfg):
+        (ours, ours_seen), (ref, ref_seen) = self.run_both(bounds, cfg)
+        assert np.array_equal(ours.best, ref.best)
+        assert ours.fitness == ref.fitness
+        assert ours.history == ref.history
+        assert len(ours_seen) == len(ref_seen) == cfg.generations + 1
+        assert all(np.array_equal(x, y) for x, y in zip(ours_seen, ref_seen))
+        return ours_seen
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    @pytest.mark.parametrize("size", [4, 10, 30])
+    @pytest.mark.parametrize("crossover_rate", [0.0, 0.9, 1.0])
+    def test_bit_equal(self, dim, size, crossover_rate):
+        cfg = DeConfig(population_size=size, generations=12,
+                       crossover_rate=crossover_rate, seed=dim * 100 + size)
+        self.assert_same([(-1.0, 1.5)] * dim, cfg)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_equal_with_clipped_mutants(self, seed):
+        # F = 2 on a narrow box throws most mutants outside it.
+        bounds = [(0.0, 0.1), (-2.0, -1.9), (5.0, 5.05)]
+        cfg = DeConfig(population_size=10, generations=15, differential_weight=2.0,
+                       seed=seed)
+        seen = self.assert_same(bounds, cfg)
+        trials = np.concatenate(seen[1:])
+        lo, hi = np.array(bounds).T
+        assert np.any(trials == lo) and np.any(trials == hi)
+
+    def test_zero_generations(self):
+        cfg = DeConfig(population_size=6, generations=0, seed=4)
+        self.assert_same([(0.0, 1.0)] * 3, cfg)
+
+    def test_srf_bounds(self):
+        cfg = DeConfig(population_size=12, generations=10, seed=8)
+        self.assert_same(ParamBounds.coarse().as_pairs(), cfg)
+
+    def test_tune_thresholds_same_result(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        letters = rng.permutation([c for c in "WEL" for _ in range(22)][:64])
+        entries = [(str(c), float(v), bool(f)) for c, v, f in
+                   zip(letters, rng.uniform(0.0, 1.0, 64), rng.random(64) < 0.15)]
+        cfg = DeConfig(seed=13)
+        ours = tune_thresholds(entries, cfg)
+        monkeypatch.setattr(calibrate, "de_minimize", reference_de_minimize)
+        assert tune_thresholds(entries, cfg) == ours
+
+
 class TestDeMinimize:
     def test_sphere_reaches_optimum(self):
         cfg = DeConfig(population_size=30, generations=80, seed=1)
@@ -137,6 +236,9 @@ class TestDeMinimize:
             DeConfig(differential_weight=2.5)
         with pytest.raises(ValueError):
             DeConfig(crossover_rate=1.5)
+        with pytest.raises(ValueError, match="generations"):
+            DeConfig(generations=-1)
+        assert DeConfig(generations=0).generations == 0
 
 
 class TestBounds:

@@ -226,6 +226,34 @@ class TestSpatialPipeline:
         assert run(config, stage) == 2
         assert setting in capsys.readouterr().err
 
+    @pytest.fixture()
+    def year_and_trips(self, workspace):
+        # At master seed 5, hotspots finds 4 polygons, so trip hotspot D
+        # shares series/D with the synthetic year.
+        config, out = workspace
+        for args in (["synth", "--kind", "all", "--days", "42", "--anomalies", "9"],
+                     ["ingest"], ["hotspots"]):
+            assert run(config, "--seed", "5", *args) == 0
+        return config, out
+
+    def test_extract_refuses_to_overwrite_another_series(self, year_and_trips,
+                                                         capsys):
+        config, out = year_and_trips
+        year = {p: p.read_bytes() for p in (out / "series").rglob("*.csv")}
+        capsys.readouterr()
+        assert run(config, "--seed", "5", "extract") == 2
+        assert str(out / "series" / "D" / "2015-02-02.csv") in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in (out / "series").rglob("*.csv")} == year
+
+    def test_extract_rerun_is_byte_identical(self, ingested):
+        config, out = ingested
+        assert run(config, "hotspots") == 0
+        assert run(config, "extract") == 0
+        first = {p: p.read_bytes() for p in (out / "series").rglob("*.csv")}
+        assert first
+        assert run(config, "extract") == 0
+        assert {p: p.read_bytes() for p in (out / "series").rglob("*.csv")} == first
+
     def test_hotspot_on_east_edge_extracts(self, workspace):
         # The 0.04-degree box is about 3371 m wide, and the 50 m trail grid
         # rounds it up to 3400 m, so a hotspot at the east edge traces a
@@ -274,6 +302,17 @@ class TestTrainClassifyCompare:
         values = [float(ln.split(",")[1]) for ln in history[1:]]
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert (out / "history" / "pattern.csv").exists()
+
+    def test_negative_generations_exits_2_writing_nothing(self, workspace, capsys):
+        config, out = workspace
+        run(config, "synth", "--kind", "year", "--days", "42", "--anomalies", "9")
+        text = config.read_text(encoding="utf-8")
+        config.write_text(text.replace("generations = 6", "generations = -3"),
+                          encoding="utf-8")
+        capsys.readouterr()
+        assert run(config, "train") == 2
+        assert "generations" in capsys.readouterr().err
+        assert not (out / "sp.ini").exists() and not (out / "history").exists()
 
     def test_classify_report_format_and_idempotence(self, trained):
         config, out = trained

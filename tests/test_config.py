@@ -127,7 +127,8 @@ def test_readme_example_loads(tmp_path):
     ("[de.patern]\ngenerations = 2\n", "[de.patern]"),
     ("[de.local]\npopulation = 5\n", "population"),
     ("[paths]\ntrip = data/trips.csv\n", "trip"),
-], ids=["key", "section", "de-stage", "de-stage-key", "paths-key"])
+    ("[de.global]\ngenerations = 2\n", "[de.global]"),
+], ids=["key", "section", "de-stage", "de-stage-key", "paths-key", "de-global"])
 def test_unknown_section_or_key_rejected(tmp_path, text, named):
     path = tmp_path / "pipeline.ini"
     path.write_text(text, encoding="utf-8")
