@@ -136,11 +136,11 @@ def reference_de_minimize(objective, bounds, cfg: DeConfig) -> calibrate.DeResul
 
 class TestDeMinimizeMatchesReference:
     @staticmethod
-    def run_both(bounds, cfg):
-        """Both minimizers on one objective; returns each result with every
-        matrix the objective was handed."""
+    def assert_same(bounds, cfg):
+        """Both minimizers on one objective give the same result and hand it
+        the same matrices, which are returned."""
         centre = np.linspace(-0.3, 0.4, len(bounds))
-        out = []
+        runs = []
         for minimize in (de_minimize, reference_de_minimize):
             seen = []
 
@@ -148,11 +148,8 @@ class TestDeMinimizeMatchesReference:
                 seen.append(m.copy())
                 return np.sum(np.abs(m - centre) * (1 + np.arange(m.shape[1])), axis=1)
 
-            out.append((minimize(objective, bounds, cfg), seen))
-        return out
-
-    def assert_same(self, bounds, cfg):
-        (ours, ours_seen), (ref, ref_seen) = self.run_both(bounds, cfg)
+            runs.append((minimize(objective, bounds, cfg), seen))
+        (ours, ours_seen), (ref, ref_seen) = runs
         assert np.array_equal(ours.best, ref.best)
         assert ours.fitness == ref.fitness
         assert ours.history == ref.history
@@ -182,10 +179,6 @@ class TestDeMinimizeMatchesReference:
     def test_zero_generations(self):
         cfg = DeConfig(population_size=6, generations=0, seed=4)
         self.assert_same([(0.0, 1.0)] * 3, cfg)
-
-    def test_srf_bounds(self):
-        cfg = DeConfig(population_size=12, generations=10, seed=8)
-        self.assert_same(ParamBounds.coarse().as_pairs(), cfg)
 
     def test_tune_thresholds_same_result(self, monkeypatch):
         rng = np.random.default_rng(64)
