@@ -132,6 +132,20 @@ class TestIngest:
         assert run(config, "ingest", "--trips", str(bad)) == 2
         assert "pickup_datetime" in capsys.readouterr().err
 
+    def test_oversized_passenger_count_rejected_as_bad_value(self, workspace):
+        config, out = workspace
+        out.mkdir(parents=True, exist_ok=True)
+        trips = out / "trips.csv"
+        row = ("T1,{},2015-02-02 08:00:00,2015-02-02 08:10:00,"
+               "-74.000000,40.730000,-73.990000,40.735000")
+        trips.write_text("medallion,passenger_count,pickup_datetime,dropoff_datetime,"
+                         "pickup_longitude,pickup_latitude,dropoff_longitude,"
+                         f"dropoff_latitude\n{row.format(2)}\n"
+                         f"{row.format(99999999999999999999)}\n", encoding="utf-8")
+        assert run(config, "ingest", "--trips", str(trips)) == 0
+        assert (out / "rejections.csv").read_text() == "line_number,reason\n3,bad_value\n"
+        assert (out / "buckets.csv").read_text().endswith(",2\n")
+
     def test_bucket_minutes_not_dividing_a_day_exits_2(self, workspace, capsys):
         config, out = workspace
         text = config.read_text(encoding="utf-8")
@@ -190,6 +204,21 @@ class TestSpatialPipeline:
         capsys.readouterr()
         assert run(config, "extract") == 2
         assert "hotspot Q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["hotspots", "extract"])
+    @pytest.mark.parametrize("count", [None, "-1"], ids=["ragged", "negative-count"])
+    def test_bad_archive_row_exits_2_naming_its_line(self, ingested, capsys, stage,
+                                                     count):
+        config, out = ingested
+        if stage == "extract":
+            assert run(config, "hotspots") == 0
+        lines = (out / "buckets.csv").read_text().split("\n")
+        fields = lines[6].split(",")
+        lines[6] = ",".join(fields[:3] if count is None else fields[:4] + [count])
+        (out / "buckets.csv").write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run(config, stage) == 2
+        assert "bucket archive line 7" in capsys.readouterr().err
 
     def test_extract_without_hotspots_exits_3(self, ingested):
         config, out = ingested

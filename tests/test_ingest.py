@@ -1,15 +1,23 @@
+import csv
+from datetime import datetime
+
 import numpy as np
 import pytest
 
 from citytrails.hotspot import Hotspot, TimeSlot
 from citytrails.ingest import (
     DEFAULT_CELL_M,
+    MAX_PASSENGER_COUNT,
+    REQUIRED_COLUMNS,
+    TAXI_ID_COLUMNS,
+    TIMESTAMP_FORMAT,
     BucketGrid,
     GeoBox,
     REASON_BAD_VALUE,
     REASON_MISSING,
     REASON_OUT_OF_BOX,
     REASON_TIME_ORDER,
+    Rejection,
     TripRecord,
     bucketize,
     hotspot_activity,
@@ -20,6 +28,9 @@ from citytrails.ingest import (
 )
 from citytrails.synth import planted_trips_csv
 from test_hotspot import reference_point_in_polygon
+
+# a NumPy cast of a nan or inf projection warns; it must not pass unseen
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 BOX = GeoBox(lon_min=-74.02, lon_max=-73.96, lat_min=40.70, lat_max=40.76)
 
@@ -37,7 +48,6 @@ def write_csv(tmp_path, rows, header=HEADER):
 
 
 def from_datetime(text):
-    from datetime import datetime
     return datetime.strptime(text, "%Y-%m-%d %H:%M:%S")
 
 
@@ -94,6 +104,15 @@ class TestParse:
         _, rejections = parse_trips(write_csv(tmp_path, [row]), BOX)
         assert [r.reason for r in rejections] == [REASON_BAD_VALUE]
 
+    def test_passenger_count_above_the_cap_rejected(self, tmp_path):
+        rows = [GOOD_ROW.replace("T1,2,", f"T1,{count},")
+                for count in (MAX_PASSENGER_COUNT, MAX_PASSENGER_COUNT + 1,
+                              "99999999999999999999")]
+        records, rejections = parse_trips(write_csv(tmp_path, rows), BOX)
+        assert [r.passenger_count for r in records] == [MAX_PASSENGER_COUNT]
+        assert rejections == [Rejection(3, REASON_BAD_VALUE),
+                              Rejection(4, REASON_BAD_VALUE)]
+
     def test_rejection_after_blank_line_names_its_physical_line(self, tmp_path):
         # header, good row, blank line, then the bad row on line 4
         bad = GOOD_ROW.replace("-74.000000", "")
@@ -110,7 +129,6 @@ class TestParse:
         assert len(rejections) == 20
 
     def test_rejection_log_format(self):
-        from citytrails.ingest import Rejection
         text = rejections_to_csv([Rejection(7, REASON_MISSING)])
         assert text == "line_number,reason\n7,missing_field\n"
 
@@ -160,6 +178,42 @@ class TestBucketize:
         text = bucketize([record()], BOX).to_csv()
         with pytest.raises(ValueError, match="bucket index"):
             BucketGrid.from_csv(text.replace(",96,", ",288,", 1))
+
+    @pytest.mark.parametrize("row", ["2015-02-02,96,1", "2015-02-02,96,1,2,3,4"],
+                             ids=["short", "long"])
+    def test_archive_row_without_five_fields_names_its_line(self, row):
+        lines = bucketize([record()], BOX).to_csv().split("\n")
+        # a blank line before the row still counts toward its line number
+        lines[3:3] = ["", row]
+        with pytest.raises(ValueError, match="bucket archive line 5: "):
+            BucketGrid.from_csv("\n".join(lines))
+
+    def test_archive_negative_count_names_its_line(self):
+        lines = bucketize([record()], BOX).to_csv().split("\n")
+        lines[3] = lines[3].rpartition(",")[0] + ",-2"
+        with pytest.raises(ValueError, match="bucket archive line 4: negative count"):
+            BucketGrid.from_csv("\n".join(lines))
+
+    def test_archive_counts_that_would_overflow_rejected(self):
+        lines = bucketize([record()], BOX).to_csv().split("\n")
+        lines[3] = lines[2].rpartition(",")[0] + f",{2**62}"
+        lines[2] = lines[3]
+        with pytest.raises(ValueError, match="too large"):
+            BucketGrid.from_csv("\n".join(lines))
+
+    @pytest.mark.parametrize("cell_m, bucket_minutes, setting", [
+        (0.0, 5, "bucket_cell_m"), (-3.0, 5, "bucket_cell_m"),
+        (float("nan"), 5, "bucket_cell_m"), (3.0, 7, "bucket_minutes"),
+        (3.0, 0, "bucket_minutes")])
+    def test_grid_settings_checked_before_projecting(self, cell_m, bucket_minutes,
+                                                     setting):
+        with pytest.raises(ValueError, match=setting):
+            bucketize([record()], BOX, cell_m, bucket_minutes)
+
+    @pytest.mark.parametrize("lon", [float("nan"), float("inf"), 1e300])
+    def test_endpoint_off_the_cell_range_rejected(self, lon):
+        with pytest.raises(ValueError, match="finite cell"):
+            bucketize([record(dlon=lon)], BOX)
 
     def test_cell_size_is_ten_feet(self):
         assert DEFAULT_CELL_M == pytest.approx(3.048)
@@ -306,3 +360,247 @@ class TestGeoBox:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
             GeoBox(1.0, 0.0, 0.0, 1.0)
+
+
+# --- reference oracles ---------------------------------------------------------
+# The row-at-a-time parser (csv.DictReader, strptime on every timestamp) and the
+# dict-summing grid construction, kept as the columnar ingest replaced them.
+
+def reference_header_map(fieldnames) -> dict[str, str]:
+    lowered = {name.strip().lower(): name for name in fieldnames}
+    mapping = {}
+    taxi = next((c for c in TAXI_ID_COLUMNS if c in lowered), None)
+    if taxi is None:
+        raise ValueError(f"missing mandatory column: one of {TAXI_ID_COLUMNS}")
+    mapping["taxi_id"] = lowered[taxi]
+    for column in REQUIRED_COLUMNS:
+        if column not in lowered:
+            raise ValueError(f"missing mandatory column: {column}")
+        mapping[column] = lowered[column]
+    return mapping
+
+
+def reference_parse_trips(path, box: GeoBox) -> tuple[list[TripRecord], list[Rejection]]:
+    records: list[TripRecord] = []
+    rejections: list[Rejection] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError("unreadable CSV: no header row")
+        columns = reference_header_map(reader.fieldnames)
+        for row in reader:
+            parsed = reference_parse_row(row, columns, box)
+            if isinstance(parsed, str):
+                # the physical line: DictReader skips blank lines
+                rejections.append(Rejection(reader.line_num, parsed))
+            else:
+                records.append(parsed)
+    return records, rejections
+
+
+def reference_parse_row(row: dict, columns: dict[str, str], box: GeoBox):
+    values = {key: (row.get(col) or "").strip() for key, col in columns.items()}
+    if any(v == "" for v in values.values()):
+        return REASON_MISSING
+    try:
+        passengers = int(values["passenger_count"])
+        pickup_ts = datetime.strptime(values["pickup_datetime"], TIMESTAMP_FORMAT)
+        dropoff_ts = datetime.strptime(values["dropoff_datetime"], TIMESTAMP_FORMAT)
+        coords = [float(values[k]) for k in ("pickup_longitude", "pickup_latitude",
+                                             "dropoff_longitude", "dropoff_latitude")]
+    except ValueError:
+        return REASON_BAD_VALUE
+    if passengers < 0:
+        return REASON_BAD_VALUE
+    if dropoff_ts < pickup_ts:
+        return REASON_TIME_ORDER
+    if not (box.contains(coords[0], coords[1]) and box.contains(coords[2], coords[3])):
+        return REASON_OUT_OF_BOX
+    return TripRecord(values["taxi_id"], passengers,
+                      (pickup_ts, coords[0], coords[1]),
+                      (dropoff_ts, coords[2], coords[3]))
+
+
+def reference_grid(box: GeoBox, cell_m: float, bucket_minutes: int, entries) -> BucketGrid:
+    """Sum the counts of repeated keys among the ((day, bucket, ix, iy), count)
+    ``entries`` in a dict and sort the keys into columns."""
+    self = BucketGrid.__new__(BucketGrid)
+    self.box = box
+    self.cell_m = cell_m
+    self.bucket_minutes = bucket_minutes
+    summed: dict[tuple[str, int, int, int], int] = {}
+    for key, count in entries:
+        summed[key] = summed.get(key, 0) + count
+    days, *cells = zip(*summed) if summed else ((),) * 4
+    day = np.array(days, dtype=str)
+    bucket, ix, iy = (np.array(c, dtype=np.int64) for c in cells)
+    if summed and not 0 <= bucket.min() <= bucket.max() < self.buckets_per_day:
+        raise ValueError(f"bucket index outside 0..{self.buckets_per_day - 1}")
+    counts = np.fromiter(summed.values(), dtype=np.int64, count=len(summed))
+    order = np.lexsort((iy, ix, bucket, day))
+    self.day, self.bucket, self.ix, self.iy, self.counts = (
+        column[order] for column in (day, bucket, ix, iy, counts))
+    return self
+
+
+def reference_bucketize(records, box: GeoBox, cell_m: float = DEFAULT_CELL_M,
+                        bucket_minutes: int = 5) -> BucketGrid:
+    def entries():
+        for record in records:
+            for timestamp, lon, lat in (record.pickup, record.dropoff):
+                mx, my = box.to_meters(lon, lat)
+                bucket = (timestamp.hour * 60 + timestamp.minute) // bucket_minutes
+                yield ((timestamp.date().isoformat(), bucket,
+                        int(mx // cell_m), int(my // cell_m)), record.passenger_count)
+
+    return reference_grid(box, cell_m, bucket_minutes, entries())
+
+
+def reference_from_csv(text: str) -> BucketGrid:
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    if not lines or not lines[0].startswith("#"):
+        raise ValueError("bucket archive must start with a metadata comment line")
+    meta = {}
+    for item in lines[0].lstrip("#").strip().split(","):
+        key, _, value = item.partition("=")
+        meta[key.strip()] = float(value)
+    rows = (line.split(",") for line in lines[2:])
+    return reference_grid(GeoBox(meta["lon_min"], meta["lon_max"],
+                                 meta["lat_min"], meta["lat_max"]),
+                          meta["cell_m"], int(meta["bucket_minutes"]),
+                          (((day, int(bucket), int(ix), int(iy)), int(count))
+                           for day, bucket, ix, iy, count in rows))
+
+
+def assert_same_grid(grid: BucketGrid, reference: BucketGrid) -> None:
+    for name in ("day", "bucket", "ix", "iy", "counts"):
+        assert np.array_equal(getattr(grid, name), getattr(reference, name)), name
+    assert grid.to_csv() == reference.to_csv()
+
+
+def trip_row(taxi="T1", passengers="2", pickup="2015-02-02 08:00:00",
+             dropoff="2015-02-02 08:10:00", plon="-74.000000", plat="40.730000",
+             dlon="-73.990000", dlat="40.740000"):
+    return ",".join((taxi, passengers, pickup, dropoff, plon, plat, dlon, dlat))
+
+
+TIMESTAMP_CORPUS = [
+    "2015-02-02 08:00:00", "2016-02-29 23:59:59", "0001-01-01 00:00:00",
+    "2015-02-02 24:00:00", "2015-02-02 08:60:00", "2015-02-02 08:00:60",
+    "2015-02-02 08:00:61", "2015-02-29 08:00:00", "2015-04-31 08:00:00",
+    "2015-00-10 08:00:00", "2015-13-10 08:00:00", "2015-02-00 08:00:00",
+    "0000-02-02 08:00:00", "2015-02-02T08:00:00", "2015-02-02 08:00:00.250",
+    "2015-02-02 08:00", "2015-02-02", "２０１５-02-02 08:00:00",
+    "٢٠١٥-٠٢-٠٢ ٠٨:٠٠:٠٠", "2015-1-5 3:04:05", "2015-01-05 03:04:5",
+    "2015-02-02  08:00:00", "2015-02-02\t08:00:00", "2015/02/02 08:00:00",
+    "2015-02-02 08:00:00Z", "2015-02-02 08:00:00+00:00", "x015-02-02 08:00:00",
+]
+
+ROW_CORPUS = [
+    trip_row(), "", "   ", ",,,,,,,", trip_row(taxi='"T\n2"'),
+    trip_row(taxi='"T,3"', passengers='"3"'), "T4,2,2015-02-02 08:00:00",
+    trip_row() + ",extra,fields", trip_row(passengers=" +3 "),
+    trip_row(passengers="-1"), trip_row(passengers="1.5"),
+    trip_row(passengers="2_0"), trip_row(passengers="٣"),
+    trip_row(passengers=str(MAX_PASSENGER_COUNT)), trip_row(passengers="0"),
+    trip_row(plon="nan"), trip_row(dlat="inf"), trip_row(plon="-74.02"),
+    trip_row(plon="-74.0200001"), trip_row(dlat="4.074e1"), trip_row(dlon="x"),
+    trip_row(pickup="2015-02-02 08:10:01"), trip_row(pickup=" 2015-02-02 08:10:00 "),
+    "", "", trip_row(pickup="2015-02-03 08:00:00", dropoff="2015-02-03 08:10:00"),
+    trip_row(pickup="2015-02-03 08:04:59", dropoff="2015-02-04 08:00:00"),
+] + [trip_row(pickup=t) for t in TIMESTAMP_CORPUS] \
+  + [trip_row(dropoff=t, pickup="0001-01-01 00:00:00") for t in TIMESTAMP_CORPUS]
+
+
+def both_parsers(path):
+    """The parser's and the reference's outcome: records and rejections, or
+    the error message."""
+    outcomes = []
+    for parse in (parse_trips, reference_parse_trips):
+        try:
+            outcomes.append(parse(path, BOX))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("header, prefix, suffix", [
+        (HEADER, "", ""), (HEADER.upper(), "", ""),
+        (HEADER.replace("medallion", " Taxi_ID "), "", ""),
+        ("taxi_id," + HEADER, "X9,", ""),
+        (HEADER + ",MEDALLION", "", ",T7"),
+        (HEADER + ", Pickup_Datetime ", "", ",2015-02-02 08:05:00"),
+        (HEADER + ",passenger_count", "", ",3"),
+        (HEADER.replace("pickup_longitude,", ""), "", ""),
+        ("", "", ""), ("\n" + HEADER, "", ""),
+    ], ids=["plain", "upper", "taxi_id", "both-ids", "case-variant-id",
+            "case-variant-time", "duplicate", "missing-column", "empty",
+            "blank-first-line"])
+    def test_parse_matches_reference(self, tmp_path, header, prefix, suffix):
+        rows = [prefix + row + suffix if row.strip() else row for row in ROW_CORPUS]
+        path = tmp_path / "trips.csv"
+        path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        ours, reference = both_parsers(path)
+        assert ours == reference
+        if isinstance(ours, tuple):
+            records, rejections = ours
+            assert len(records) > 10 and len(rejections) > 10
+            assert_same_grid(bucketize(records, BOX), reference_bucketize(records, BOX))
+
+    @pytest.mark.parametrize("text", ["", HEADER, HEADER + "\n", HEADER + "\n\n  \n"],
+                             ids=["empty-file", "header", "header-newline",
+                                  "blank-tail"])
+    def test_empty_input_matches_reference(self, tmp_path, text):
+        path = tmp_path / "trips.csv"
+        path.write_text(text, encoding="utf-8")
+        ours, reference = both_parsers(path)
+        assert ours == reference
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planted_trips_match_reference(self, tmp_path, seed):
+        path = tmp_path / "trips.csv"
+        path.write_text(planted_trips_csv(BOX, n_valid=1500, n_invalid=150, days=3,
+                                          seed=seed), encoding="utf-8")
+        records, rejections = parse_trips(path, BOX)
+        assert (records, rejections) == reference_parse_trips(path, BOX)
+        grid = bucketize(records, BOX)
+        assert_same_grid(grid, reference_bucketize(records, BOX))
+        assert_same_grid(BucketGrid.from_csv(grid.to_csv()),
+                         reference_from_csv(grid.to_csv()))
+
+    @pytest.mark.parametrize("cell_m, bucket_minutes",
+                             [(DEFAULT_CELL_M, 5), (0.7, 1), (25.0, 15), (150.0, 1440)])
+    def test_repeated_keys_across_days_match_reference(self, cell_m, bucket_minutes):
+        # few distinct cells, minutes and days, so most keys repeat
+        rng = np.random.default_rng(7)
+        lon = rng.choice(np.linspace(BOX.lon_min, BOX.lon_max, 9), 600)
+        lat = rng.choice(np.linspace(BOX.lat_min, BOX.lat_max, 9), 600)
+        stamps = [f"2015-02-0{d} {h:02d}:{m:02d}:{s:02d}" for d, h, m, s in zip(
+            rng.integers(1, 4, 600), rng.choice([0, 7, 23], 600),
+            rng.choice([0, 4, 5, 59], 600), rng.integers(0, 60, 600))]
+        records = [record(pickup=t, dropoff=t, plon=float(x), plat=float(y),
+                          dlon=float(x), dlat=float(y),
+                          passengers=int(c))
+                   for t, x, y, c in zip(stamps, lon, lat, rng.integers(0, 7, 600))]
+        grid = bucketize(records, BOX, cell_m, bucket_minutes)
+        reference = reference_bucketize(records, BOX, cell_m, bucket_minutes)
+        assert len(reference.counts) < 2 * len(records)
+        assert_same_grid(grid, reference)
+
+    def test_cells_at_cell_edges_match_reference(self):
+        # with cell_m = offset / n, offset / cell_m rounds to n while
+        # offset // cell_m is often n - 1: cells must floor-divide as // does
+        for lon, lat in ((-74.013, 40.7301), (-73.991, 40.759), (-73.9612, 40.7013)):
+            r = record(plon=lon, plat=lat, dlon=lon, dlat=lat)
+            for offset in BOX.to_meters(lon, lat):
+                for n in (3, 7, 10, 49, 113):
+                    assert_same_grid(bucketize([r], BOX, offset / n),
+                                     reference_bucketize([r], BOX, offset / n))
+
+    def test_archive_with_repeated_keys_and_blank_lines_matches_reference(self):
+        text = ("# lon_min=-74.02,lon_max=-73.96,lat_min=40.7,lat_max=40.76,"
+                "cell_m=3.048,bucket_minutes=5\n\nday,bucket,ix,iy,count\n"
+                "2015-02-03,5,1,2,3\n  \n2015-02-02,5,1,2,4\n2015-02-03,5,1,2,1\n"
+                "2015-02-02,4,7,-1, 0 \n2015-02-02,4,7,-2,+9\r\n\n")
+        assert_same_grid(BucketGrid.from_csv(text), reference_from_csv(text))
