@@ -13,6 +13,7 @@ from citytrails.stigspace import (
     ConeMark,
     Trail2D,
     deposit_2d,
+    evaporate,
     jaccard,
     trapezoid_profile,
 )
@@ -30,13 +31,14 @@ print("== a single mark, then pure evaporation ==")
 trail = 1.0 * trapezoid_profile(0.5, width=0.2)  # intensity times unit profile
 for step in range(4):
     print(f"step {step}: |{sparkline(trail)}| peak {trail.max():.2f}")
-    trail = np.maximum(trail - 0.4, 0.0)
+    evaporate(trail, 0.4)  # in place
 print("the isolated mark is gone after ceil(1.0 / 0.4) = 3 steps\n")
 
 print("== reinforcement beats evaporation ==")
 trail = np.zeros(100)
 for step in range(12):
-    trail = np.maximum(trail + trapezoid_profile(0.3, 0.2) - 0.4, 0.0)
+    trail += trapezoid_profile(0.3, 0.2)
+    evaporate(trail, 0.4)
 print(f"after 12 reinforced steps: |{sparkline(trail)}| peak {trail.max():.2f}")
 print(f"each step deposits 1.0 and evaporates 0.4, so the peak grows by 0.6 "
       f"per step and never settles: 12 x 0.6 = {12 * 0.6:.2f}\n")

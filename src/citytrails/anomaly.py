@@ -142,21 +142,16 @@ def _fcm_single(points: np.ndarray, centroids: np.ndarray,
 
 
 def fuzzy_cmeans(points, c: int = 3, tol: float = 1e-6,
-                 max_iter: int = 300, seed: int = 0,
-                 init_centroids=None) -> ClusterModel:
+                 max_iter: int = 300, seed: int = 0) -> ClusterModel:
     """Alternating fuzzy c-means, initialized from c distinct data points.
 
     The alternation only finds a local optimum and an unlucky draw can split
     one group while merging two others, so FCM_RESTARTS seeded restarts run
-    and the model with the lowest objective wins. An explicit ``init_centroids``
-    runs exactly once.
+    and the model with the lowest objective wins.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < c:
         raise ValueError("need at least c points in a 2-D array")
-    if init_centroids is not None:
-        return _fcm_single(points, np.array(init_centroids, dtype=float),
-                           tol, max_iter)
     rng = np.random.default_rng(seed)
     best = None
     best_objective = np.inf

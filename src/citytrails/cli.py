@@ -169,9 +169,16 @@ def _load_series_dir(cfg: PipelineConfig, hotspot_id: str | None):
     return days
 
 
-def _load_labels(cfg: PipelineConfig) -> dict[str, tuple[bool, str]]:
-    rows = synth.parse_labels_csv(_require(cfg.out_dir / "labels.csv").read_text())
-    return {day_id: (flag, kind) for day_id, _, flag, kind in rows}
+def _labelled_levels(cfg: PipelineConfig, hotspot_id: str | None):
+    """The trained perceptron's level series of one hotspot's days, with each
+    day's weekday class and whether ``labels.csv`` flags it anomalous."""
+    days = _load_series_dir(cfg, hotspot_id)
+    labels = synth.parse_labels_csv(_require(cfg.out_dir / "labels.csv").read_text())
+    flagged = {day_id for day_id, _, flag, _ in labels if flag}
+    sp = load_sp(_require(cfg.out_dir / "sp.ini"), cfg.training.day_length)
+    levels = transform_many(sp, days)
+    classes = [expected_class_for(date.fromisoformat(s.day_id)) for s in levels]
+    return levels, classes, [s.day_id in flagged for s in levels]
 
 
 def _pattern_params_path(cfg: PipelineConfig) -> Path:
@@ -198,13 +205,8 @@ def cmd_train(cfg: PipelineConfig, args) -> None:
     if not (series_root.exists() and labels_path.exists()):
         print("train: no series/labels present, skipping pattern-field training")
         return
-    days = _load_series_dir(cfg, args.hotspot)
-    labels = _load_labels(cfg)
-    levels = transform_many(sp, days)
     by_class: dict[str, list] = {c: [] for c in CLASS_LETTERS}
-    for level_series in levels:
-        flag, _ = labels.get(level_series.day_id, (False, ""))
-        cls = expected_class_for(date.fromisoformat(level_series.day_id))
+    for level_series, cls, flag in zip(*_labelled_levels(cfg, args.hotspot)):
         if not flag and len(by_class[cls]) < cfg.training.pattern_per_class:
             by_class[cls].append(level_series)
     params, history = train_pattern_field(by_class, bounds, cfg.de_for("pattern"))
@@ -214,16 +216,6 @@ def cmd_train(cfg: PipelineConfig, args) -> None:
 
 
 # --- classify / compare -------------------------------------------------------
-
-def _classification_inputs(cfg: PipelineConfig, hotspot_id: str | None):
-    days = _load_series_dir(cfg, hotspot_id)
-    labels = _load_labels(cfg)
-    sp = load_sp(_require(cfg.out_dir / "sp.ini"), cfg.training.day_length)
-    levels = transform_many(sp, days)
-    classes = [expected_class_for(date.fromisoformat(s.day_id)) for s in levels]
-    flags = [labels.get(s.day_id, (False, ""))[0] for s in levels]
-    return levels, classes, flags
-
 
 def _classification_run(cfg: PipelineConfig, inputs, matrix_fn, de_stage: str):
     levels, classes, flags = inputs
@@ -235,7 +227,7 @@ def _classification_run(cfg: PipelineConfig, inputs, matrix_fn, de_stage: str):
 
 def _srf_run(cfg: PipelineConfig, args):
     """The classification inputs and their run with the trained pattern field."""
-    inputs = _classification_inputs(cfg, args.hotspot)
+    inputs = _labelled_levels(cfg, args.hotspot)
     text = _require(_pattern_params_path(cfg)).read_text(encoding="utf-8")
     pattern = params_from_config(text, ["pattern"])["pattern"]
     return inputs, _classification_run(

@@ -1,7 +1,8 @@
 """Pipeline configuration: one flat key=value sections file, one master seed.
 
 Every stage derives its randomness from the master seed and its own stage
-name, so a whole pipeline run is reproducible from the config alone.
+name, so a whole pipeline run is reproducible from the config alone. Each
+setting defaults to the library constant that the function it feeds uses.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import anomaly, hotspot, series, stigspace, synth
 from .calibrate import DeConfig
 from .ingest import DEFAULT_BUCKET_MINUTES, DEFAULT_CELL_M, GeoBox
 
@@ -22,25 +24,25 @@ DEFAULT_BOX = GeoBox(lon_min=-74.03, lon_max=-73.96, lat_min=40.70, lat_max=40.7
 
 @dataclass(frozen=True)
 class HotspotSettings:
-    relevance_fraction: float = 0.3
-    min_area_km2: float = 0.05
-    cone_base_radius_m: float = 150.0
-    cone_top_radius_m: float = 50.0
-    smooth_alpha: float = 12.0
-    smooth_beta: float = 0.5
-    count_cap: float = 10.0
+    relevance_fraction: float = hotspot.DEFAULT_RELEVANCE_FRACTION
+    min_area_km2: float = hotspot.DEFAULT_MIN_AREA_KM2
+    cone_base_radius_m: float = stigspace.DEFAULT_CONE_BASE_RADIUS_M
+    cone_top_radius_m: float = stigspace.DEFAULT_CONE_TOP_RADIUS_M
+    smooth_alpha: float = hotspot.DEFAULT_SMOOTH_ALPHA
+    smooth_beta: float = hotspot.DEFAULT_SMOOTH_BETA
+    count_cap: float = hotspot.DEFAULT_COUNT_CAP
     trail_delta: float = 0.5
-    trail_cell_m: float = 50.0
+    trail_cell_m: float = stigspace.DEFAULT_CELL_SIZE_M
 
 
 @dataclass(frozen=True)
 class TrainingSettings:
-    day_length: int = 144
-    per_class: int = 10
-    noise: float = 0.05
-    max_shift: int = 4
+    day_length: int = series.DEFAULT_DAY_LENGTH
+    per_class: int = synth.TRAINING_PER_CLASS
+    noise: float = synth.TRAINING_NOISE
+    max_shift: int = synth.TRAINING_MAX_SHIFT
     pattern_per_class: int = 10
-    representatives: int = 5
+    representatives: int = anomaly.DEFAULT_REPRESENTATIVES
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class PipelineConfig:
     box: GeoBox = DEFAULT_BOX
     bucket_cell_m: float = DEFAULT_CELL_M
     bucket_minutes: int = DEFAULT_BUCKET_MINUTES
-    resolution_minutes: int = 10
+    resolution_minutes: int = series.DEFAULT_RESOLUTION_MINUTES
     hotspots: HotspotSettings = field(default_factory=HotspotSettings)
     training: TrainingSettings = field(default_factory=TrainingSettings)
     de: DeConfig = field(default_factory=DeConfig)

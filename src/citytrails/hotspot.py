@@ -17,12 +17,13 @@ from enum import Enum
 import numpy as np
 
 from .srf import logistic
-from .stigspace import ConeMark, Trail2D, add_cone, cone_margin
+from .stigspace import ConeMark, Trail2D, add_cone, cone_margin, evaporate
 
 DEFAULT_RELEVANCE_FRACTION = 0.3
 DEFAULT_MIN_AREA_KM2 = 0.05
 DEFAULT_SMOOTH_ALPHA = 12.0
 DEFAULT_SMOOTH_BETA = 0.5
+DEFAULT_COUNT_CAP = 10.0  # the passenger count that maps to 1 before smoothing
 
 
 class TimeSlot(Enum):
@@ -48,7 +49,6 @@ class SpatialEventBatch:
     """Events of one 5-minute step: rows of (x meters, y meters, count)."""
 
     events: np.ndarray
-    slot: TimeSlot
 
     def __post_init__(self) -> None:
         events = np.asarray(self.events, dtype=float).reshape(-1, 3)
@@ -83,7 +83,7 @@ def build_slot_trail(batches, delta: float, grid: Trail2D, *,
                      cone: ConeMark = ConeMark((0.0, 0.0), 1.0),
                      smooth_alpha: float = DEFAULT_SMOOTH_ALPHA,
                      smooth_beta: float = DEFAULT_SMOOTH_BETA,
-                     count_cap: float = 10.0) -> Trail2D:
+                     count_cap: float = DEFAULT_COUNT_CAP) -> Trail2D:
     """Accumulate one slot's event stream into a trail.
 
     Per step: every event deposits a cone whose intensity is its smoothed
@@ -95,8 +95,6 @@ def build_slot_trail(batches, delta: float, grid: Trail2D, *,
     if not count_cap > 0:
         raise ValueError(f"count_cap must be positive, got {count_cap}")
     batches = list(batches)
-    if len({b.slot for b in batches}) > 1:
-        raise ValueError("all batches of one trail must share the time slot")
     x, y, count = np.concatenate([np.empty((0, 3)), *(b.events for b in batches)]).T
     outside = np.flatnonzero(~grid.contains(x, y))
     if outside.size:
@@ -110,7 +108,7 @@ def build_slot_trail(batches, delta: float, grid: Trail2D, *,
     for start, stop in zip(bounds, bounds[1:]):
         add_cone(padded, grid.origin, grid.cell_size, x[start:stop], y[start:stop],
                  intensity[start:stop], cone.base_radius, cone.top_radius)
-        np.maximum(padded - delta, 0.0, out=padded)
+        evaporate(padded, delta)
     return Trail2D(padded[m:-m, m:-m], grid.origin, grid.cell_size)
 
 

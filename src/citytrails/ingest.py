@@ -5,10 +5,10 @@ passenger count to a (10-foot cell, 5-minute bucket) grid under a local
 equirectangular projection, held as NumPy columns sorted by (day, bucket,
 ix, iy). Rows are read with ``csv.reader``; timestamps in the exact
 zero-padded format skip ``strptime``. ``bucketize`` projects all endpoints
-in one NumPy pass, and the grid's one constructor sorts key columns and sums
-repeated keys, so the archive reader parses straight into columns. Slot
-event batches are contiguous slices of the grid; a hotspot's series for a
-day is one polygon test of that day's cell centers and one bincount.
+in one ``GeoBox.to_meters`` call, and the grid's one constructor sorts key
+columns and sums repeated keys, so the archive reader parses straight into
+columns. Slot event batches are contiguous slices of the grid; a hotspot's
+series for a day is one polygon test of its cell centers and one bincount.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from datetime import date, datetime
 import numpy as np
 
 from .hotspot import Hotspot, SpatialEventBatch, TimeSlot, point_in_polygon, slot_for_hour
-from .series import ActivityTimeSeries, normalize_min_max
+from .series import DEFAULT_RESOLUTION_MINUTES, ActivityTimeSeries, normalize_min_max
 
 EARTH_RADIUS_M = 6371000.0
 FOOT_M = 0.3048
@@ -61,26 +61,25 @@ class GeoBox:
     def __post_init__(self) -> None:
         if not (self.lon_min < self.lon_max and self.lat_min < self.lat_max):
             raise ValueError("box bounds must satisfy min < max")
-        cos_c = math.cos(math.radians(0.5 * (self.lat_min + self.lat_max)))
-        object.__setattr__(self, "_cos_center_lat", cos_c)
 
     def contains(self, lon: float, lat: float) -> bool:
         return (self.lon_min <= lon <= self.lon_max
                 and self.lat_min <= lat <= self.lat_max)
 
-    def to_meters(self, lon: float, lat: float) -> tuple[float, float]:
-        """Meters east/north of the box's southwest corner."""
-        mx = math.radians(lon - self.lon_min) * EARTH_RADIUS_M * self._cos_center_lat
-        my = math.radians(lat - self.lat_min) * EARTH_RADIUS_M
+    def to_meters(self, lon, lat):
+        """Meters east/north of the box's southwest corner, of scalars or arrays."""
+        cos_c = math.cos(math.radians(0.5 * (self.lat_min + self.lat_max)))
+        mx = np.radians(lon - self.lon_min) * EARTH_RADIUS_M * cos_c
+        my = np.radians(lat - self.lat_min) * EARTH_RADIUS_M
         return mx, my
 
     @property
     def width_m(self) -> float:
-        return self.to_meters(self.lon_max, self.lat_min)[0]
+        return float(self.to_meters(self.lon_max, self.lat_min)[0])
 
     @property
     def height_m(self) -> float:
-        return self.to_meters(self.lon_min, self.lat_max)[1]
+        return float(self.to_meters(self.lon_min, self.lat_max)[1])
 
 
 @dataclass(frozen=True)
@@ -259,9 +258,23 @@ class BucketGrid:
         if ragged is not None:
             raise ValueError(f"bucket archive line {ragged}: expected the 5 fields "
                              "day,bucket,ix,iy,count")
-        values = (np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None,
-                             usecols=(1, 2, 3, 4), ndmin=2)
-                  if rows else np.empty((0, 4), dtype=np.int64))
+        def parse(part):
+            return np.loadtxt(part, dtype=np.int64, delimiter=",", comments=None,
+                              usecols=(1, 2, 3, 4), ndmin=2)
+        try:
+            values = parse(rows) if rows else np.empty((0, 4), dtype=np.int64)
+        except ValueError:
+            # rows parse independently, so bisect for the first one that fails
+            lo, hi = 0, len(rows)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    parse(rows[lo:mid])
+                    lo = mid
+                except ValueError:
+                    hi = mid
+            raise ValueError(f"bucket archive line {kept[lo]}: bucket, ix, iy and "
+                             "count must be integers within int64") from None
         negative = np.flatnonzero(values[:, 3] < 0)
         if negative.size:
             raise ValueError(f"bucket archive line {kept[negative[0]]}: "
@@ -283,11 +296,8 @@ def bucketize(records: list[TripRecord], box: GeoBox, cell_m: float = DEFAULT_CE
     ends = [end for record in records for end in (record.pickup, record.dropoff)]
     counts = np.array([record.passenger_count for record in records],
                       dtype=np.int64).repeat(2)
-    lon = np.array([end[1] for end in ends], dtype=float)
-    lat = np.array([end[2] for end in ends], dtype=float)
-    # the operation order of GeoBox.to_meters, so that cells match it bit for bit
-    mx = np.radians(lon - box.lon_min) * EARTH_RADIUS_M * box._cos_center_lat
-    my = np.radians(lat - box.lat_min) * EARTH_RADIUS_M
+    mx, my = box.to_meters(np.array([end[1] for end in ends], dtype=float),
+                           np.array([end[2] for end in ends], dtype=float))
     # a nan, an inf or a cell index past int64 would cast to a wrong cell
     limit = cell_m * 2.0**62
     if not (np.all(np.abs(mx) < limit) and np.all(np.abs(my) < limit)):
@@ -320,7 +330,7 @@ def slot_event_batches(grid: BucketGrid) -> dict[TimeSlot, list[SpatialEventBatc
     batches: dict[TimeSlot, list[SpatialEventBatch]] = {slot: [] for slot in TimeSlot}
     for start, stop in zip(starts, starts[1:] + [grid.counts.size]):
         slot = slot_for_hour(int(grid.bucket[start]) * grid.bucket_minutes // 60)
-        batches[slot].append(SpatialEventBatch(events[start:stop], slot))
+        batches[slot].append(SpatialEventBatch(events[start:stop]))
     return batches
 
 
@@ -352,7 +362,7 @@ def hotspot_raw_activity(grid: BucketGrid, h: Hotspot, day: str) -> np.ndarray:
 
 
 def hotspot_activity(grid: BucketGrid, h: Hotspot, day: str,
-                     resolution_minutes: int = 10) -> ActivityTimeSeries:
+                     resolution_minutes: int = DEFAULT_RESOLUTION_MINUTES) -> ActivityTimeSeries:
     """Min-max-normalized activity series for one hotspot and day."""
     if resolution_minutes <= 0:
         raise ValueError(f"resolution_minutes = {resolution_minutes} must be positive")

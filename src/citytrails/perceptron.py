@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import Archetype, all_archetypes
+from .series import ARCHETYPE_NAMES, DEFAULT_DAY_LENGTH, DEFAULT_RESOLUTION_MINUTES, \
+    Archetype, all_archetypes
 from .srf import PARAM_KEYS, SrfParams, indexed_similarity
 from .stigspace import _readonly
 
@@ -26,7 +27,7 @@ class ActivityLevelSeries:
     """Per-step activity levels in [0, 7] produced by the perceptron."""
 
     levels: np.ndarray
-    resolution_minutes: int = 10
+    resolution_minutes: int = DEFAULT_RESOLUTION_MINUTES
     day_id: str | None = None
     hotspot_id: str | None = None
 
@@ -58,7 +59,7 @@ class StigmergicPerceptron:
         object.__setattr__(self, "fields", ordered)
 
     @classmethod
-    def untrained(cls, length: int = 144) -> "StigmergicPerceptron":
+    def untrained(cls, length: int = DEFAULT_DAY_LENGTH) -> "StigmergicPerceptron":
         p = SrfParams.defaults()
         return cls(tuple((a, p) for a in all_archetypes(length)))
 
@@ -142,21 +143,13 @@ def params_from_config(text: str, names) -> dict[str, SrfParams]:
             for name in names}
 
 
-def sp_to_config(sp: StigmergicPerceptron) -> str:
-    return params_to_config({a.name: p for a, p in sp.fields})
-
-
-def sp_from_config(text: str, length: int = 144) -> StigmergicPerceptron:
-    archetypes = all_archetypes(length)
-    blocks = params_from_config(text, [a.name for a in archetypes])
-    return StigmergicPerceptron(tuple((a, blocks[a.name]) for a in archetypes))
-
-
 def save_sp(sp: StigmergicPerceptron, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(sp_to_config(sp))
+        fh.write(params_to_config({a.name: p for a, p in sp.fields}))
 
 
-def load_sp(path, length: int = 144) -> StigmergicPerceptron:
+def load_sp(path, length: int = DEFAULT_DAY_LENGTH) -> StigmergicPerceptron:
+    """Read a ``save_sp`` file onto the archetypes of ``length`` samples."""
     with open(path, encoding="utf-8") as fh:
-        return sp_from_config(fh.read(), length)
+        blocks = params_from_config(fh.read(), ARCHETYPE_NAMES)
+    return StigmergicPerceptron(tuple((a, blocks[a.name]) for a in all_archetypes(length)))

@@ -19,6 +19,7 @@ LEVEL_MID = 0.5
 LEVEL_HIGH = 0.9
 
 DEFAULT_RESOLUTION_MINUTES = 10
+DEFAULT_DAY_LENGTH = 144  # a day of DEFAULT_RESOLUTION_MINUTES samples
 
 # Enumeration order: ascending mean canonical level, rising slope before
 # falling slope on ties. Adjacent numbers then carry similar trails, which is
@@ -59,16 +60,16 @@ class Archetype:
     """Pure-form series embodying one behavioral class, enumerated 1..7."""
 
     name: str
-    enumeration: int
     samples: np.ndarray
 
     def __post_init__(self) -> None:
         if self.name not in ARCHETYPE_ENUMERATION:
             raise ValueError(f"unknown archetype name {self.name!r}")
-        if ARCHETYPE_ENUMERATION[self.name] != self.enumeration:
-            raise ValueError(f"archetype {self.name} must be enumerated "
-                             f"{ARCHETYPE_ENUMERATION[self.name]}, got {self.enumeration}")
         object.__setattr__(self, "samples", _readonly(self.samples))
+
+    @property
+    def enumeration(self) -> int:
+        return ARCHETYPE_ENUMERATION[self.name]
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def generate_archetype(name: str, length: int) -> Archetype:
         samples[length - q:] = end
         mid = length - 2 * q
         samples[q:length - q] = np.linspace(start, end, mid + 2)[1:-1]
-    return Archetype(name, ARCHETYPE_ENUMERATION[name], samples)
+    return Archetype(name, samples)
 
 
 def all_archetypes(length: int) -> tuple[Archetype, ...]:
@@ -154,6 +155,11 @@ def perturb_samples(samples: np.ndarray, noise_amplitude: float, max_shift: int,
     Shift is drawn first, then the noise vector, so results are a pure
     function of the generator state.
     """
+    if noise_amplitude < 0:
+        raise ValueError(f"noise = {noise_amplitude} must be non-negative")
+    if not 0 <= max_shift < samples.size / 4:
+        raise ValueError(f"max_shift = {max_shift} must satisfy "
+                         f"0 <= max_shift < {samples.size}/4, a quarter of the day")
     shift = int(rng.integers(-max_shift, max_shift + 1)) if max_shift > 0 else 0
     shifted = np.roll(samples, shift)
     if noise_amplitude > 0:
@@ -164,10 +170,6 @@ def perturb_samples(samples: np.ndarray, noise_amplitude: float, max_shift: int,
 def perturb(a: Archetype, noise_amplitude: float, max_shift: int,
             seed: int) -> ActivityTimeSeries:
     """Randomized variant of an archetype; deterministic for a given seed."""
-    if noise_amplitude < 0:
-        raise ValueError("noise_amplitude must be non-negative")
-    if max_shift < 0 or max_shift >= a.samples.size / 4:
-        raise ValueError("max_shift must satisfy 0 <= max_shift < length/4")
     rng = np.random.default_rng(seed)
     samples = perturb_samples(a.samples, noise_amplitude, max_shift, rng)
     return ActivityTimeSeries(samples, day_id=None, hotspot_id=None)

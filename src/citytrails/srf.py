@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stigspace import CELL_COUNT, jaccard, trapezoid_profile
+from .stigspace import CELL_COUNT, evaporate, jaccard, trapezoid_profile
 
 PARAM_KEYS = ("alpha_c1", "beta_c1", "alpha_c2", "beta_c2",
               "epsilon", "delta", "alpha_a", "beta_a")
@@ -99,7 +99,7 @@ def _advance(trails, centers, width, delta) -> None:
     # Marks have unit intensity, so the profile is the deposit and trail
     # magnitude is governed by delta alone.
     trails += trapezoid_profile(centers, width)
-    np.maximum(trails - delta, 0.0, out=trails)
+    evaporate(trails, delta)
 
 
 def final_trail(samples, params: SrfParams) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Mark/trail algebra: evaporating intensity deposits on discretized spaces.
 
 A trail is a grid of non-negative intensities. Marks (a trapezoid profile on a
-1-D value axis, a truncated cone on a 2-D plane) are deposited additively; a
-constant amount evaporates from every cell each step, clamped at zero. Trails
-built from two sample streams are compared with the Jaccard coefficient
-(sum of cell-wise minima over sum of cell-wise maxima).
+1-D value axis, a truncated cone on a 2-D plane) are deposited additively; the
+one ``evaporate``, which receptive fields and slot trails share, subtracts a
+constant from every cell each step, clamped at zero. Trails built from two
+sample streams are compared with the Jaccard coefficient.
 
 The 1-D value axis has one geometry, [0, 1] in CELL_COUNT cells, and its
 trails are plain arrays whose last axis is the cell axis, so one call
@@ -25,6 +25,8 @@ CELL_CENTERS = (np.arange(CELL_COUNT) + 0.5) * (1.0 / CELL_COUNT)
 CELL_CENTERS.setflags(write=False)
 PLATEAU_FRACTION = 0.5  # a trapezoid's plateau, as a share of its width
 DEFAULT_CELL_SIZE_M = 50.0
+DEFAULT_CONE_BASE_RADIUS_M = 150.0
+DEFAULT_CONE_TOP_RADIUS_M = 50.0
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -39,8 +41,8 @@ class ConeMark:
 
     center: tuple[float, float]
     intensity: float
-    base_radius: float = 150.0
-    top_radius: float = 50.0
+    base_radius: float = DEFAULT_CONE_BASE_RADIUS_M
+    top_radius: float = DEFAULT_CONE_TOP_RADIUS_M
 
     def __post_init__(self) -> None:
         if not 0 < self.top_radius < self.base_radius:
@@ -149,11 +151,11 @@ def deposit_2d(t: Trail2D, m: ConeMark) -> Trail2D:
     return dataclasses.replace(t, cells=padded[margin:-margin, margin:-margin])
 
 
-def evaporate(t, delta: float):
-    """Subtract ``delta`` from every cell of a Trail2D, clamped at zero."""
-    if delta < 0:
-        raise ValueError(f"evaporation delta must be non-negative, got {delta}")
-    return dataclasses.replace(t, cells=np.maximum(t.cells - delta, 0.0))
+def evaporate(cells: np.ndarray, delta) -> None:
+    """Subtract ``delta`` (a scalar, or an array that broadcasts) from every
+    cell of a float array, in place, clamped at zero. A negative delta is
+    rejected where it enters, not in this per-step call."""
+    np.maximum(cells - delta, 0.0, out=cells)
 
 
 def jaccard(a, b):

@@ -19,13 +19,16 @@ from .hotspot import SpatialEventBatch, TimeSlot
 from .ingest import GeoBox
 from .series import (
     ARCHETYPE_NAMES,
+    DEFAULT_DAY_LENGTH,
     ActivityTimeSeries,
     CLASS_LETTERS,
     generate_archetype,
     perturb_samples,
 )
 
-DEFAULT_DAY_LENGTH = 144  # 10-minute samples
+TRAINING_PER_CLASS = 10  # the perceptron's pool: variants per archetype,
+TRAINING_NOISE = 0.05    # their uniform noise amplitude
+TRAINING_MAX_SHIFT = 4   # and their largest circular shift in samples
 DEFAULT_YEAR_START = date(2015, 1, 5)  # a Monday; 364 days = 52 exact weeks
 # A year's days perturb their class profile by this uniform noise amplitude
 # and a circular shift of up to this many samples.
@@ -56,8 +59,10 @@ _CLASS_KEYPOINTS = {
 }
 
 
-def archetype_training_sets(length: int = DEFAULT_DAY_LENGTH, per_class: int = 10,
-                            noise: float = 0.05, max_shift: int = 4,
+def archetype_training_sets(length: int = DEFAULT_DAY_LENGTH,
+                            per_class: int = TRAINING_PER_CLASS,
+                            noise: float = TRAINING_NOISE,
+                            max_shift: int = TRAINING_MAX_SHIFT,
                             seed: int = 0) -> dict[str, list[ActivityTimeSeries]]:
     """Perturbed variants of every archetype: the perceptron training pool."""
     rng = np.random.default_rng(seed)
@@ -213,7 +218,7 @@ def planted_cluster_batches(n_clusters: int = 7, width: float = 6000.0,
                 points.append((float(rng.uniform(0, width)),
                                float(rng.uniform(0, height)),
                                SCATTER_COUNT_VALUE))
-            slot_batches.append(SpatialEventBatch(np.asarray(points), slot))
+            slot_batches.append(SpatialEventBatch(np.asarray(points)))
         batches[slot] = slot_batches
     return batches, centers
 

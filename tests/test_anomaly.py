@@ -22,6 +22,12 @@ from citytrails.perceptron import ActivityLevelSeries
 from citytrails.srf import SrfParams, activate
 
 
+def fcm_from(points, init, tol=1e-6, max_iter=300):
+    """One fuzzy c-means alternation started from the given centroids."""
+    return anomaly._fcm_single(np.asarray(points, dtype=float),
+                               np.array(init, dtype=float), tol, max_iter)
+
+
 def reference_fcm(points, centroids, m, iterations):
     """Independent plain-loop alternation for cross-checking fuzzy c-means."""
     points = np.asarray(points, dtype=float)
@@ -134,7 +140,7 @@ class TestFuzzyCMeans:
     def test_matches_independent_reference(self):
         pts, _ = blob_points(seed=2)
         init = pts[[0, 20, 40]]
-        model = fuzzy_cmeans(pts, c=3, init_centroids=init, tol=0.0, max_iter=12)
+        model = fcm_from(pts, init, tol=0.0, max_iter=12)
         ref_centroids, ref_u = reference_fcm(pts, init.copy(), 2.0, 12)
         order = [int(np.argmin(np.linalg.norm(ref_centroids - c, axis=1)))
                  for c in model.centroids]
@@ -152,8 +158,7 @@ class TestFuzzyCMeans:
         values = []
         centroids = init.copy()
         for steps in range(1, 8):
-            model = fuzzy_cmeans(pts, c=3, init_centroids=init, tol=0.0,
-                                 max_iter=steps)
+            model = fcm_from(pts, init, tol=0.0, max_iter=steps)
             values.append(fcm_objective(pts, model.centroids, model.memberships))
             centroids = model.centroids
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
@@ -161,13 +166,13 @@ class TestFuzzyCMeans:
     def test_duplicated_points_keep_centroids(self):
         pts, _ = blob_points(seed=6)
         init = pts[[0, 20, 40]]
-        single = fuzzy_cmeans(pts, c=3, init_centroids=init)
-        doubled = fuzzy_cmeans(np.vstack([pts, pts]), c=3, init_centroids=init)
+        single = fcm_from(pts, init)
+        doubled = fcm_from(np.vstack([pts, pts]), init)
         assert np.allclose(single.centroids, doubled.centroids, atol=1e-9)
 
     def test_point_on_centroid_gets_hard_membership(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [6.0, 5.0]])
-        model = fuzzy_cmeans(pts, c=2, init_centroids=pts[[0, 2]], max_iter=0)
+        model = fcm_from(pts, pts[[0, 2]], max_iter=0)
         assert model.memberships[0, 0] == 1.0
 
     def test_too_few_points_rejected(self):
@@ -205,8 +210,7 @@ class TestRepresentatives:
         model = fuzzy_cmeans(pts, c=3, seed=12)
         top = representatives(model, pts, k=1)
         pts2 = np.vstack([pts, pts[0] + np.array([1.5, 1.5])])
-        model2 = fuzzy_cmeans(pts2, c=3, init_centroids=model.centroids,
-                              max_iter=0)
+        model2 = fcm_from(pts2, model.centroids, max_iter=0)
         top2 = representatives(model2, pts2, k=1)
         cluster_of_first = int(model.hard_assignments()[top[0][0]])
         assert top2[cluster_of_first][0] == top[cluster_of_first][0]
@@ -220,8 +224,7 @@ class TestRepresentatives:
 
     def test_ids_and_tie_break(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [9.0, 9.0]])
-        model = fuzzy_cmeans(pts, c=2, max_iter=0,
-                             init_centroids=np.array([[0.0, 0.0], [9.0, 9.0]]))
+        model = fcm_from(pts, [[0.0, 0.0], [9.0, 9.0]], max_iter=0)
         with pytest.warns(UserWarning):  # the second cluster has one member
             reps = representatives(model, pts, k=3)
         assert reps[0][0] == 0
@@ -234,8 +237,8 @@ class TestClusterClassMapping:
         assigned = [2, 2, 2, 0, 0, 0, 1, 1, 1]
         for i, c in enumerate(assigned):
             memberships[i, c] = 1.0
-        model_like = fuzzy_cmeans(np.asarray(assigned, dtype=float)[:, None] * 3,
-                                  c=3, init_centroids=np.array([[0.0], [3.0], [6.0]]))
+        model_like = fcm_from(np.asarray(assigned, dtype=float)[:, None] * 3,
+                              [[0.0], [3.0], [6.0]])
         mapping = map_clusters_to_classes(model_like,
                                           ["W", "W", "W", "E", "E", "E", "L", "L", "L"])
         assert sorted(mapping.values()) == ["E", "L", "W"]

@@ -206,7 +206,8 @@ class TestSpatialPipeline:
         assert "hotspot Q" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", ["hotspots", "extract"])
-    @pytest.mark.parametrize("count", [None, "-1"], ids=["ragged", "negative-count"])
+    @pytest.mark.parametrize("count", [None, "-1", "x", "99999999999999999999"],
+                             ids=["ragged", "negative-count", "non-integer", "overflow"])
     def test_bad_archive_row_exits_2_naming_its_line(self, ingested, capsys, stage,
                                                      count):
         config, out = ingested
@@ -342,6 +343,21 @@ class TestTrainClassifyCompare:
         assert run(config, "train") == 2
         assert "generations" in capsys.readouterr().err
         assert not (out / "sp.ini").exists() and not (out / "history").exists()
+
+    @pytest.mark.parametrize("line, replacement, setting", [
+        ("noise = 0.05", "noise = -0.05", "noise"),
+        ("max_shift = 3", "max_shift = -3", "max_shift"),
+        ("max_shift = 3", "max_shift = 30", "max_shift"),  # a quarter of 96 is 24
+    ], ids=["negative-noise", "negative-shift", "shift-past-a-quarter"])
+    def test_bad_perturbation_exits_2_naming_it(self, workspace, capsys, line,
+                                                replacement, setting):
+        config, out = workspace
+        text = config.read_text(encoding="utf-8")
+        config.write_text(text.replace(line, replacement), encoding="utf-8")
+        capsys.readouterr()
+        assert run(config, "train") == 2
+        assert setting in capsys.readouterr().err
+        assert not (out / "sp.ini").exists()
 
     def test_classify_report_format_and_idempotence(self, trained):
         config, out = trained

@@ -26,9 +26,8 @@ def grid(width=3000, height=3000, cell=50):
     return Trail2D.for_box(width, height, cell)
 
 
-def batches_for(points_per_step, slot=TimeSlot.MORNING):
-    return [SpatialEventBatch(np.asarray(step, dtype=float), slot)
-            for step in points_per_step]
+def batches_for(points_per_step):
+    return [SpatialEventBatch(np.asarray(step, dtype=float)) for step in points_per_step]
 
 
 def random_cone_steps():
@@ -75,7 +74,7 @@ def blob_trails(center=(1500.0, 1500.0), steps=30, count=9.0, skip=()):
             events = [[(200.0, 200.0, 0.5)]] * steps  # noise only
         else:
             events = [[(*center, count)]] * steps
-        trails[slot] = build_slot_trail(batches_for(events, slot), 0.4, grid(),
+        trails[slot] = build_slot_trail(batches_for(events), 0.4, grid(),
                                         count_cap=10.0)
     return trails
 
@@ -124,11 +123,9 @@ class TestSlotTrail:
         trail = build_slot_trail(batches_for([[(1000.0, 1000.0, 9.0)]]), 0.2, grid())
         assert trail.cells.max() > 0.5
 
-    def test_mixed_slots_rejected(self):
-        steps = [SpatialEventBatch(np.array([[500.0, 500.0, 1.0]]), TimeSlot.MORNING),
-                 SpatialEventBatch(np.array([[500.0, 500.0, 1.0]]), TimeSlot.NIGHT)]
+    def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
-            build_slot_trail(steps, 0.2, grid())
+            build_slot_trail(batches_for([[(500.0, 500.0, 1.0)]]), -0.1, grid())
 
     def test_event_outside_grid_rejected(self):
         steps = batches_for([[(9000.0, 100.0, 1.0)]])
@@ -150,7 +147,9 @@ class TestSlotTrail:
                 intensity = float(smooth_sample(min(count / 8.0, 1.0), 9.0, 0.4))
                 expected = deposit_2d(expected, ConeMark((x, y), intensity,
                                                          130.0, 35.0))
-            expected = evaporate(expected, 0.3)
+            cells = np.array(expected.cells)
+            evaporate(cells, 0.3)
+            expected = Trail2D(cells, expected.origin, expected.cell_size)
         assert trail.cells.any()
         assert np.array_equal(trail.cells, expected.cells)
         assert (trail.origin, trail.cell_size) == (template.origin, template.cell_size)

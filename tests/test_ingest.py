@@ -1,4 +1,5 @@
 import csv
+import math
 from datetime import datetime
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from citytrails.hotspot import Hotspot, TimeSlot
 from citytrails.ingest import (
     DEFAULT_CELL_M,
+    EARTH_RADIUS_M,
     MAX_PASSENGER_COUNT,
     REQUIRED_COLUMNS,
     TAXI_ID_COLUMNS,
@@ -445,10 +447,14 @@ def reference_grid(box: GeoBox, cell_m: float, bucket_minutes: int, entries) -> 
 
 def reference_bucketize(records, box: GeoBox, cell_m: float = DEFAULT_CELL_M,
                         bucket_minutes: int = 5) -> BucketGrid:
+    # the equirectangular projection in scalar math, not GeoBox.to_meters
+    cos_c = math.cos(math.radians(0.5 * (box.lat_min + box.lat_max)))
+
     def entries():
         for record in records:
             for timestamp, lon, lat in (record.pickup, record.dropoff):
-                mx, my = box.to_meters(lon, lat)
+                mx = math.radians(lon - box.lon_min) * EARTH_RADIUS_M * cos_c
+                my = math.radians(lat - box.lat_min) * EARTH_RADIUS_M
                 bucket = (timestamp.hour * 60 + timestamp.minute) // bucket_minutes
                 yield ((timestamp.date().isoformat(), bucket,
                         int(mx // cell_m), int(my // cell_m)), record.passenger_count)

@@ -5,8 +5,8 @@ from citytrails.perceptron import (
     ActivityLevelSeries,
     StigmergicPerceptron,
     activity_level,
-    sp_from_config,
-    sp_to_config,
+    load_sp,
+    save_sp,
     transform,
     transform_many,
 )
@@ -119,19 +119,23 @@ class TestLevelSeries:
 
 
 class TestPersistence:
-    def test_config_round_trip(self):
+    def test_config_round_trip(self, tmp_path):
         sp = StigmergicPerceptron.untrained(48)
         sp = sp.with_params("Flow", SrfParams(11, 0.21, 31, 0.81, 0.11, 0.21, 41, 0.61))
-        back = sp_from_config(sp_to_config(sp), length=48)
+        save_sp(sp, tmp_path / "sp.ini")
+        back = load_sp(tmp_path / "sp.ini", length=48)
         assert [p for _, p in back.fields] == [p for _, p in sp.fields]
 
-    def test_blocks_keyed_by_archetype_name(self):
-        text = sp_to_config(StigmergicPerceptron.untrained(48))
+    def test_blocks_keyed_by_archetype_name(self, tmp_path):
+        save_sp(StigmergicPerceptron.untrained(48), tmp_path / "sp.ini")
+        text = (tmp_path / "sp.ini").read_text(encoding="utf-8")
         for a in all_archetypes(48):
             assert f"[{a.name}]" in text
 
-    def test_missing_block_rejected(self):
-        text = sp_to_config(StigmergicPerceptron.untrained(48))
-        broken = text.replace("[Flow]", "[Flows]")
+    def test_missing_block_rejected(self, tmp_path):
+        path = tmp_path / "sp.ini"
+        save_sp(StigmergicPerceptron.untrained(48), path)
+        path.write_text(path.read_text(encoding="utf-8").replace("[Flow]", "[Flows]"),
+                        encoding="utf-8")
         with pytest.raises(ValueError):
-            sp_from_config(broken, length=48)
+            load_sp(path, length=48)
