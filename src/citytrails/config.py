@@ -106,6 +106,8 @@ def load_config(path=None) -> PipelineConfig:
     stage; relative ``[paths] trips`` resolves against the file's directory.
     Values may carry ``;`` comments. An unknown section or key raises
     ValueError, so a misspelled key cannot silently fall back to its default.
+    So does a ``[training] day_length`` shorter than the
+    ``series.MIN_ARCHETYPE_LENGTH`` samples every stage that trains needs.
     """
     base = PipelineConfig()
     if path is None:
@@ -140,7 +142,12 @@ def load_config(path=None) -> PipelineConfig:
             changes[attr] = type(getattr(base, attr))(parser[name][key])
     if parser.has_option("paths", "trips"):
         changes["trips_path"] = path.parent / parser["paths"]["trips"]
-    return dataclasses.replace(base, **changes)
+    cfg = dataclasses.replace(base, **changes)
+    if cfg.training.day_length < series.MIN_ARCHETYPE_LENGTH:
+        raise ValueError(f"{path}: [training] day_length = {cfg.training.day_length} "
+                         f"is below the {series.MIN_ARCHETYPE_LENGTH} samples an "
+                         "archetype needs")
+    return cfg
 
 
 def write_history_csv(path, history) -> None:

@@ -20,6 +20,7 @@ LEVEL_HIGH = 0.9
 
 DEFAULT_RESOLUTION_MINUTES = 10
 DEFAULT_DAY_LENGTH = 144  # a day of DEFAULT_RESOLUTION_MINUTES samples
+MIN_ARCHETYPE_LENGTH = 16  # the shortest day an archetype can be sampled at
 
 # Enumeration order: ascending mean canonical level, rising slope before
 # falling slope on ties. Adjacent numbers then carry similar trails, which is
@@ -122,8 +123,8 @@ def generate_archetype(name: str, length: int) -> Archetype:
     """
     if name not in ARCHETYPE_ENUMERATION:
         raise ValueError(f"unknown archetype name {name!r}")
-    if length < 16:
-        raise ValueError("archetype length must be at least 16 samples")
+    if length < MIN_ARCHETYPE_LENGTH:
+        raise ValueError(f"archetype length must be at least {MIN_ARCHETYPE_LENGTH} samples")
     flat = {"Asleep": LEVEL_LOW, "Flow": LEVEL_MID, "RushHour": LEVEL_HIGH}
     ramps = {
         "Awakening": (LEVEL_LOW, LEVEL_MID),

@@ -14,16 +14,19 @@ trails, and DE candidates share the trails of series that recur across
 training couples. ``pair_similarity`` is the row-aligned wrapper (row i of
 one matrix against row i of the other), and ``final_trail`` the trail one
 stream leaves, which plot bundles export. Both step their trails through
-``_advance``. Every trail has the one geometry of ``stigspace``: the value
-axis [0, 1] in CELL_COUNT cells; only the eight field parameters vary. The
-first ``default_warmup(L)`` steps of an L-step stream, a tenth of it, fill
-the trails and are left out of the mean. The test suite pins the engine to a
+``_advance``. Each engine step compares PAIR_BLOCK pairs at a time in
+buffers made once per call, so no temporary holds a trail per pair. Every
+trail has the one geometry of ``stigspace``: the value axis [0, 1] in
+CELL_COUNT cells; only the eight field parameters vary. The first
+``default_warmup(L)`` steps of an L-step stream, a tenth of it, fill the
+trails and are left out of the mean. The test suite pins the engine to a
 brute-force reference that spells out the clumping, the trapezoid, the
 evaporation, the Jaccard and the activation cell by cell.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +37,19 @@ PARAM_KEYS = ("alpha_c1", "beta_c1", "alpha_c2", "beta_c2",
               "epsilon", "delta", "alpha_a", "beta_a")
 
 DEFAULT_WARMUP_FRACTION = 0.1
+# Pairs whose trails one engine step gathers and compares at a time.
+PAIR_BLOCK = 256
+
+# Parameter columns shaped (K, 1, 1), one row per parameter vector; clump and
+# activate read them by SrfParams attribute name.
+_ParamColumns = namedtuple("_ParamColumns", PARAM_KEYS)
 
 
-def logistic(z):
+def logistic(z, out=None):
+    """1 / (1 + exp(-z)), written into ``out`` (which may be ``z``) when given."""
     # clipped far in the saturated tails to keep exp() from overflowing
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+    y = np.exp(np.negative(np.clip(z, -60.0, 60.0, out=out), out=out), out=out)
+    return np.divide(1.0, np.add(y, 1.0, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -82,23 +93,42 @@ class SrfParams:
         return {k: float(getattr(self, k)) for k in PARAM_KEYS}
 
 
-def clump(x, p: SrfParams):
-    """Double-sigmoid clumping onto the Low/Medium/High plateaus {0, 0.5, 1}."""
-    return 0.5 * (logistic(p.alpha_c1 * (np.asarray(x, dtype=float) - p.beta_c1))
-                  + logistic(p.alpha_c2 * (np.asarray(x, dtype=float) - p.beta_c2)))
+def _sigmoid(x, alpha, beta, out=None):
+    """logistic(alpha * (x - beta)), written into ``out`` (a new array by
+    default), which may be ``x``."""
+    if out is None:
+        out = np.empty(np.broadcast(x, alpha, beta).shape)
+    np.subtract(x, beta, out=out)
+    return logistic(np.multiply(alpha, out, out=out), out=out)
 
 
-def activate(raw, p: SrfParams):
-    """Activation sigmoid: damps insignificant similarities, boosts relevant ones."""
-    return logistic(p.alpha_a * (np.asarray(raw, dtype=float) - p.beta_a))
+def clump(x, p):
+    """Double-sigmoid clumping onto the Low/Medium/High plateaus {0, 0.5, 1}.
+
+    ``p`` is an SrfParams, or parameter columns that broadcast against ``x``
+    as ``indexed_similarity`` passes them. The second sigmoid is the one
+    temporary of the result's size.
+    """
+    low = _sigmoid(x, p.alpha_c1, p.beta_c1)
+    low += _sigmoid(x, p.alpha_c2, p.beta_c2)
+    low *= 0.5
+    return low
 
 
-def _advance(trails, centers, width, delta) -> None:
+def activate(raw, p, out=None):
+    """Activation sigmoid: damps insignificant similarities, boosts relevant
+    ones. ``p`` as for ``clump``; the result is written into ``out``, which
+    may be ``raw``, when it is given."""
+    return _sigmoid(raw, p.alpha_a, p.beta_a, out)
+
+
+def _advance(trails, centers, width, delta, work) -> None:
     """One SRF step on a stack of trails, in place: deposit a mark at each
-    center (one per trail), then evaporate every cell by ``delta``."""
+    center (one per trail), then evaporate every cell by ``delta``. ``work``,
+    shaped like ``trails``, holds the marks."""
     # Marks have unit intensity, so the profile is the deposit and trail
     # magnitude is governed by delta alone.
-    trails += trapezoid_profile(centers, width)
+    trails += trapezoid_profile(centers, width, out=work)
     evaporate(trails, delta)
 
 
@@ -106,8 +136,9 @@ def final_trail(samples, params: SrfParams) -> np.ndarray:
     """The trail one sample stream leaves after its last sample, one
     intensity per cell of ``stigspace.CELL_CENTERS``."""
     trail = np.zeros(CELL_COUNT)
+    work = np.empty(CELL_COUNT)
     for center in clump(samples, params):
-        _advance(trail, center, params.epsilon, params.delta)
+        _advance(trail, center, params.epsilon, params.delta, work)
     return trail
 
 
@@ -126,6 +157,13 @@ def indexed_similarity(streams, ia, ib, params, *, return_streams: bool = False)
     activated similarity per pair, shaped (P,) for one SrfParams and (K, P)
     for a matrix, plus the activated streams past the warmup, shaped
     (..., L - default_warmup(L)), when ``return_streams`` is set.
+
+    A call allocates the (K, P, L) raw similarities, which the activation
+    overwrites, two (K, N, L) arrays for the clumping, the (K, N, C) trails
+    plus one buffer of their size for the marks, and three (PAIR_BLOCK, C)
+    buffers. Each step gathers the trails of PAIR_BLOCK pairs at a time into
+    two of them and sums their cell-wise totals and gaps in the third, so no
+    temporary has one row per pair and cell.
     """
     single = isinstance(params, SrfParams)
     pmat = params.to_vector()[None, :] if single else np.asarray(params, dtype=float)
@@ -150,21 +188,33 @@ def indexed_similarity(streams, ia, ib, params, *, return_streams: bool = False)
             raise ValueError(f"pair indices must be integers in [0, {n_streams}) "
                              f"shaped (P,) or ({n_rows}, P)")
         flat.append(base + idx)
-    fa, fb = flat
-    out_shape = np.broadcast_shapes(fa.shape, fb.shape)
+    out_shape = np.broadcast_shapes(*(f.shape for f in flat))
+    fa, fb = (np.broadcast_to(f, out_shape).ravel() for f in flat)
 
-    ac1, bc1, ac2, bc2, eps, delta, aa, ba = (pmat[:, j, None, None]
-                                              for j in range(len(PARAM_KEYS)))
-    clumped = 0.5 * (logistic(ac1 * (x - bc1)) + logistic(ac2 * (x - bc2)))
-
+    cols = _ParamColumns(*(pmat[:, j, None, None] for j in range(len(PARAM_KEYS))))
+    clumped = clump(x, cols)
     trails = np.zeros((n_rows, n_streams, CELL_COUNT))
+    marks = np.empty_like(trails)
     rows = trails.reshape(n_rows * n_streams, -1)  # a view of ``trails``
-    raw = np.empty(out_shape + (length,))
+    raw = np.empty((fa.size, length))
+    block = max(1, min(PAIR_BLOCK, fa.size))
+    gathered_a, gathered_b, work = (np.empty((block, CELL_COUNT)) for _ in range(3))
+    blocks = []
+    for s in range(0, fa.size, block):
+        ja, jb = fa[s:s + block], fb[s:s + block]
+        blocks.append((ja, jb, gathered_a[:ja.size], gathered_b[:ja.size],
+                       work[:ja.size], raw[s:s + block]))
     for t in range(length):
-        _advance(trails, clumped[..., t], eps[..., 0], delta)
-        raw[..., t] = jaccard(rows[fa], rows[fb])
+        _advance(trails, clumped[..., t], cols.epsilon[..., 0], cols.delta, marks)
+        for ja, jb, a, b, w, r in blocks:
+            # the indices are checked above; "clip" lets take write into its
+            # ``out`` directly instead of through a copy
+            rows.take(ja, axis=0, out=a, mode="clip")
+            rows.take(jb, axis=0, out=b, mode="clip")
+            r[:, t] = jaccard(a, b, w)
 
-    activated = logistic(aa * (raw[..., warmup:] - ba))
+    streams_past = raw.reshape(out_shape + (length,))[..., warmup:]
+    activated = activate(streams_past, cols, out=streams_past)
     means = activated.mean(axis=-1)
     if single:
         means, activated = means[0], activated[0]

@@ -98,17 +98,21 @@ class Trail2D:
                 & (y0 <= y) & (y <= y0 + self.rows * self.cell_size))
 
 
-def trapezoid_profile(centers, width) -> np.ndarray:
+def trapezoid_profile(centers, width, out=None) -> np.ndarray:
     """Unit-height trapezoid profile sampled at CELL_CENTERS.
 
     Full height within PLATEAU_FRACTION * width / 2 of the center, linear
     falloff to zero at width / 2. ``centers`` may carry leading batch
     dimensions, which ``width`` broadcasts against; the cell axis is appended.
+    The profile is written into ``out``, of that shape, when it is given.
     """
     centers = np.asarray(centers, dtype=float)
-    r = np.abs(CELL_CENTERS - centers[..., None])
     half = np.asarray(width, dtype=float)[..., None] / 2.0
-    return np.clip((half - r) / (half - PLATEAU_FRACTION * half), 0.0, 1.0)
+    profile = np.subtract(CELL_CENTERS, centers[..., None], out=out)
+    np.abs(profile, out=profile)  # each cell's distance r from its center
+    np.subtract(half, profile, out=profile)
+    np.divide(profile, half - PLATEAU_FRACTION * half, out=profile)
+    return np.clip(profile, 0.0, 1.0, out=profile)
 
 
 def cone_margin(base_radius: float, cell_size: float) -> int:
@@ -155,22 +159,24 @@ def evaporate(cells: np.ndarray, delta) -> None:
     """Subtract ``delta`` (a scalar, or an array that broadcasts) from every
     cell of a float array, in place, clamped at zero. A negative delta is
     rejected where it enters, not in this per-step call."""
-    np.maximum(cells - delta, 0.0, out=cells)
+    np.subtract(cells, delta, out=cells)
+    np.maximum(cells, 0.0, out=cells)
 
 
-def jaccard(a, b):
+def jaccard(a, b, work=None):
     """Similarity of trails over the last axis: sum of minima over sum of
-    maxima, in [0, 1]. Leading axes broadcast.
+    maxima, in [0, 1]. Leading axes broadcast. ``work``, an array of the
+    broadcast shape, takes the cell-wise sums and gaps in place of two
+    temporaries when it is given.
 
     Two all-zero trails compare as 1 (identical emptiness).
     """
     # min = (a + b - |a - b|) / 2 and max = (a + b + |a - b|) / 2, cell-wise.
-    total = (a + b).sum(axis=-1)
-    gap = np.abs(a - b).sum(axis=-1)
+    total = np.add(a, b, out=work).sum(axis=-1)
+    gap = np.abs(np.subtract(a, b, out=work), out=work).sum(axis=-1)
     denominator = total + gap
-    return np.where(denominator > 0.0,
-                    (total - gap) / np.where(denominator > 0.0, denominator, 1.0),
-                    1.0)
+    nonempty = denominator > 0.0
+    return np.where(nonempty, (total - gap) / np.where(nonempty, denominator, 1.0), 1.0)
 
 
 def to_ascii_grid(t: Trail2D) -> str:

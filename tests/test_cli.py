@@ -89,6 +89,19 @@ class TestSynth:
         assert name in capsys.readouterr().err
         assert not (out / "series").exists() and not (out / "trips.csv").exists()
 
+    @pytest.mark.parametrize("day_length", [4, 8, 15])
+    def test_day_length_below_archetype_floor_exits_2_writing_nothing(
+            self, workspace, capsys, day_length):
+        config, out = workspace
+        text = config.read_text(encoding="utf-8")
+        config.write_text(text.replace("day_length = 96", f"day_length = {day_length}"),
+                          encoding="utf-8")
+        capsys.readouterr()
+        assert run(config, "synth", "--kind", "year", "--days", "14",
+                   "--anomalies", "0") == 2
+        assert "day_length" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_flag_changes_output(self, workspace):
         config, out = workspace
         run(config, "synth", "--kind", "trips", "--valid-rows", "50",

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from citytrails import srf
 from citytrails.perceptron import StigmergicPerceptron, transform_many
 from citytrails.series import ActivityTimeSeries, generate_archetype
 from citytrails.srf import (
@@ -292,6 +294,51 @@ class TestEngineEquivalence:
             xs = rng.uniform(0, 1, 33)
             assert np.allclose(final_trail(xs, p), oracle_final_trail(xs, p),
                                atol=1e-12)
+
+
+class TestPairBlocks:
+    """Each engine step compares PAIR_BLOCK pairs at a time; the blocks cut
+    the flattened (K * P) pairs and must not change a bit."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["whole-blocks", "one-more"])
+    def test_blocks_match_default(self, monkeypatch, block, extra):
+        # P is the block, or one more, which leaves a partial last block; the
+        # default block takes every case here in one.
+        n_pairs = block + extra
+        rng = np.random.default_rng(12)
+        streams = rng.uniform(0, 1, (12, 24))
+        rows = np.stack([SrfParams.defaults().to_vector(),
+                         SrfParams(10, 0.2, 10, 0.8, 0.1, 0.4, 15, 0.4).to_vector(),
+                         SrfParams(60, 0.4, 60, 0.6, 0.3, 0.05, 80, 0.7).to_vector()])
+        cases = [  # (P,), (K, P), and transform_many's (K, 1) against (P,)
+            (SrfParams.defaults(), rng.integers(0, 12, n_pairs),
+             rng.integers(0, 12, n_pairs)),
+            (rows, rng.integers(0, 12, (3, n_pairs)), rng.integers(0, 12, (3, n_pairs))),
+            (rows, rng.integers(0, 12, n_pairs), rng.integers(0, 12, (3, 1))),
+        ]
+        expected = [indexed_similarity(streams, ia, ib, p, return_streams=True)
+                    for p, ia, ib in cases]
+        monkeypatch.setattr(srf, "PAIR_BLOCK", block)
+        for (p, ia, ib), (means, acts) in zip(cases, expected):
+            got_means, got_acts = indexed_similarity(streams, ia, ib, p,
+                                                     return_streams=True)
+            assert np.array_equal(got_means, means)
+            assert np.array_equal(got_acts, acts)
+
+    def test_call_traces_at_most_twice_its_result(self):
+        # every upper-triangle pair of 64 days, as in a similarity matrix
+        streams = np.random.default_rng(13).uniform(0, 1, (64, 130))
+        ia, ib = np.triu_indices(64)
+        p = SrfParams.defaults()
+        tracemalloc.start()
+        try:
+            indexed_similarity(streams, ia, ib, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        result_bytes = ia.size * streams.shape[1] * 8  # the (P, L) raw similarities
+        assert peak <= 2 * result_bytes
 
 
 class TestParams:
