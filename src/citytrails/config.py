@@ -107,7 +107,9 @@ def load_config(path=None) -> PipelineConfig:
     Values may carry ``;`` comments. An unknown section or key raises
     ValueError, so a misspelled key cannot silently fall back to its default.
     So does a ``[training] day_length`` shorter than the
-    ``series.MIN_ARCHETYPE_LENGTH`` samples every stage that trains needs.
+    ``series.MIN_ARCHETYPE_LENGTH`` samples every stage that trains needs, a
+    ``[hotspots] relevance_fraction`` outside (0, 1] and a negative
+    ``min_area_km2``.
     """
     base = PipelineConfig()
     if path is None:
@@ -147,6 +149,13 @@ def load_config(path=None) -> PipelineConfig:
         raise ValueError(f"{path}: [training] day_length = {cfg.training.day_length} "
                          f"is below the {series.MIN_ARCHETYPE_LENGTH} samples an "
                          "archetype needs")
+    hs = cfg.hotspots
+    if not 0 < hs.relevance_fraction <= 1:
+        raise ValueError(f"{path}: [hotspots] relevance_fraction = "
+                         f"{hs.relevance_fraction} is outside (0, 1]")
+    if not hs.min_area_km2 >= 0:
+        raise ValueError(f"{path}: [hotspots] min_area_km2 = {hs.min_area_km2} "
+                         "must be non-negative")
     return cfg
 
 

@@ -2,10 +2,11 @@
 
 Events (position, passenger count) from one time slot are smoothed by a
 sigmoid, deposited as truncated cones, and evaporated each 5-minute step, so
-only persistently dense locations keep a relevant trail; each step is one
-array deposit. Hotspots are the connected regions, labelled in one pass, whose
-trail stays relevant in all four daily slots; each region's outer contour is
-traced into a polygon by marching squares on the region's bounding box.
+only persistently dense locations keep a relevant trail; the cones' geometry
+is built a block of events at a time, and each step is one array deposit.
+Hotspots are the connected regions, labelled in one pass, whose trail stays
+relevant in all four daily slots; each region's outer contour is traced into
+a polygon by marching squares on the region's bounding box.
 """
 
 from __future__ import annotations
@@ -17,13 +18,16 @@ from enum import Enum
 import numpy as np
 
 from .srf import logistic
-from .stigspace import ConeMark, Trail2D, add_cone, cone_margin, evaporate
+from .stigspace import ConeMark, Trail2D, cone_geometry, cone_margin, evaporate
 
 DEFAULT_RELEVANCE_FRACTION = 0.3
 DEFAULT_MIN_AREA_KM2 = 0.05
 DEFAULT_SMOOTH_ALPHA = 12.0
 DEFAULT_SMOOTH_BETA = 0.5
 DEFAULT_COUNT_CAP = 10.0  # the passenger count that maps to 1 before smoothing
+# Events whose cone geometry build_slot_trail builds at a time: runs of whole
+# batches up to this many events, or one larger batch alone.
+CONE_BLOCK = 512
 
 
 class TimeSlot(Enum):
@@ -88,7 +92,9 @@ def build_slot_trail(batches, delta: float, grid: Trail2D, *,
 
     Per step: every event deposits a cone whose intensity is its smoothed
     [0, 1]-scaled count, then the whole trail evaporates by delta. Sparse
-    marks die out; repeatedly reinforced locations persist.
+    marks die out; repeatedly reinforced locations persist. The cone geometry
+    is built for CONE_BLOCK events at a time; each step only deposits its
+    slice of it and evaporates.
     """
     if delta < 0:
         raise ValueError("evaporation delta must be non-negative")
@@ -104,15 +110,30 @@ def build_slot_trail(batches, delta: float, grid: Trail2D, *,
                               smooth_alpha, smooth_beta)
     m = cone_margin(cone.base_radius, grid.cell_size)
     padded = np.pad(grid.cells, m)
+    flat = padded.reshape(-1)
     bounds = np.cumsum([0] + [len(b.events) for b in batches])
-    for start, stop in zip(bounds, bounds[1:]):
-        add_cone(padded, grid.origin, grid.cell_size, x[start:stop], y[start:stop],
-                 intensity[start:stop], cone.base_radius, cone.top_radius)
+    block_start = block_stop = 0
+    for start, stop in zip(bounds.tolist(), bounds[1:].tolist()):
+        if stop > block_stop:  # the next run of whole batches, or this batch alone
+            block_start = start
+            block_stop = max(stop, int(bounds[np.searchsorted(
+                bounds, start + CONE_BLOCK, side="right") - 1]))
+            idx, heights = cone_geometry(
+                padded.shape[1], grid.origin, grid.cell_size, x[start:block_stop],
+                y[start:block_stop], intensity[start:block_stop],
+                cone.base_radius, cone.top_radius)
+        if stop > start:
+            np.add.at(flat, idx[start - block_start:stop - block_start],
+                      heights[start - block_start:stop - block_start])
         evaporate(padded, delta)
     return Trail2D(padded[m:-m, m:-m], grid.origin, grid.cell_size)
 
 
 def relevance_mask(trail: Trail2D, fraction: float) -> np.ndarray:
+    """Cells at or above ``fraction`` of the trail's peak, a fraction in (0, 1];
+    an all-zero trail has no relevant cell."""
+    if not 0 < fraction <= 1:
+        raise ValueError(f"relevance_fraction = {fraction} is outside (0, 1]")
     peak = trail.cells.max()
     if peak <= 0:
         return np.zeros_like(trail.cells, dtype=bool)

@@ -9,8 +9,9 @@ sample streams are compared with the Jaccard coefficient.
 The 1-D value axis has one geometry, [0, 1] in CELL_COUNT cells, and its
 trails are plain arrays whose last axis is the cell axis, so one call
 deposits on or compares a whole stack of trails. 2-D trails are Trail2D
-values with their own origin and cell size; add_cone deposits arrays of cones,
-each on the same square of cells, into a grid padded so no window is clipped.
+values with their own origin and cell size; cone_geometry gives arrays of
+cones, each on the same square of cells of a grid padded so no window is
+clipped, as flat indices and heights that one ``np.add.at`` deposits.
 """
 
 from __future__ import annotations
@@ -116,16 +117,20 @@ def trapezoid_profile(centers, width, out=None) -> np.ndarray:
 
 
 def cone_margin(base_radius: float, cell_size: float) -> int:
-    """Padding, in cells on every side, that keeps add_cone's windows unclipped."""
+    """Padding, in cells on every side, that keeps cone_geometry's windows unclipped."""
     return int(np.ceil(base_radius / cell_size)) + 1
 
 
-def add_cone(padded: np.ndarray, origin: tuple[float, float], cell_size: float,
-             cx, cy, intensity, base_radius: float, top_radius: float) -> None:
-    """Add one truncated cone per event, centered at (cx[e], cy[e]) with height
-    intensity[e], in place, to a grid padded by cone_margin cells (``origin``
-    is the unpadded grid's). One unbuffered ``np.add.at`` gives every cell its
-    additions in event order."""
+def cone_geometry(padded_cols: int, origin: tuple[float, float], cell_size: float,
+                  cx, cy, intensity, base_radius: float, top_radius: float):
+    """Truncated cones centered at (cx[e], cy[e]) with height intensity[e], as
+    flat indices into a grid padded by cone_margin cells with ``padded_cols``
+    columns (``origin`` is the unpadded grid's), and the cone height at each,
+    both shaped (E, w, w). Every event's window is the same square of cells
+    around its centre's cell, computed from that event alone, so a geometry
+    built for many events holds the doubles each event gives on its own.
+    ``np.add.at(padded.reshape(-1), idx, heights)`` deposits them in event
+    order."""
     x0, y0 = origin
     m = cone_margin(base_radius, cell_size)
     cx, cy, intensity = (np.asarray(v, dtype=float) for v in (cx, cy, intensity))
@@ -136,11 +141,17 @@ def add_cone(padded: np.ndarray, origin: tuple[float, float], cell_size: float,
     r = ((cy - y0) / cell_size).astype(int)[:, None] + offsets
     xs = x0 + (c + 0.5) * cell_size
     ys = y0 + (r + 0.5) * cell_size
-    rr = np.hypot(xs[:, None, :] - cx[:, None, None], ys[:, :, None] - cy[:, None, None])
-    slope = (base_radius - rr) / (base_radius - top_radius)
-    marks = intensity[:, None, None] * np.clip(
-        np.where(rr <= top_radius, 1.0, slope), 0.0, 1.0)
-    np.add.at(padded, (r[:, :, None] + m, c[:, None, :] + m), marks)
+    # One (E, w, w) float buffer goes from distance to slope to height.
+    heights = np.hypot(xs[:, None, :] - cx[:, None, None],
+                       ys[:, :, None] - cy[:, None, None])
+    on_top = heights <= top_radius
+    np.subtract(base_radius, heights, out=heights)
+    heights /= base_radius - top_radius
+    np.copyto(heights, 1.0, where=on_top)
+    np.clip(heights, 0.0, 1.0, out=heights)
+    heights *= intensity[:, None, None]
+    idx = (r[:, :, None] + m) * padded_cols + (c[:, None, :] + m)
+    return idx, heights
 
 
 def deposit_2d(t: Trail2D, m: ConeMark) -> Trail2D:
@@ -150,8 +161,9 @@ def deposit_2d(t: Trail2D, m: ConeMark) -> Trail2D:
         raise ValueError(f"mark center {m.center} outside grid bounding box")
     margin = cone_margin(m.base_radius, t.cell_size)
     padded = np.pad(t.cells, margin)
-    add_cone(padded, t.origin, t.cell_size, [cx], [cy], [m.intensity],
-             m.base_radius, m.top_radius)
+    idx, heights = cone_geometry(padded.shape[1], t.origin, t.cell_size, [cx], [cy],
+                                 [m.intensity], m.base_radius, m.top_radius)
+    np.add.at(padded.reshape(-1), idx, heights)
     return dataclasses.replace(t, cells=padded[margin:-margin, margin:-margin])
 
 
@@ -179,8 +191,19 @@ def jaccard(a, b, work=None):
     return np.where(nonempty, (total - gap) / np.where(nonempty, denominator, 1.0), 1.0)
 
 
+class _CellText(dict):
+    """A cell value's ``.6g`` text, keyed by its 8-byte pattern (so 0.0 and
+    -0.0 keep their own text) and formatted on first use."""
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = f"{float(np.int64(bits).view(np.float64)):.6g}"
+        return text
+
+
 def to_ascii_grid(t: Trail2D) -> str:
-    """Render a 2-D trail as an ESRI-ASCII-grid-style text block."""
+    """Render a 2-D trail as an ESRI-ASCII-grid-style text block. Each
+    distinct cell value is formatted once; rows are joined from that table,
+    one row's values converted at a time."""
     x0, y0 = t.origin
     lines = [
         f"ncols {t.cols}",
@@ -190,6 +213,7 @@ def to_ascii_grid(t: Trail2D) -> str:
         f"cellsize {t.cell_size:.6f}",
         "NODATA_value -9999.0",
     ]
-    for row in range(t.rows - 1, -1, -1):  # northmost row first
-        lines.append(" ".join(f"{v:.6g}" for v in t.cells[row]))
+    text = _CellText()
+    for row in t.cells[::-1]:  # northmost row first
+        lines.append(" ".join(map(text.__getitem__, row.view(np.int64).tolist())))
     return "\n".join(lines) + "\n"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,57 @@ class TestSpatialPipeline:
         capsys.readouterr()
         assert run(config, "hotspots") == 2
         assert "count_cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, value", [
+        ("relevance_fraction", "1.5"), ("relevance_fraction", "0"),
+        ("relevance_fraction", "-1"), ("relevance_fraction", "nan"),
+        ("min_area_km2", "-1"),
+    ], ids=["fraction=1.5", "fraction=0", "fraction=-1", "fraction=nan", "area=-1"])
+    def test_bad_hotspot_setting_exits_2_writing_nothing(self, ingested, capsys,
+                                                         setting, value):
+        config, out = ingested
+        text = config.read_text(encoding="utf-8").replace("min_area_km2 = 0.01\n", "")
+        config.write_text(text.replace("[hotspots]\n", f"[hotspots]\n{setting} = {value}\n"),
+                          encoding="utf-8")
+        capsys.readouterr()
+        assert run(config, "hotspots") == 2
+        assert setting in capsys.readouterr().err
+        assert not (out / "trails").exists() and not (out / "masks").exists()
+        assert not (out / "hotspots.geojson").exists()
+
+    # sha256 of every artifact of synth (2 500 valid, 40 invalid rows) ->
+    # ingest -> hotspots under TINY_CONFIG at master seed 21
+    ARTIFACT_DIGESTS = {
+        "buckets.csv": "ba5ad33cbd525cf3e3946a04e6599411d88f42a47a45602381d827c5dac3df8e",
+        "rejections.csv": "c2e106b8cdc3e6512b6948e3907daa16208b42ac594fd8d39c6049ac3c45e53c",
+        "trails/EarlyMorning.asc":
+            "b71a43838e20587bbf2e581c3fc99e41d334f1b446d7ed708d8271d0d5691d6e",
+        "trails/Morning.asc":
+            "297bb12c931746bcccb9c50aa8b9803ca33276b3e62747478cc8d91f2eb0b58f",
+        "trails/AfternoonEvening.asc":
+            "62e375f8a662e9bb0f8230201ae0966cefc7b79b1715d45b2030d40944611987",
+        "trails/Night.asc":
+            "5eb2bee89ed2c5f92de8793932dce41d20c69405f415b54d460f95949ec35bda",
+        "masks/EarlyMorning.asc":
+            "1d34534905887d8098671b029d1dc76846020a155ed3f1534d235120bbfaca24",
+        "masks/Morning.asc":
+            "2820dae76649960d9e49ebc5f2c99258e5211b005a6123f1088295f0bf872a4b",
+        "masks/AfternoonEvening.asc":
+            "20465970177f87a42243ca26a942dfba36c006248cb3262bae445a4dba9a84be",
+        "masks/Night.asc":
+            "78e502f5a2f6d5b427e5c489a1b5991a641d7b3c79f79c63423b91892115f663",
+        "hotspots.geojson":
+            "7656072b4ed5550112dc9637f978a1718bca4d41f9808eeedcb236ef6663f744",
+    }
+
+    def test_artifacts_match_recorded_digests(self, workspace):
+        config, out = workspace
+        for args in (["synth", "--kind", "trips", "--valid-rows", "2500",
+                      "--invalid-rows", "40"], ["ingest"], ["hotspots"]):
+            assert run(config, *args) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.ARTIFACT_DIGESTS}
+        assert digests == self.ARTIFACT_DIGESTS
 
     @pytest.mark.parametrize("line, replacement, stage, setting", [
         ("resolution_minutes = 10", "resolution_minutes = 10\nbucket_cell_m = 0",

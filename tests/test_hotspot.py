@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from citytrails import hotspot
 from citytrails.hotspot import (
     Hotspot,
     SpatialEventBatch,
@@ -18,7 +20,7 @@ from citytrails.hotspot import (
     slot_for_hour,
     smooth_sample,
 )
-from citytrails.stigspace import ConeMark, Trail2D, deposit_2d, evaporate
+from citytrails.stigspace import ConeMark, Trail2D, cone_geometry, deposit_2d, evaporate
 from citytrails.synth import planted_cluster_batches
 
 
@@ -185,6 +187,64 @@ class TestSlotTrail:
             assert trail.cells.any()
             assert np.array_equal(trail.cells, expected)
 
+    # One geometry run per block; batches of 0, 3 + 4, 7, 32 + 18, 70, 1 + 0 + 5
+    # and the corner step, so runs end exactly on blocks of 7 and of 64, and
+    # a batch of 70 exceeds every block but the default.
+    BLOCK_STEP_SIZES = [0, 3, 4, 7, 32, 18, 0, 70, 1, 0, 5]
+    BLOCK_RUNS = {1: [3, 4, 7, 32, 18, 70, 1, 5, 4], 7: [7, 7, 32, 18, 70, 6, 4],
+                  64: [64, 70, 10], hotspot.CONE_BLOCK: [144]}
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_cone_blocks_match_default_and_oracle(self, monkeypatch, block):
+        cone = ConeMark((0.0, 0.0), 1.0, base_radius=130.0, top_radius=35.0)
+        template = grid(1000, 1000, 40)
+        rng = np.random.default_rng(13)
+        steps = [np.column_stack([rng.uniform(0.0, 1000.0, (n, 2)),
+                                  rng.integers(1, 14, n)]).astype(float)
+                 for n in self.BLOCK_STEP_SIZES]
+        w, h = template.cols * 40, template.rows * 40
+        steps.append(np.array([(0.0, 0.0, 9.0), (w, 0.0, 9.0), (0.0, h, 9.0),
+                               (w, h, 9.0)]))
+        kwargs = dict(cone=cone, smooth_alpha=9.0, smooth_beta=0.4, count_cap=8.0)
+
+        runs = []
+
+        def recorded(padded_cols, origin, cell_size, cx, *args):
+            runs.append(len(cx))
+            return cone_geometry(padded_cols, origin, cell_size, cx, *args)
+
+        monkeypatch.setattr(hotspot, "cone_geometry", recorded)
+        default = build_slot_trail(batches_for(steps), 0.1, template, **kwargs)
+        assert runs == self.BLOCK_RUNS[hotspot.CONE_BLOCK]
+        runs.clear()
+        monkeypatch.setattr(hotspot, "CONE_BLOCK", block)
+        blocked = build_slot_trail(batches_for(steps), 0.1, template, **kwargs)
+        assert runs == self.BLOCK_RUNS[block]
+        expected = oracle_slot_trail(steps, 0.1, template, cone, 9.0, 0.4, 8.0)
+        assert blocked.cells.any()
+        assert np.array_equal(blocked.cells, default.cells)
+        assert np.array_equal(blocked.cells, expected)
+
+    def test_traced_peak_grows_with_event_columns_not_cone_cells(self):
+        # Growth from 2 000 to 20 000 events must stay within 16 float64
+        # columns per event; geometry for the whole slot would add 16 B for
+        # each of a cone's 49 cells per event.
+        def traced_peak(n):
+            rng = np.random.default_rng(4)
+            events = np.column_stack([rng.uniform(0.0, 1000.0, (n, 2)),
+                                      rng.integers(1, 14, n)]).astype(float)
+            batches = [SpatialEventBatch(events[k:k + 5]) for k in range(0, n, 5)]
+            template = grid(1000, 1000, 50)
+            tracemalloc.start()
+            try:
+                build_slot_trail(batches, 0.2, template)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak
+
+        assert traced_peak(20_000) - traced_peak(2_000) <= 16 * 8 * 18_000
+
     def test_nonpositive_count_cap_rejected(self):
         steps = batches_for([[(500.0, 500.0, 0.0)]])
         for cap in (0.0, -2.0):
@@ -245,6 +305,14 @@ class TestExtraction:
         trails[TimeSlot.NIGHT] = Trail2D.for_box(1000, 1000, 50)
         with pytest.raises(ValueError):
             extract_hotspots(trails)
+
+    @pytest.mark.parametrize("fraction", [0.0, -1.0, 1.5, float("nan")])
+    def test_relevance_fraction_outside_unit_interval_rejected(self, fraction):
+        trails = blob_trails()
+        with pytest.raises(ValueError, match="relevance_fraction"):
+            relevance_mask(trails[TimeSlot.NIGHT], fraction)
+        with pytest.raises(ValueError, match="relevance_fraction"):
+            extract_hotspots(trails, fraction)
 
     def test_min_area_filter(self):
         trails = blob_trails()

@@ -200,3 +200,23 @@ class TestAsciiGrid:
         assert lines[5].startswith("NODATA_value")
         assert lines[6].split() == ["2", "3"]  # north row first
         assert lines[7].split() == ["0", "1"]
+
+    @staticmethod
+    def reference_ascii_rows(cells):
+        """Data rows formatted cell by cell, northmost row first."""
+        return "".join(" ".join(f"{v:.6g}" for v in row) + "\n" for row in cells[::-1])
+
+    def test_rows_match_per_cell_formatting(self):
+        rng = np.random.default_rng(8)
+        specials = [0.0, -0.0, 5e-324, 1e-5, 0.1 + 0.2, 123456.5, 1e16]
+        cells = rng.choice(specials + [2.5] * 30, size=(9, 11))  # mostly repeats
+        cells[-1, :len(specials)] = specials
+        cells[4] = rng.uniform(1e-8, 1e2, 11)
+        mask = (rng.uniform(size=(6, 7)) < 0.4).astype(float)
+        for grid in (cells, mask):
+            text = to_ascii_grid(Trail2D(grid, origin=(3.0, 4.0), cell_size=25.0))
+            _, rows = text.split("NODATA_value -9999.0\n")
+            assert rows == self.reference_ascii_rows(grid)
+        first_row = to_ascii_grid(Trail2D(cells)).split("\n")[6].split()
+        assert first_row[:len(specials)] == ["0", "-0", "4.94066e-324", "1e-05",
+                                             "0.3", "123456", "1e+16"]
