@@ -27,8 +27,8 @@ from .calibrate import (
     train_pattern_field,
 )
 from .config import ENV_CONFIG_VAR, PipelineConfig, load_config, write_history_csv
-from .hotspot import ConeMark, TimeSlot, extract_hotspots, hotspots_from_geojson, \
-    hotspots_to_geojson, relevance_mask, build_slot_trail
+from .hotspot import ConeMark, TimeSlot, check_hotspot_id, extract_hotspots, \
+    hotspots_from_geojson, hotspots_to_geojson, relevance_mask, build_slot_trail
 from .ingest import BucketGrid, bucketize, hotspot_activity, parse_trips, \
     rejections_to_csv, slot_event_batches
 from .perceptron import (
@@ -348,6 +348,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "hotspot", None) is not None:
+            check_hotspot_id(args.hotspot)
         cfg = load_config(args.config or os.environ.get(ENV_CONFIG_VAR))
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, master_seed=args.seed)

@@ -59,6 +59,16 @@ class SpatialEventBatch:
         object.__setattr__(self, "events", events)
 
 
+def check_hotspot_id(hotspot_id) -> None:
+    """Reject an id that cannot name a hotspot. A hotspot's series live in the
+    directory named by its id, so the id must be a non-empty string that is
+    one path component on any system (no "/" or "\\"), not "." or ".."."""
+    if (not isinstance(hotspot_id, str) or hotspot_id in ("", ".", "..")
+            or "/" in hotspot_id or "\\" in hotspot_id):
+        raise ValueError(f"hotspot id {hotspot_id!r} must be a plain name: one "
+                         "path component, not '.' or '..'")
+
+
 @dataclass(frozen=True)
 class Hotspot:
     """A lettered city area bounded by a simple polygon (projected meters)."""
@@ -68,6 +78,7 @@ class Hotspot:
     slot_coverage: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        check_hotspot_id(self.id)
         poly = np.asarray(self.polygon, dtype=float)
         if poly.ndim != 2 or poly.shape[0] < 3 or poly.shape[1] != 2:
             raise ValueError("polygon needs at least 3 (x, y) vertices")

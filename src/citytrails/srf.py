@@ -15,7 +15,10 @@ training couples. ``pair_similarity`` is the row-aligned wrapper (row i of
 one matrix against row i of the other), and ``final_trail`` the trail one
 stream leaves, which plot bundles export. Both step their trails through
 ``_advance``. Each engine step compares PAIR_BLOCK pairs at a time in
-buffers made once per call, so no temporary holds a trail per pair. Every
+buffers made once per call, so no temporary holds a trail per pair. A trail
+stack of at most OPERAND_CELLS cells steps on operands made once per call at
+its full shape, which spares the many short steps of DE candidate
+populations NumPy's broadcast set-up; larger stacks broadcast them. Every
 trail has the one geometry of ``stigspace``: the value axis [0, 1] in
 CELL_COUNT cells; only the eight field parameters vary. The first
 ``default_warmup(L)`` steps of an L-step stream, a tenth of it, fill the
@@ -31,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stigspace import CELL_COUNT, evaporate, jaccard, trapezoid_profile
+from .stigspace import (CELL_COUNT, MarkOperands, evaporate, jaccard, mark_operands,
+                        trapezoid_profile)
 
 PARAM_KEYS = ("alpha_c1", "beta_c1", "alpha_c2", "beta_c2",
               "epsilon", "delta", "alpha_a", "beta_a")
@@ -39,6 +43,12 @@ PARAM_KEYS = ("alpha_c1", "beta_c1", "alpha_c2", "beta_c2",
 DEFAULT_WARMUP_FRACTION = 0.1
 # Pairs whose trails one engine step gathers and compares at a time.
 PAIR_BLOCK = 256
+# Trail stacks of at most this many cells get their step operands (cell
+# centers, half-widths, ramp divisors, evaporation) at the stack's full shape,
+# which spares each step's ufuncs NumPy's broadcast set-up. Larger stacks
+# broadcast them: there the set-up is a small share of a step, and full-shape
+# copies would cost memory and cache.
+OPERAND_CELLS = 32768
 
 # Parameter columns shaped (K, 1, 1), one row per parameter vector; clump and
 # activate read them by SrfParams attribute name.
@@ -50,6 +60,27 @@ def logistic(z, out=None):
     # clipped far in the saturated tails to keep exp() from overflowing
     y = np.exp(np.negative(np.clip(z, -60.0, 60.0, out=out), out=out), out=out)
     return np.divide(1.0, np.add(y, 1.0, out=out), out=out)
+
+
+# Every parameter is finite and non-negative; the slopes and the mark width
+# epsilon are positive, and the thresholds at most 1.
+_POSITIVE = np.array([k.startswith("alpha_") or k == "epsilon" for k in PARAM_KEYS])
+_UNIT = np.array([k.startswith("beta_") for k in PARAM_KEYS])
+
+
+def _check_param_rows(pmat) -> None:
+    """Reject a (K, 8) parameter matrix, in PARAM_KEYS order, with a row that
+    is no valid SrfParams. The error names the offending key and, for more
+    than one row, its row."""
+    ok = (np.isfinite(pmat) & (pmat >= 0) & ((pmat > 0) | ~_POSITIVE)
+          & ((pmat <= 1) | ~_UNIT))
+    if not ok.all():
+        row, j = np.argwhere(~ok)[0]
+        rule = ("positive" if _POSITIVE[j] else "in [0, 1]" if _UNIT[j]
+                else "non-negative")
+        where = f" in parameter row {row}" if len(pmat) > 1 else ""
+        raise ValueError(f"{PARAM_KEYS[j]} = {float(pmat[row, j])!r}{where} "
+                         f"must be finite and {rule}")
 
 
 @dataclass(frozen=True)
@@ -66,16 +97,7 @@ class SrfParams:
     beta_a: float
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
-        for key in ("alpha_c1", "alpha_c2", "alpha_a"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be positive")
-        for key in ("beta_c1", "beta_c2", "beta_a"):
-            if not 0 <= getattr(self, key) <= 1:
-                raise ValueError(f"{key} must lie in [0, 1]")
+        _check_param_rows(self.to_vector()[None, :])
 
     @classmethod
     def defaults(cls) -> "SrfParams":
@@ -122,13 +144,14 @@ def activate(raw, p, out=None):
     return _sigmoid(raw, p.alpha_a, p.beta_a, out)
 
 
-def _advance(trails, centers, width, delta, work) -> None:
+def _advance(trails, centers, mark_ops, delta, work) -> None:
     """One SRF step on a stack of trails, in place: deposit a mark at each
-    center (one per trail), then evaporate every cell by ``delta``. ``work``,
-    shaped like ``trails``, holds the marks."""
+    center (one per trail), then evaporate every cell by ``delta``.
+    ``mark_ops`` are the marks' MarkOperands; ``work``, shaped like
+    ``trails``, holds the marks."""
     # Marks have unit intensity, so the profile is the deposit and trail
     # magnitude is governed by delta alone.
-    trails += trapezoid_profile(centers, width, out=work)
+    trails += trapezoid_profile(centers, mark_ops, out=work)
     evaporate(trails, delta)
 
 
@@ -137,8 +160,9 @@ def final_trail(samples, params: SrfParams) -> np.ndarray:
     intensity per cell of ``stigspace.CELL_CENTERS``."""
     trail = np.zeros(CELL_COUNT)
     work = np.empty(CELL_COUNT)
+    mark_ops = mark_operands(params.epsilon)
     for center in clump(samples, params):
-        _advance(trail, center, params.epsilon, params.delta, work)
+        _advance(trail, center, mark_ops, params.delta, work)
     return trail
 
 
@@ -163,12 +187,18 @@ def indexed_similarity(streams, ia, ib, params, *, return_streams: bool = False)
     plus one buffer of their size for the marks, and three (PAIR_BLOCK, C)
     buffers. Each step gathers the trails of PAIR_BLOCK pairs at a time into
     two of them and sums their cell-wise totals and gaps in the third, so no
-    temporary has one row per pair and cell.
+    temporary has one row per pair and cell. When the trails hold at most
+    OPERAND_CELLS cells, four more arrays of their size hold the step
+    operands: the cell centers, half-widths and ramp divisors of the marks
+    and the evaporation delta. Larger stacks broadcast these from (K, 1, 1)
+    columns; both layouts give the same bits.
     """
     single = isinstance(params, SrfParams)
     pmat = params.to_vector()[None, :] if single else np.asarray(params, dtype=float)
     if pmat.ndim != 2 or pmat.shape[1] != len(PARAM_KEYS):
         raise ValueError("expected one SrfParams or a (K, 8) parameter matrix")
+    if not single:
+        _check_param_rows(pmat)
     n_rows = pmat.shape[0]
     x = np.asarray(streams, dtype=float)
     if x.ndim != 2:
@@ -195,6 +225,14 @@ def indexed_similarity(streams, ia, ib, params, *, return_streams: bool = False)
     clumped = clump(x, cols)
     trails = np.zeros((n_rows, n_streams, CELL_COUNT))
     marks = np.empty_like(trails)
+    mark_ops, delta = mark_operands(cols.epsilon[..., 0]), cols.delta
+    if trails.size <= OPERAND_CELLS:
+        # one block for all four: four blocks fragmented the heap and raised
+        # the calibrate benchmark's peak RSS by about 0.2 MiB
+        full = np.empty((4,) + trails.shape)
+        for operand, value in zip(full, (*mark_ops, delta)):
+            np.copyto(operand, value)
+        mark_ops, delta = MarkOperands(*full[:3]), full[3]
     rows = trails.reshape(n_rows * n_streams, -1)  # a view of ``trails``
     raw = np.empty((fa.size, length))
     block = max(1, min(PAIR_BLOCK, fa.size))
@@ -205,7 +243,7 @@ def indexed_similarity(streams, ia, ib, params, *, return_streams: bool = False)
         blocks.append((ja, jb, gathered_a[:ja.size], gathered_b[:ja.size],
                        work[:ja.size], raw[s:s + block]))
     for t in range(length):
-        _advance(trails, clumped[..., t], cols.epsilon[..., 0], cols.delta, marks)
+        _advance(trails, clumped[..., t], mark_ops, delta, marks)
         for ja, jb, a, b, w, r in blocks:
             # the indices are checked above; "clip" lets take write into its
             # ``out`` directly instead of through a copy

@@ -18,8 +18,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # NumPy < 2
+    from numpy.core.umath import clip as _clip
 
 CELL_COUNT = 100
 CELL_CENTERS = (np.arange(CELL_COUNT) + 0.5) * (1.0 / CELL_COUNT)
@@ -99,21 +105,41 @@ class Trail2D:
                 & (y0 <= y) & (y <= y0 + self.rows * self.cell_size))
 
 
+class MarkOperands(NamedTuple):
+    """The arrays ``trapezoid_profile`` reads besides the mark centers."""
+
+    cells: np.ndarray  # CELL_CENTERS
+    half: np.ndarray   # width / 2
+    ramp: np.ndarray   # half - PLATEAU_FRACTION * half, the falloff's divisor
+
+
+def mark_operands(width) -> MarkOperands:
+    """The operands of trapezoid marks of the given widths, which broadcast
+    against the profile, made once for a caller that steps many marks of the
+    same widths. Copies at the profile's full shape give the same doubles and
+    spare each call NumPy's broadcast set-up."""
+    half = np.asarray(width, dtype=float)[..., None] / 2.0
+    return MarkOperands(CELL_CENTERS, half, half - PLATEAU_FRACTION * half)
+
+
 def trapezoid_profile(centers, width, out=None) -> np.ndarray:
     """Unit-height trapezoid profile sampled at CELL_CENTERS.
 
     Full height within PLATEAU_FRACTION * width / 2 of the center, linear
     falloff to zero at width / 2. ``centers`` may carry leading batch
     dimensions, which ``width`` broadcasts against; the cell axis is appended.
-    The profile is written into ``out``, of that shape, when it is given.
+    ``width`` may also be the MarkOperands that ``mark_operands`` built from
+    it. The profile is written into ``out``, of that shape, when it is given.
     """
+    cells, half, ramp = (width if isinstance(width, MarkOperands)
+                         else mark_operands(width))
     centers = np.asarray(centers, dtype=float)
-    half = np.asarray(width, dtype=float)[..., None] / 2.0
-    profile = np.subtract(CELL_CENTERS, centers[..., None], out=out)
+    profile = np.subtract(cells, centers[..., None], out=out)
     np.abs(profile, out=profile)  # each cell's distance r from its center
     np.subtract(half, profile, out=profile)
-    np.divide(profile, half - PLATEAU_FRACTION * half, out=profile)
-    return np.clip(profile, 0.0, 1.0, out=profile)
+    np.divide(profile, ramp, out=profile)
+    # the clip ufunc itself: np.clip's wrapper costs more than the clip here
+    return _clip(profile, 0.0, 1.0, out=profile)
 
 
 def cone_margin(base_radius: float, cell_size: float) -> int:

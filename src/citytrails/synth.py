@@ -133,10 +133,12 @@ def synthetic_year(n_days: int = 364, anomaly_count: int = 20,
                    length: int = DEFAULT_DAY_LENGTH, seed: int = 0,
                    hotspot_id: str = "D") -> SyntheticYear:
     """Weekday-structured days from DEFAULT_YEAR_START with a seeded set of
-    injected anomalies.
+    injected anomalies, exactly ``anomaly_count`` of them; a count that does
+    not fit the days is rejected.
 
-    Every class receives at least three anomalies (the threshold search needs
-    positives in each class); kinds alternate between suppression and shift.
+    For counts of 9 or more, every class receives at least three anomalies,
+    or all its days when it has fewer (the threshold search needs positives
+    in each class); kinds alternate between suppression and shift.
     """
     if n_days < 1:
         raise ValueError(f"n_days = {n_days} must be at least 1")
@@ -150,6 +152,10 @@ def synthetic_year(n_days: int = 364, anomaly_count: int = 20,
     class_days = {letter: [i for i, c in enumerate(classes) if c == letter]
                   for letter in CLASS_LETTERS}
     quota = _anomaly_quota(anomaly_count, class_days)
+    placed = sum(quota.values())
+    if placed < anomaly_count:
+        raise ValueError(f"anomaly_count = {anomaly_count} does not fit {n_days} "
+                         f"days; at most {placed} anomalies fit")
     anomalous: dict[int, str] = {}
     for letter in CLASS_LETTERS:
         picks = rng.choice(class_days[letter], size=quota[letter], replace=False)

@@ -91,6 +91,33 @@ class TestSynth:
         assert name in capsys.readouterr().err
         assert not (out / "series").exists() and not (out / "trips.csv").exists()
 
+    def test_anomalies_beyond_the_days_exit_2_naming_the_fit(self, workspace, capsys):
+        config, out = workspace
+        capsys.readouterr()
+        assert run(config, "synth", "--kind", "year", "--days", "10",
+                   "--anomalies", "50") == 2
+        assert "at most 10 anomalies fit" in capsys.readouterr().err
+        assert not (out / "series").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "classify", "compare"])
+    @pytest.mark.parametrize("hotspot", ["../escape", "..", ".", "", "a/b"],
+                             ids=["parent", "dotdot", "dot", "empty", "slash"])
+    def test_non_plain_hotspot_exits_2_writing_nothing(self, workspace, capsys,
+                                                       command, hotspot):
+        config, out = workspace
+        extra = ("--kind", "year", "--days", "14", "--anomalies", "0") \
+            if command == "synth" else ()
+        capsys.readouterr()
+        assert run(config, command, *extra, "--hotspot", hotspot) == 2
+        assert "plain name" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lettered_hotspot_writes_its_directory(self, workspace):
+        config, out = workspace
+        assert run(config, "synth", "--kind", "year", "--days", "14",
+                   "--anomalies", "0", "--hotspot", "AB") == 0
+        assert len(list((out / "series" / "AB").glob("*.csv"))) == 14
+
     @pytest.mark.parametrize("day_length", [4, 8, 15])
     def test_day_length_below_archetype_floor_exits_2_writing_nothing(
             self, workspace, capsys, day_length):
@@ -219,6 +246,24 @@ class TestSpatialPipeline:
         capsys.readouterr()
         assert run(config, "extract") == 2
         assert "hotspot Q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hotspot_id", ['"../../pwn"', '"."', "5"],
+                             ids=["parent", "dot", "number"])
+    def test_non_plain_hotspot_id_exits_2_writing_nothing(self, ingested, capsys,
+                                                          hotspot_id):
+        config, out = ingested
+        assert run(config, "hotspots") == 0
+        (out / "hotspots.geojson").write_text(
+            '{"type": "FeatureCollection", "features": [{"type": "Feature", '
+            f'"properties": {{"id": {hotspot_id}, "slot_coverage": []}}, '
+            '"geometry": {"type": "Polygon", "coordinates": '
+            '[[[0, 0], [900, 0], [900, 900], [0, 900], [0, 0]]]}}]}\n',
+            encoding="utf-8")
+        before = sorted(out.parent.rglob("*"))
+        capsys.readouterr()
+        assert run(config, "extract") == 2
+        assert "plain name" in capsys.readouterr().err
+        assert sorted(out.parent.rglob("*")) == before
 
     @pytest.mark.parametrize("stage", ["hotspots", "extract"])
     @pytest.mark.parametrize("count", [None, "-1", "x", "99999999999999999999"],

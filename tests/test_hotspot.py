@@ -11,6 +11,7 @@ from citytrails.hotspot import (
     TimeSlot,
     _trace_rings,
     build_slot_trail,
+    check_hotspot_id,
     extract_hotspots,
     hotspots_from_geojson,
     hotspots_to_geojson,
@@ -457,3 +458,19 @@ class TestGeojson:
         data = json.loads(hotspots_to_geojson(found))
         ring = data["features"][0]["geometry"]["coordinates"][0]
         assert ring[0] == ring[-1]
+
+
+class TestHotspotIds:
+    @pytest.mark.parametrize("bad", ["", ".", "..", "../escape", "a/b", "a\\b", 5, None],
+                             ids=["empty", "dot", "dotdot", "parent", "slash",
+                                  "backslash", "number", "none"])
+    def test_non_plain_ids_rejected(self, bad):
+        with pytest.raises(ValueError, match="plain name"):
+            check_hotspot_id(bad)
+        square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+        with pytest.raises(ValueError, match="plain name"):
+            Hotspot(bad, square, ())
+
+    @pytest.mark.parametrize("good", ["D", "A", "AB", "ZZ", "..A", "x.y"])
+    def test_plain_ids_pass(self, good):
+        check_hotspot_id(good)

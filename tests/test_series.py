@@ -13,6 +13,7 @@ from citytrails.series import (
     series_from_csv,
     series_to_csv,
 )
+from citytrails.synth import synthetic_year
 
 
 class TestNormalization:
@@ -169,3 +170,27 @@ class TestCsvRoundTrip:
     def test_rejects_missing_header(self):
         with pytest.raises(ValueError):
             series_from_csv("index,value\n0,0.5\n")
+
+
+class TestSyntheticYear:
+    # every year size the benchmark, the tests and the demos ask for
+    @pytest.mark.parametrize("n_days, anomalies", [
+        (364, 20), (42, 9), (91, 9), (64, 10), (56, 9), (35, 9), (21, 0), (14, 0)])
+    def test_places_exactly_the_anomalies_asked(self, n_days, anomalies):
+        year = synthetic_year(n_days=n_days, anomaly_count=anomalies, length=48)
+        assert len(year.days) == n_days
+        assert sum(year.anomaly_flags) == anomalies
+
+    def test_counts_of_nine_or_more_reach_every_class(self):
+        year = synthetic_year(n_days=42, anomaly_count=9, length=48)
+        for letter in set(year.classes):
+            flags = [f for f, c in zip(year.anomaly_flags, year.classes) if c == letter]
+            assert sum(flags) >= min(3, len(flags))
+
+    def test_count_beyond_the_days_rejected_naming_the_fit(self):
+        with pytest.raises(ValueError, match="at most 10 anomalies fit"):
+            synthetic_year(n_days=10, anomaly_count=50, length=48)
+        with pytest.raises(ValueError, match="at most 10 anomalies fit"):
+            synthetic_year(n_days=10, anomaly_count=11, length=48)
+        assert sum(synthetic_year(n_days=10, anomaly_count=10,
+                                  length=48).anomaly_flags) == 10

@@ -341,6 +341,63 @@ class TestPairBlocks:
         assert peak <= 2 * result_bytes
 
 
+class TestOperandLayouts:
+    """Trail stacks of at most OPERAND_CELLS cells step on full-shape
+    operands, larger ones on broadcast (K, 1, 1) columns; the two layouts run
+    the same ufuncs on the same doubles and must not change a bit."""
+
+    @pytest.mark.parametrize("limit", [0, 10 ** 9], ids=["broadcast", "full-shape"])
+    def test_layouts_match_default_and_reference(self, monkeypatch, limit):
+        rng = np.random.default_rng(15)
+        streams = rng.uniform(0, 1, (6, 22))
+        params = [SrfParams.defaults(),
+                  SrfParams(10, 0.2, 10, 0.8, 0.1, 0.4, 15, 0.4),
+                  SrfParams(60, 0.4, 60, 0.6, 0.3, 0.05, 80, 0.7)]
+        rows = np.stack([p.to_vector() for p in params])
+        cases = [  # (P,), (K, P), and transform_many's (K, 1) against (P,)
+            (params[:1], params[0], rng.integers(0, 6, 5), rng.integers(0, 6, 5)),
+            (params, rows, rng.integers(0, 6, (3, 5)), rng.integers(0, 6, (3, 5))),
+            (params, rows, rng.integers(0, 6, 5), rng.integers(0, 6, (3, 1))),
+        ]
+        expected = [indexed_similarity(streams, ia, ib, p, return_streams=True)
+                    for _, p, ia, ib in cases]
+        monkeypatch.setattr(srf, "OPERAND_CELLS", limit)
+        for (fields, p, ia, ib), (means, acts) in zip(cases, expected):
+            got_means, got_acts = indexed_similarity(streams, ia, ib, p,
+                                                     return_streams=True)
+            assert np.array_equal(got_means, means)
+            assert np.array_equal(got_acts, acts)
+            per_row = np.reshape(got_acts, (len(fields), -1, got_acts.shape[-1]))
+            ia_rows, ib_rows = (np.broadcast_to(i, per_row.shape[:2]) for i in (ia, ib))
+            for field, row_a, row_b, row_acts in zip(fields, ia_rows, ib_rows, per_row):
+                for a, b, act in zip(row_a, row_b, row_acts):
+                    assert np.allclose(act, oracle_streams(streams[a], streams[b], field),
+                                       atol=1e-12)
+
+    def test_large_stack_allocates_no_full_shape_operand(self):
+        # transform_many over a 364-day year: 7 fields x 371 streams x 100
+        # cells, above the limit
+        n_days, length, fields = 364, 96, 7
+        streams = np.random.default_rng(16).uniform(0, 1, (n_days + fields, length))
+        rows = np.stack([SrfParams.defaults().to_vector()] * fields)
+        trail_bytes = fields * (n_days + fields) * srf.CELL_COUNT * 8
+        assert trail_bytes // 8 > srf.OPERAND_CELLS
+        tracemalloc.start()
+        try:
+            indexed_similarity(streams, np.arange(n_days),
+                               n_days + np.arange(fields)[:, None], rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        raw_bytes = fields * n_days * length * 8
+        clumped_bytes = fields * (n_days + fields) * length * 8
+        block_bytes = 3 * srf.PAIR_BLOCK * srf.CELL_COUNT * 8
+        # the raw similarities, the clumped samples, the trails and their mark
+        # buffer, the pair blocks, and less than half a trail stack besides
+        assert peak < (raw_bytes + clumped_bytes + 2 * trail_bytes + block_bytes
+                       + trail_bytes // 2)
+
+
 class TestParams:
     def test_vector_round_trip(self):
         p = SrfParams(11, 0.25, 17, 0.75, 0.12, 0.34, 56, 0.78)
@@ -348,6 +405,18 @@ class TestParams:
 
     def test_block_keys_exact(self):
         assert tuple(SrfParams.defaults().to_block()) == PARAM_KEYS
+
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon", 0.0), ("delta", -0.1), ("beta_c1", 1.5), ("alpha_c1", -3.0),
+        ("beta_a", math.nan), ("alpha_a", math.inf)])
+    def test_matrix_rows_keep_the_invariants(self, key, value):
+        rows = np.stack([SrfParams.defaults().to_vector()] * 3)
+        rows[2, PARAM_KEYS.index(key)] = value
+        streams = np.random.default_rng(17).uniform(0, 1, (3, 20))
+        with pytest.raises(ValueError, match=f"{key} = .* in parameter row 2"):
+            indexed_similarity(streams, [0], [1], rows)
+        with pytest.raises(ValueError, match=f"{key} = "):
+            SrfParams.from_vector(rows[2])
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
