@@ -23,8 +23,11 @@ from .srf import SrfParams, indexed_similarity
 
 DEFAULT_REPRESENTATIVES = 5
 MATRIX_CHUNK_PAIRS = 8192
+FCM_CLUSTERS = len(CLASS_LETTERS)  # fuzzy c-means' c: one cluster per class
 FCM_RESTARTS = 8  # seeded fuzzy c-means starts; the lowest objective wins
 FCM_FUZZINESS = 2.0  # membership exponent m of fuzzy c-means
+FCM_TOL = 1e-6  # an alternation stops once no centroid coordinate moves more
+FCM_MAX_ITER = 300  # or after this many alternations
 
 # Expected behavioral class by weekday (Monday = 0): working routines hold
 # through Thursday, nightlife marks Friday and Saturday, Sunday is leisure.
@@ -141,23 +144,24 @@ def _fcm_single(points: np.ndarray, centroids: np.ndarray,
     return ClusterModel(centroids, memberships)
 
 
-def fuzzy_cmeans(points, c: int = 3, tol: float = 1e-6,
-                 max_iter: int = 300, seed: int = 0) -> ClusterModel:
-    """Alternating fuzzy c-means, initialized from c distinct data points.
+def fuzzy_cmeans(points, seed: int = 0) -> ClusterModel:
+    """Alternating fuzzy c-means, initialized from FCM_CLUSTERS distinct points.
 
     The alternation only finds a local optimum and an unlucky draw can split
     one group while merging two others, so FCM_RESTARTS seeded restarts run
     and the model with the lowest objective wins.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < c:
-        raise ValueError("need at least c points in a 2-D array")
+    if points.ndim != 2:
+        raise ValueError(f"fuzzy c-means needs a 2-D array, got {points.ndim}-D")
+    if len(points) < FCM_CLUSTERS:
+        raise ValueError(f"fuzzy c-means needs at least {FCM_CLUSTERS} days, got {len(points)}")
     rng = np.random.default_rng(seed)
     best = None
     best_objective = np.inf
     for _ in range(FCM_RESTARTS):
-        centroids = points[rng.choice(points.shape[0], size=c, replace=False)]
-        model = _fcm_single(points, centroids.copy(), tol, max_iter)
+        centroids = points[rng.choice(points.shape[0], size=FCM_CLUSTERS, replace=False)]
+        model = _fcm_single(points, centroids.copy(), FCM_TOL, FCM_MAX_ITER)
         objective = fcm_objective(points, model.centroids, model.memberships)
         if objective < best_objective:
             best, best_objective = model, objective
@@ -293,7 +297,7 @@ def classification_run(patterns, expected_classes, known_anomaly, matrix_fn,
     flags = np.array([bool(f) for f in known_anomaly])
     matrix = matrix_fn(patterns)
 
-    model = fuzzy_cmeans(matrix.values, c=len(CLASS_LETTERS), seed=cluster_seed)
+    model = fuzzy_cmeans(matrix.values, seed=cluster_seed)
     cluster_classes = map_clusters_to_classes(model, expected_classes)
     reps_per_cluster = representatives(model, matrix.values, k=reps_k)
     reps_by_class = {cluster_classes[c]: reps_per_cluster[c]

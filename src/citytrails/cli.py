@@ -73,9 +73,10 @@ def cmd_synth(cfg: PipelineConfig, args) -> None:
     if "year" in kinds:
         year = synth.synthetic_year(
             n_days=args.days, anomaly_count=args.anomalies,
-            length=cfg.training.day_length, seed=cfg.stage_seed("synth:year"),
+            length=cfg.day_length, seed=cfg.stage_seed("synth:year"),
             hotspot_id=args.hotspot)
         for day in year.days:
+            day = dataclasses.replace(day, resolution_minutes=cfg.resolution_minutes)
             _write(out / "series" / args.hotspot / f"{day.day_id}.csv",
                    series_to_csv(day))
         _write(out / "labels.csv", year.labels_csv())
@@ -175,7 +176,7 @@ def _labelled_levels(cfg: PipelineConfig, hotspot_id: str | None):
     days = _load_series_dir(cfg, hotspot_id)
     labels = synth.parse_labels_csv(_require(cfg.out_dir / "labels.csv").read_text())
     flagged = {day_id for day_id, _, flag, _ in labels if flag}
-    sp = load_sp(_require(cfg.out_dir / "sp.ini"), cfg.training.day_length)
+    sp = load_sp(_require(cfg.out_dir / "sp.ini"), cfg.day_length)
     levels = transform_many(sp, days)
     classes = [expected_class_for(date.fromisoformat(s.day_id)) for s in levels]
     return levels, classes, [s.day_id in flagged for s in levels]
@@ -186,7 +187,7 @@ def _pattern_params_path(cfg: PipelineConfig) -> Path:
 
 
 def cmd_train(cfg: PipelineConfig, args) -> None:
-    length = cfg.training.day_length
+    length = cfg.day_length
     sets = synth.archetype_training_sets(length, cfg.training.per_class,
                                          cfg.training.noise, cfg.training.max_shift,
                                          seed=cfg.stage_seed("sp-train"))
@@ -269,7 +270,7 @@ def cmd_compare(cfg: PipelineConfig, args) -> None:
 # --- plotdata ----------------------------------------------------------------
 
 def _archetype_trail_rows(cfg: PipelineConfig) -> str:
-    sp = load_sp(_require(cfg.out_dir / "sp.ini"), cfg.training.day_length)
+    sp = load_sp(_require(cfg.out_dir / "sp.ini"), cfg.day_length)
     lines = ["archetype,cell_index,cell_center,intensity"]
     for archetype, params in sp.fields:
         trail = final_trail(archetype.samples, params)

@@ -37,7 +37,6 @@ class HotspotSettings:
 
 @dataclass(frozen=True)
 class TrainingSettings:
-    day_length: int = series.DEFAULT_DAY_LENGTH
     per_class: int = synth.TRAINING_PER_CLASS
     noise: float = synth.TRAINING_NOISE
     max_shift: int = synth.TRAINING_MAX_SHIFT
@@ -58,6 +57,11 @@ class PipelineConfig:
     de: DeConfig = field(default_factory=DeConfig)
     de_overrides: dict = field(default_factory=dict)
     master_seed: int = 17
+
+    @property
+    def day_length(self) -> int:
+        """Samples per day on the ``[grid] resolution_minutes`` grid."""
+        return series.samples_per_day(self.resolution_minutes)
 
     def stage_seed(self, stage: str) -> int:
         digest = hashlib.sha256(f"{self.master_seed}:{stage}".encode()).digest()
@@ -92,6 +96,7 @@ def _accepted_keys(base: PipelineConfig) -> dict[str, set[str]]:
     """Every section the loader reads, with the keys it reads there."""
     accepted = {name: {f.name for f in dataclasses.fields(getattr(base, name))}
                 for name in SETTINGS_SECTIONS}
+    accepted["de"].remove("seed")  # DE seeds derive from the master seed
     accepted.update({f"de.{stage}": accepted["de"] for stage in DE_STAGES})
     for name, key in SCALAR_KEYS:
         accepted.setdefault(name, set()).add(key)
@@ -106,10 +111,10 @@ def load_config(path=None) -> PipelineConfig:
     stage; relative ``[paths] trips`` resolves against the file's directory.
     Values may carry ``;`` comments. An unknown section or key raises
     ValueError, so a misspelled key cannot silently fall back to its default.
-    So does a ``[training] day_length`` shorter than the
-    ``series.MIN_ARCHETYPE_LENGTH`` samples every stage that trains needs, a
-    ``[hotspots] relevance_fraction`` outside (0, 1] and a negative
-    ``min_area_km2``.
+    So does a ``[grid] resolution_minutes`` that does not divide a day or
+    leaves it fewer than the ``series.MIN_ARCHETYPE_LENGTH`` samples every
+    stage that trains needs, a ``[hotspots] relevance_fraction`` outside
+    (0, 1] and a negative ``min_area_km2``.
     """
     base = PipelineConfig()
     if path is None:
@@ -129,10 +134,8 @@ def load_config(path=None) -> PipelineConfig:
 
     def read(name: str, settings) -> dict:
         section = parser[name] if parser.has_section(name) else {}
-        # DE seeds derive from the master seed, so no section sets ``seed``.
         return {f.name: type(getattr(settings, f.name))(section[f.name])
-                for f in dataclasses.fields(settings)
-                if f.name in section and f.name != "seed"}
+                for f in dataclasses.fields(settings) if f.name in section}
 
     changes = {name: dataclasses.replace(getattr(base, name),
                                          **read(name, getattr(base, name)))
@@ -145,10 +148,10 @@ def load_config(path=None) -> PipelineConfig:
     if parser.has_option("paths", "trips"):
         changes["trips_path"] = path.parent / parser["paths"]["trips"]
     cfg = dataclasses.replace(base, **changes)
-    if cfg.training.day_length < series.MIN_ARCHETYPE_LENGTH:
-        raise ValueError(f"{path}: [training] day_length = {cfg.training.day_length} "
-                         f"is below the {series.MIN_ARCHETYPE_LENGTH} samples an "
-                         "archetype needs")
+    if cfg.day_length < series.MIN_ARCHETYPE_LENGTH:
+        raise ValueError(f"{path}: [grid] resolution_minutes = {cfg.resolution_minutes} "
+                         f"gives {cfg.day_length} samples a day, below the "
+                         f"{series.MIN_ARCHETYPE_LENGTH} an archetype needs")
     hs = cfg.hotspots
     if not 0 < hs.relevance_fraction <= 1:
         raise ValueError(f"{path}: [hotspots] relevance_fraction = "

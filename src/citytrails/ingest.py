@@ -22,7 +22,8 @@ from datetime import date, datetime
 import numpy as np
 
 from .hotspot import Hotspot, SpatialEventBatch, TimeSlot, point_in_polygon, slot_for_hour
-from .series import DEFAULT_RESOLUTION_MINUTES, ActivityTimeSeries, normalize_min_max
+from .series import DEFAULT_RESOLUTION_MINUTES, MINUTES_PER_DAY, ActivityTimeSeries, \
+    normalize_min_max, samples_per_day
 
 EARTH_RADIUS_M = 6371000.0
 FOOT_M = 0.3048
@@ -177,9 +178,9 @@ def rejections_to_csv(rejections) -> str:
 
 
 def _check_grid(cell_m: float, bucket_minutes: int) -> None:
-    if bucket_minutes <= 0 or 1440 % bucket_minutes:
+    if bucket_minutes <= 0 or MINUTES_PER_DAY % bucket_minutes:
         raise ValueError(f"bucket_minutes = {bucket_minutes} does not divide "
-                         "the 1440 minutes of a day")
+                         f"the {MINUTES_PER_DAY} minutes of a day")
     if not cell_m > 0:
         raise ValueError(f"bucket_cell_m = {cell_m} must be positive")
 
@@ -222,7 +223,7 @@ class BucketGrid:
 
     @property
     def buckets_per_day(self) -> int:
-        return 1440 // self.bucket_minutes
+        return MINUTES_PER_DAY // self.bucket_minutes
 
     def total_mass(self) -> int:
         return int(self.counts.sum())
@@ -364,12 +365,9 @@ def hotspot_raw_activity(grid: BucketGrid, h: Hotspot, day: str) -> np.ndarray:
 def hotspot_activity(grid: BucketGrid, h: Hotspot, day: str,
                      resolution_minutes: int = DEFAULT_RESOLUTION_MINUTES) -> ActivityTimeSeries:
     """Min-max-normalized activity series for one hotspot and day."""
-    if resolution_minutes <= 0:
-        raise ValueError(f"resolution_minutes = {resolution_minutes} must be positive")
+    length = samples_per_day(resolution_minutes)
     if resolution_minutes % grid.bucket_minutes != 0:
         raise ValueError("target resolution must be a multiple of the bucket length")
-    raw = hotspot_raw_activity(grid, h, day)
-    factor = resolution_minutes // grid.bucket_minutes
-    aggregated = raw.reshape(-1, factor).sum(axis=1)
+    aggregated = hotspot_raw_activity(grid, h, day).reshape(length, -1).sum(axis=1)
     return normalize_min_max(aggregated, resolution_minutes=resolution_minutes,
                              day_id=day, hotspot_id=h.id)

@@ -18,8 +18,19 @@ LEVEL_LOW = 0.1
 LEVEL_MID = 0.5
 LEVEL_HIGH = 0.9
 
+MINUTES_PER_DAY = 1440
 DEFAULT_RESOLUTION_MINUTES = 10
-DEFAULT_DAY_LENGTH = 144  # a day of DEFAULT_RESOLUTION_MINUTES samples
+
+
+def samples_per_day(resolution_minutes: int) -> int:
+    """Samples in a day on a grid of ``resolution_minutes``."""
+    if resolution_minutes <= 0 or MINUTES_PER_DAY % resolution_minutes:
+        raise ValueError(f"resolution_minutes = {resolution_minutes} does not divide "
+                         f"the {MINUTES_PER_DAY} minutes of a day")
+    return MINUTES_PER_DAY // resolution_minutes
+
+
+DEFAULT_DAY_LENGTH = samples_per_day(DEFAULT_RESOLUTION_MINUTES)
 MIN_ARCHETYPE_LENGTH = 16  # the shortest day an archetype can be sampled at
 
 # Enumeration order: ascending mean canonical level, rising slope before

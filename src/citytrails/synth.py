@@ -20,6 +20,7 @@ from .ingest import GeoBox
 from .series import (
     ARCHETYPE_NAMES,
     DEFAULT_DAY_LENGTH,
+    MINUTES_PER_DAY,
     ActivityTimeSeries,
     CLASS_LETTERS,
     generate_archetype,
@@ -209,23 +210,17 @@ def planted_cluster_batches(n_clusters: int = 7, width: float = 6000.0,
     """
     rng = np.random.default_rng(seed)
     centers = _cluster_centers(n_clusters, width, height, rng)
-    batches: dict[TimeSlot, list[SpatialEventBatch]] = {}
-    for slot in TimeSlot:
-        slot_batches = []
-        for _ in range(steps_per_slot):
-            points = []
-            for cx, cy in centers:
-                offsets = rng.normal(0.0, CLUSTER_SIGMA_M, size=(EVENTS_PER_CLUSTER, 2))
-                for dx, dy in offsets:
-                    points.append((float(np.clip(cx + dx, 0, width)),
-                                   float(np.clip(cy + dy, 0, height)),
-                                   CLUSTER_COUNT_VALUE))
-            for _ in range(SCATTER_EVENTS):
-                points.append((float(rng.uniform(0, width)),
-                               float(rng.uniform(0, height)),
-                               SCATTER_COUNT_VALUE))
-            slot_batches.append(SpatialEventBatch(np.asarray(points)))
-        batches[slot] = slot_batches
+    counts = np.repeat([CLUSTER_COUNT_VALUE, SCATTER_COUNT_VALUE],
+                       [n_clusters * EVENTS_PER_CLUSTER, SCATTER_EVENTS])
+
+    def step() -> SpatialEventBatch:
+        offsets = rng.normal(0.0, CLUSTER_SIGMA_M, size=(n_clusters, EVENTS_PER_CLUSTER, 2))
+        clustered = np.clip(centers[:, None, :] + offsets, 0, (width, height))
+        scatter = rng.uniform(0, (width, height), size=(SCATTER_EVENTS, 2))
+        xy = np.concatenate([clustered.reshape(-1, 2), scatter])
+        return SpatialEventBatch(np.column_stack([xy, counts]))
+
+    batches = {slot: [step() for _ in range(steps_per_slot)] for slot in TimeSlot}
     return batches, centers
 
 
@@ -258,7 +253,7 @@ def planted_trips_csv(box: GeoBox, n_valid: int = 9500, n_invalid: int = 500,
 
     def timestamp():
         d = TRIPS_START + timedelta(days=int(rng.integers(days)))
-        minute = int(rng.integers(1440))
+        minute = int(rng.integers(MINUTES_PER_DAY))
         return f"{d.isoformat()} {minute // 60:02d}:{minute % 60:02d}:00"
 
     rows = []

@@ -131,7 +131,7 @@ class TestSimilarityMatrix:
 class TestFuzzyCMeans:
     def test_blobs_get_crisp_memberships(self):
         pts, labels = blob_points()
-        model = fuzzy_cmeans(pts, c=3, seed=1)
+        model = fuzzy_cmeans(pts, seed=1)
         assert np.all(model.memberships.max(axis=1) >= 0.95)
         assigned = model.hard_assignments()
         for cluster in range(3):
@@ -149,7 +149,7 @@ class TestFuzzyCMeans:
 
     def test_memberships_sum_to_one(self):
         pts, _ = blob_points(seed=3, spread=1.5)
-        model = fuzzy_cmeans(pts, c=3, seed=4)
+        model = fuzzy_cmeans(pts, seed=4)
         assert np.allclose(model.memberships.sum(axis=1), 1.0, atol=1e-9)
 
     def test_objective_non_increasing(self):
@@ -176,14 +176,14 @@ class TestFuzzyCMeans:
         assert model.memberships[0, 0] == 1.0
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            fuzzy_cmeans(np.zeros((2, 3)), c=3)
+        with pytest.raises(ValueError, match="at least 3 days.*got 2"):
+            fuzzy_cmeans(np.zeros((2, 3)))
 
 
 class TestRepresentatives:
     def test_k1_matches_brute_force(self):
         pts, _ = blob_points(seed=7)
-        model = fuzzy_cmeans(pts, c=3, seed=8)
+        model = fuzzy_cmeans(pts, seed=8)
         reps = representatives(model, pts, k=1)
         assigned = model.hard_assignments()
         for cluster in range(3):
@@ -193,7 +193,7 @@ class TestRepresentatives:
 
     def test_k_equal_class_size_returns_all_sorted(self):
         pts, _ = blob_points(seed=9, n=6)
-        model = fuzzy_cmeans(pts, c=3, seed=10)
+        model = fuzzy_cmeans(pts, seed=10)
         reps = representatives(model, pts, k=6)
         assigned = model.hard_assignments()
         for cluster in range(3):
@@ -207,7 +207,7 @@ class TestRepresentatives:
         # with the centroids held fixed, adding a distant member cannot
         # reorder the existing distance ranking
         pts, _ = blob_points(seed=11)
-        model = fuzzy_cmeans(pts, c=3, seed=12)
+        model = fuzzy_cmeans(pts, seed=12)
         top = representatives(model, pts, k=1)
         pts2 = np.vstack([pts, pts[0] + np.array([1.5, 1.5])])
         model2 = fcm_from(pts2, model.centroids, max_iter=0)
@@ -217,7 +217,7 @@ class TestRepresentatives:
 
     def test_small_cluster_warns_and_returns_all(self):
         pts, _ = blob_points(seed=13, n=3)
-        model = fuzzy_cmeans(pts, c=3, seed=14)
+        model = fuzzy_cmeans(pts, seed=14)
         with pytest.warns(UserWarning):
             reps = representatives(model, pts, k=5)
         assert all(len(r) == 3 for r in reps)

@@ -20,7 +20,7 @@ lat_min = 40.70
 lat_max = 40.74
 
 [grid]
-resolution_minutes = 10
+resolution_minutes = 15
 
 [hotspots]
 trail_delta = 0.2
@@ -29,7 +29,6 @@ count_cap = 2
 smooth_beta = 0.25
 
 [training]
-day_length = 96
 per_class = 4
 noise = 0.05
 max_shift = 3
@@ -67,6 +66,11 @@ class TestSynth:
         labels = (out / "labels.csv").read_text().strip().split("\n")
         assert labels[0] == "day_id,class,is_anomaly,kind"
         assert sum(ln.split(",")[2] == "1" for ln in labels[1:]) == 9
+        # 15-minute days: the header states the grid the 96 samples lie on
+        for path in days:
+            lines = path.read_text().strip().split("\n")
+            assert lines[0].endswith(",resolution_minutes=15")
+            assert len(lines) == 2 + 96
 
     def test_deterministic_across_runs(self, workspace, tmp_path):
         config, out = workspace
@@ -118,17 +122,29 @@ class TestSynth:
                    "--anomalies", "0", "--hotspot", "AB") == 0
         assert len(list((out / "series" / "AB").glob("*.csv"))) == 14
 
-    @pytest.mark.parametrize("day_length", [4, 8, 15])
+    # a day of 1440 / resolution_minutes samples, named by its sample count
+    @pytest.mark.parametrize("resolution", [360, 180, 120, 96],
+                             ids=["4", "8", "12", "15"])
     def test_day_length_below_archetype_floor_exits_2_writing_nothing(
-            self, workspace, capsys, day_length):
+            self, workspace, capsys, resolution):
+        self.assert_resolution_rejected(workspace, capsys, resolution)
+
+    @pytest.mark.parametrize("resolution", [7, 35, 0, -15])
+    def test_resolution_not_dividing_a_day_exits_2_writing_nothing(
+            self, workspace, capsys, resolution):
+        self.assert_resolution_rejected(workspace, capsys, resolution)
+
+    @staticmethod
+    def assert_resolution_rejected(workspace, capsys, resolution):
         config, out = workspace
         text = config.read_text(encoding="utf-8")
-        config.write_text(text.replace("day_length = 96", f"day_length = {day_length}"),
+        config.write_text(text.replace("resolution_minutes = 15",
+                                       f"resolution_minutes = {resolution}"),
                           encoding="utf-8")
         capsys.readouterr()
         assert run(config, "synth", "--kind", "year", "--days", "14",
                    "--anomalies", "0") == 2
-        assert "day_length" in capsys.readouterr().err
+        assert f"resolution_minutes = {resolution}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_flag_changes_output(self, workspace):
@@ -191,8 +207,8 @@ class TestIngest:
     def test_bucket_minutes_not_dividing_a_day_exits_2(self, workspace, capsys):
         config, out = workspace
         text = config.read_text(encoding="utf-8")
-        config.write_text(text.replace("resolution_minutes = 10",
-                                       "bucket_minutes = 7\nresolution_minutes = 14"),
+        config.write_text(text.replace("resolution_minutes = 15",
+                                       "bucket_minutes = 7\nresolution_minutes = 15"),
                           encoding="utf-8")
         run(config, "synth", "--kind", "trips", "--valid-rows", "300",
             "--invalid-rows", "0")
@@ -281,6 +297,22 @@ class TestSpatialPipeline:
         assert run(config, stage) == 2
         assert "bucket archive line 7" in capsys.readouterr().err
 
+    def test_trip_series_train_on_the_config_day_grid(self, ingested, capsys):
+        # extract samples each day on the [grid] resolution that train reads
+        config, out = ingested
+        assert run(config, "hotspots") == 0
+        assert run(config, "extract") == 0
+        days = sorted(p.stem for p in (out / "series" / "A").glob("*.csv"))
+        (out / "labels.csv").write_text("day_id,class,is_anomaly,kind\n" + "".join(
+            f"{day},W,0,\n" for day in days), encoding="utf-8")
+        assert run(config, "train", "--hotspot", "A") == 0
+        assert (out / "pattern.ini").exists()
+        # the fixture's two days are too few for three clusters
+        capsys.readouterr()
+        assert run(config, "classify", "--hotspot", "A") == 2
+        err = capsys.readouterr().err
+        assert "at least 3 days" in err and "got 2" in err
+
     def test_extract_without_hotspots_exits_3(self, ingested):
         config, out = ingested
         assert run(config, "extract") == 3
@@ -346,13 +378,13 @@ class TestSpatialPipeline:
         assert digests == self.ARTIFACT_DIGESTS
 
     @pytest.mark.parametrize("line, replacement, stage, setting", [
-        ("resolution_minutes = 10", "resolution_minutes = 10\nbucket_cell_m = 0",
+        ("resolution_minutes = 15", "resolution_minutes = 15\nbucket_cell_m = 0",
          "ingest", "bucket_cell_m"),
-        ("resolution_minutes = 10", "resolution_minutes = 10\nbucket_cell_m = -3",
+        ("resolution_minutes = 15", "resolution_minutes = 15\nbucket_cell_m = -3",
          "ingest", "bucket_cell_m"),
         ("trail_delta = 0.2", "trail_delta = 0.2\ntrail_cell_m = 0",
          "hotspots", "trail_cell_m"),
-        ("resolution_minutes = 10", "resolution_minutes = 0",
+        ("resolution_minutes = 15", "resolution_minutes = 0",
          "extract", "resolution_minutes"),
     ], ids=["bucket_cell_m=0", "bucket_cell_m=-3", "trail_cell_m=0",
             "resolution_minutes=0"])
@@ -402,6 +434,8 @@ class TestSpatialPipeline:
         from citytrails.config import load_config
         from citytrails.hotspot import hotspots_from_geojson
         config, out = workspace
+        config.write_text(config.read_text(encoding="utf-8").replace(
+            "resolution_minutes = 15", "resolution_minutes = 10"), encoding="utf-8")
         rows = ["medallion,passenger_count,pickup_datetime,dropoff_datetime,"
                 "pickup_longitude,pickup_latitude,dropoff_longitude,dropoff_latitude"]
         for minute in range(0, 1440, 5):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 
@@ -14,8 +15,7 @@ from citytrails.config import (
 )
 from citytrails.ingest import GeoBox
 
-# Every key the loader reads, each set away from its default, plus a ``seed``
-# in both DE sections, which stage seeding derives and the file cannot set.
+# Every key the loader reads, each set away from its default.
 FULL_CONFIG = """\
 [paths]
 out = results/run1
@@ -44,7 +44,6 @@ trail_delta = 0.25
 trail_cell_m = 25
 
 [training]
-day_length = 96
 per_class = 7
 noise = 0.08
 max_shift = 2
@@ -56,14 +55,12 @@ population_size = 11
 generations = 9
 differential_weight = 0.6
 crossover_rate = 0.8
-seed = 99
 
 [de.local]
 population_size = 5
 generations = 4
 differential_weight = 0.5
 crossover_rate = 0.3
-seed = 98
 
 [seeds]
 master = 23
@@ -81,7 +78,7 @@ def test_full_config_loads_every_key(tmp_path):
         bucket_minutes=15,
         resolution_minutes=30,
         hotspots=HotspotSettings(0.4, 0.02, 120.0, 40.0, 9.0, 0.3, 4.0, 0.25, 25.0),
-        training=TrainingSettings(96, 7, 0.08, 2, 6, 3),
+        training=TrainingSettings(7, 0.08, 2, 6, 3),
         de=DeConfig(11, 9, 0.6, 0.8),
         de_overrides={"local": {"population_size": 5, "generations": 4,
                                 "differential_weight": 0.5, "crossover_rate": 0.3}},
@@ -91,6 +88,7 @@ def test_full_config_loads_every_key(tmp_path):
     for key in ("bucket_cell_m", "resolution_minutes"):
         assert type(getattr(cfg, key)) is type(getattr(expected, key))
     assert type(cfg.hotspots.count_cap) is float
+    assert cfg.day_length == 48  # 1440 / 30
     assert cfg.de.seed == 0
     local = cfg.de_for("local")
     assert (local.population_size, local.crossover_rate) == (5, 0.3)
@@ -119,6 +117,12 @@ def test_readme_example_loads(tmp_path):
     assert cfg.hotspots.count_cap == 10.0
     assert cfg.de_overrides == {"pattern": {"population_size": 16, "generations": 50}}
     assert cfg.de_for("pattern").generations == 50
+    # README says the example sets every key to its default, apart from
+    # [paths] trips and [de.pattern]; a stale key or a changed default fails
+    assert cfg.trips_path == tmp_path / "data/trips.csv"
+    cfg = dataclasses.replace(cfg, trips_path=None, de_overrides={})
+    for f in dataclasses.fields(PipelineConfig):
+        assert getattr(cfg, f.name) == getattr(PipelineConfig(), f.name), f.name
 
 
 @pytest.mark.parametrize("text, named", [
@@ -128,7 +132,11 @@ def test_readme_example_loads(tmp_path):
     ("[de.local]\npopulation = 5\n", "population"),
     ("[paths]\ntrip = data/trips.csv\n", "trip"),
     ("[de.global]\ngenerations = 2\n", "[de.global]"),
-], ids=["key", "section", "de-stage", "de-stage-key", "paths-key", "de-global"])
+    ("[de]\nseed = 5\n", "seed"),
+    ("[de.local]\nseed = 5\n", "seed"),
+    ("[training]\nday_length = 96\n", "day_length"),
+], ids=["key", "section", "de-stage", "de-stage-key", "paths-key", "de-global",
+        "de-seed", "de-stage-seed", "day_length"])
 def test_unknown_section_or_key_rejected(tmp_path, text, named):
     path = tmp_path / "pipeline.ini"
     path.write_text(text, encoding="utf-8")

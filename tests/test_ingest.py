@@ -324,6 +324,10 @@ class TestHotspotActivity:
         with pytest.raises(ValueError):
             hotspot_activity(grid, square_hotspot(0.0, 0.0, 5000.0),
                              "2015-02-02", resolution_minutes=7)
+        # a multiple of the 5-minute buckets that does not divide a day
+        with pytest.raises(ValueError, match="resolution_minutes = 35"):
+            hotspot_activity(grid, square_hotspot(0.0, 0.0, 5000.0),
+                             "2015-02-02", resolution_minutes=35)
 
     def test_polygon_outside_box_rejected(self):
         grid = bucketize([record()], BOX)

@@ -10,6 +10,7 @@ from citytrails.series import (
     generate_archetype,
     normalize_min_max,
     perturb,
+    samples_per_day,
     series_from_csv,
     series_to_csv,
 )
@@ -50,6 +51,18 @@ class TestNormalization:
                                 resolution_minutes=5)
         assert (out.day_id, out.hotspot_id, out.resolution_minutes) == \
             ("2015-01-27", "D", 5)
+
+
+class TestSamplesPerDay:
+    @pytest.mark.parametrize("minutes, samples", [(10, 144), (15, 96), (30, 48),
+                                                  (90, 16), (1440, 1)])
+    def test_divisors_of_a_day(self, minutes, samples):
+        assert samples_per_day(minutes) == samples
+
+    @pytest.mark.parametrize("minutes", [0, -10, 7, 35, 100, 2880])
+    def test_other_resolutions_rejected_naming_the_setting(self, minutes):
+        with pytest.raises(ValueError, match=f"resolution_minutes = {minutes} "):
+            samples_per_day(minutes)
 
 
 class TestArchetypes:
