@@ -164,22 +164,39 @@ def _load_series_dir(cfg: PipelineConfig, hotspot_id: str | None):
         chosen = subdirs[0]
     else:
         raise ValueError(f"multiple hotspots under {root}; pass --hotspot")
-    days = [series_from_csv(p.read_text()) for p in sorted(chosen.glob("*.csv"))]
+    days = []
+    # Every day must lie on the [grid] day the archetypes are built for; a
+    # file from another grid would otherwise be read as if it lay on this one.
+    for path in sorted(chosen.glob("*.csv")):
+        day = series_from_csv(path.read_text())
+        if len(day) != cfg.day_length:
+            raise ValueError(f"{path} has {len(day)} samples, but the [grid] day "
+                             f"has {cfg.day_length}")
+        if day.resolution_minutes != cfg.resolution_minutes:
+            raise ValueError(f"{path} is headed resolution_minutes="
+                             f"{day.resolution_minutes}, but [grid] "
+                             f"resolution_minutes = {cfg.resolution_minutes}")
+        days.append(day)
     if not days:
         raise FileNotFoundError(f"{chosen}/*.csv")
     return days
 
 
-def _labelled_levels(cfg: PipelineConfig, hotspot_id: str | None):
-    """The trained perceptron's level series of one hotspot's days, with each
-    day's weekday class and whether ``labels.csv`` flags it anomalous."""
+def _labelled_days(cfg: PipelineConfig, hotspot_id: str | None):
+    """One hotspot's days, with each day's weekday class and whether
+    ``labels.csv`` flags it anomalous."""
     days = _load_series_dir(cfg, hotspot_id)
     labels = synth.parse_labels_csv(_require(cfg.out_dir / "labels.csv").read_text())
     flagged = {day_id for day_id, _, flag, _ in labels if flag}
+    classes = [expected_class_for(date.fromisoformat(s.day_id)) for s in days]
+    return days, classes, [s.day_id in flagged for s in days]
+
+
+def _labelled_levels(cfg: PipelineConfig, labelled):
+    """The trained perceptron's level series of ``_labelled_days``' days."""
+    days, classes, flags = labelled
     sp = load_sp(_require(cfg.out_dir / "sp.ini"), cfg.day_length)
-    levels = transform_many(sp, days)
-    classes = [expected_class_for(date.fromisoformat(s.day_id)) for s in levels]
-    return levels, classes, [s.day_id in flagged for s in levels]
+    return transform_many(sp, days), classes, flags
 
 
 def _pattern_params_path(cfg: PipelineConfig) -> Path:
@@ -188,6 +205,11 @@ def _pattern_params_path(cfg: PipelineConfig) -> Path:
 
 def cmd_train(cfg: PipelineConfig, args) -> None:
     length = cfg.day_length
+    # Resolve the pattern field's days first, so that a bad series directory
+    # fails before any DE runs and before sp.ini is written.
+    labelled = None
+    if (cfg.out_dir / "series").exists() and (cfg.out_dir / "labels.csv").exists():
+        labelled = _labelled_days(cfg, args.hotspot)
     sets = synth.archetype_training_sets(length, cfg.training.per_class,
                                          cfg.training.noise, cfg.training.max_shift,
                                          seed=cfg.stage_seed("sp-train"))
@@ -201,13 +223,11 @@ def cmd_train(cfg: PipelineConfig, args) -> None:
     print(f"train: perceptron saved to {cfg.out_dir / 'sp.ini'} "
           f"(evaporation interval [{d_lo:.4g}, {d_hi:.4g}])")
 
-    series_root = cfg.out_dir / "series"
-    labels_path = cfg.out_dir / "labels.csv"
-    if not (series_root.exists() and labels_path.exists()):
+    if labelled is None:
         print("train: no series/labels present, skipping pattern-field training")
         return
     by_class: dict[str, list] = {c: [] for c in CLASS_LETTERS}
-    for level_series, cls, flag in zip(*_labelled_levels(cfg, args.hotspot)):
+    for level_series, cls, flag in zip(*_labelled_levels(cfg, labelled)):
         if not flag and len(by_class[cls]) < cfg.training.pattern_per_class:
             by_class[cls].append(level_series)
     params, history = train_pattern_field(by_class, bounds, cfg.de_for("pattern"))
@@ -228,7 +248,7 @@ def _classification_run(cfg: PipelineConfig, inputs, matrix_fn, de_stage: str):
 
 def _srf_run(cfg: PipelineConfig, args):
     """The classification inputs and their run with the trained pattern field."""
-    inputs = _labelled_levels(cfg, args.hotspot)
+    inputs = _labelled_levels(cfg, _labelled_days(cfg, args.hotspot))
     text = _require(_pattern_params_path(cfg)).read_text(encoding="utf-8")
     pattern = params_from_config(text, ["pattern"])["pattern"]
     return inputs, _classification_run(

@@ -237,31 +237,41 @@ def planted_trips_csv(box: GeoBox, n_valid: int = 9500, n_invalid: int = 500,
     for name, count in (("n_valid", n_valid), ("n_invalid", n_invalid)):
         if count < 0:
             raise ValueError(f"{name} = {count} must be non-negative")
+    for name, count in (("n_clusters", n_clusters), ("days", days)):
+        if count < 1:
+            raise ValueError(f"{name} = {count} must be at least 1")
     rng = np.random.default_rng(seed)
-    lon_span = box.lon_max - box.lon_min
-    lat_span = box.lat_max - box.lat_min
+    lon_min, lon_max = box.lon_min, box.lon_max
+    lat_min, lat_max = box.lat_min, box.lat_max
+    lon_span = lon_max - lon_min
+    lat_span = lat_max - lat_min
     centers = np.column_stack([
-        box.lon_min + lon_span * rng.uniform(0.2, 0.8, n_clusters),
-        box.lat_min + lat_span * rng.uniform(0.2, 0.8, n_clusters)])
+        lon_min + lon_span * rng.uniform(0.2, 0.8, n_clusters),
+        lat_min + lat_span * rng.uniform(0.2, 0.8, n_clusters)]).tolist()
     sigma = 0.03 * min(lon_span, lat_span)
+    # The rows draw one scalar at a time, in a fixed order that pins the
+    # file's bytes; plain Python arithmetic and lookup tables keep that loop
+    # free of NumPy calls other than the draws themselves.
+    integers, normal = rng.integers, rng.normal
+    day_text = [(TRIPS_START + timedelta(days=d)).isoformat() for d in range(days)]
+    clock_text = [f"{m // 60:02d}:{m % 60:02d}:00" for m in range(MINUTES_PER_DAY)]
 
     def cluster_point():
-        cx, cy = centers[rng.integers(n_clusters)]
-        lon = float(np.clip(rng.normal(cx, sigma), box.lon_min, box.lon_max))
-        lat = float(np.clip(rng.normal(cy, sigma), box.lat_min, box.lat_max))
+        cx, cy = centers[integers(n_clusters)]
+        lon = min(max(normal(cx, sigma), lon_min), lon_max)
+        lat = min(max(normal(cy, sigma), lat_min), lat_max)
         return lon, lat
 
     def timestamp():
-        d = TRIPS_START + timedelta(days=int(rng.integers(days)))
-        minute = int(rng.integers(MINUTES_PER_DAY))
-        return f"{d.isoformat()} {minute // 60:02d}:{minute % 60:02d}:00"
+        day = day_text[integers(days)]
+        return f"{day} {clock_text[integers(MINUTES_PER_DAY)]}"
 
     rows = []
     for i in range(n_valid):
         plon, plat = cluster_point()
         dlon, dlat = cluster_point()
         pickup = timestamp()
-        rows.append(f"T{i % 97:04d},{int(rng.integers(1, 5))},{pickup},{pickup},"
+        rows.append(f"T{i % 97:04d},{integers(1, 5)},{pickup},{pickup},"
                     f"{plon:.6f},{plat:.6f},{dlon:.6f},{dlat:.6f}")
     breakers = ("missing", "bad_time", "out_of_box", "order")
     for i in range(n_invalid):
@@ -276,11 +286,11 @@ def planted_trips_csv(box: GeoBox, n_valid: int = 9500, n_invalid: int = 500,
                         f"{plon:.6f},{plat:.6f},{dlon:.6f},{dlat:.6f}")
         elif kind == "out_of_box":
             rows.append(f"T{i:04d},2,{ts},{ts},"
-                        f"{box.lon_max + lon_span:.6f},{plat:.6f},{dlon:.6f},{dlat:.6f}")
+                        f"{lon_max + lon_span:.6f},{plat:.6f},{dlon:.6f},{dlat:.6f}")
         else:
             d2 = TRIPS_START - timedelta(days=1)
             rows.append(f"T{i:04d},2,{ts},{d2.isoformat()} 00:00:00,"
                         f"{plon:.6f},{plat:.6f},{dlon:.6f},{dlat:.6f}")
     order = rng.permutation(len(rows))
-    body = "\n".join(rows[int(k)] for k in order)
+    body = "\n".join([rows[k] for k in order.tolist()])
     return TRIPS_HEADER + "\n" + body + "\n"

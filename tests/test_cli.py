@@ -588,6 +588,38 @@ def test_mixed_day_lengths_exit_2_naming_the_day(workspace, capsys):
     assert "2015-02-16" in err and "144" in err and "96" in err
 
 
+@pytest.mark.parametrize("command", ["train", "classify", "compare"])
+@pytest.mark.parametrize("edit, values", [
+    (lambda text: text.replace("resolution_minutes=15", "resolution_minutes=10"),
+     ("resolution_minutes=10", "resolution_minutes = 15")),
+    (lambda text: text[:text.rstrip("\n").rindex("\n") + 1], ("95", "96")),
+], ids=["header", "sample-count"])
+def test_series_off_the_day_grid_exits_2_naming_the_file(workspace, capsys, command,
+                                                         edit, values):
+    config, out = workspace
+    run(config, "synth", "--kind", "year", "--days", "42", "--anomalies", "9")
+    day = out / "series" / "D" / "2015-01-20.csv"
+    day.write_text(edit(day.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    assert run(config, command) == 2
+    err = capsys.readouterr().err
+    assert str(day) in err and all(value in err for value in values)
+    assert not (out / "sp.ini").exists() and not (out / "history").exists()
+
+
+def test_train_over_several_hotspots_exits_2_before_training(workspace, capsys):
+    # synth's year under series/D and the trip hotspots extract writes beside it
+    config, out = workspace
+    for args in (["synth", "--kind", "all", "--days", "42", "--anomalies", "9"],
+                 ["ingest"], ["hotspots"], ["extract"]):
+        assert run(config, *args) == 0
+    assert len(list((out / "series").iterdir())) > 1
+    capsys.readouterr()
+    assert run(config, "train") == 2
+    assert "pass --hotspot" in capsys.readouterr().err
+    assert not (out / "sp.ini").exists() and not (out / "history").exists()
+
+
 class TestExitCodes:
     def test_internal_error_exits_1(self, workspace, monkeypatch):
         config, _ = workspace

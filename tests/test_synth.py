@@ -1,0 +1,48 @@
+"""The synthetic trip CSV generator: pinned bytes and argument checks."""
+
+import hashlib
+
+import pytest
+
+from citytrails.ingest import GeoBox
+from citytrails.synth import TRIPS_HEADER, planted_trips_csv
+
+# The study box of the CLI tests' config.
+BOX = GeoBox(lon_min=-74.02, lon_max=-73.98, lat_min=40.70, lat_max=40.74)
+
+# sha256 of planted_trips_csv's text per (seed, n_valid, n_invalid,
+# n_clusters, days): the bench's trips shape, the CLI default, seven clusters
+# on one day, every breaker kind without valid rows, and no rows at all.
+TRIPS_DIGESTS = {
+    (0, 3000, 250, 1, 4):
+        "0cbcab1d54618a1372a0bd17de7fd4efab61bdc626a1fcddc275af4802b27fa1",
+    (3, 3000, 250, 4, 2):
+        "d423e3494d8420ca032b1926a07880e4de037ffb1753c227c6e14f96140f0a3b",
+    (21, 500, 37, 7, 1):
+        "3a6d0e4bf9140c87aa9d62fb363f5e3c9cc49b3d60b2649ba2ae212bf75e9a1b",
+    (5, 0, 9, 4, 2):
+        "66c76ece4bcf1cfb0363153c0fde3a9185de233e9bd80e7b33f5d566fe82d003",
+    (2, 0, 0, 4, 2):
+        "e285fdc54bedf75788d0a33cc67f77be17c971ec88a56b29eb773d9943bb52ee",
+}
+
+
+class TestPlantedTripsCsv:
+    @pytest.mark.parametrize("shape", sorted(TRIPS_DIGESTS))
+    def test_bytes_match_recorded_digest(self, shape):
+        seed, n_valid, n_invalid, n_clusters, days = shape
+        text = planted_trips_csv(BOX, n_valid=n_valid, n_invalid=n_invalid,
+                                 n_clusters=n_clusters, days=days, seed=seed)
+        assert text.startswith(TRIPS_HEADER + "\n")
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRIPS_DIGESTS[shape]
+
+    @pytest.mark.parametrize("name", ["n_valid", "n_invalid"])
+    def test_negative_row_count_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} = -1"):
+            planted_trips_csv(BOX, **{name: -1})
+
+    @pytest.mark.parametrize("name", ["n_clusters", "days"])
+    @pytest.mark.parametrize("n_valid", [0, 10])
+    def test_shape_below_one_rejected(self, name, n_valid):
+        with pytest.raises(ValueError, match=f"{name} = 0 must be at least 1"):
+            planted_trips_csv(BOX, n_valid=n_valid, n_invalid=0, **{name: 0})
