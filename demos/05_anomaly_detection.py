@@ -11,13 +11,11 @@ import time
 from citytrails.anomaly import classification_run, similarity_matrix
 from citytrails.calibrate import (
     DeConfig,
-    ParamBounds,
-    global_training,
-    local_training,
+    pattern_training_sets,
     train_pattern_field,
+    train_perceptron,
 )
-from citytrails.perceptron import StigmergicPerceptron, transform_many
-from citytrails.series import CLASS_LETTERS, all_archetypes
+from citytrails.perceptron import transform_many
 from citytrails.synth import archetype_training_sets, synthetic_year
 
 LENGTH = 96
@@ -25,16 +23,12 @@ start = time.time()
 
 sets = archetype_training_sets(LENGTH, per_class=6, seed=11)
 de = DeConfig(population_size=12, generations=25, seed=5)
-bounds = global_training(all_archetypes(LENGTH), sets, ParamBounds.coarse(), de)
-sp, _ = local_training(StigmergicPerceptron.untrained(LENGTH), bounds, de, sets)
+sp, bounds, _ = train_perceptron(sets, LENGTH, de)
 print(f"perceptron trained ({time.time() - start:.0f}s)")
 
 year = synthetic_year(n_days=91, anomaly_count=9, length=LENGTH, seed=3)
 levels = transform_many(sp, year.days)
-pattern_sets = {c: [] for c in CLASS_LETTERS}
-for lv, cls, flag in zip(levels, year.classes, year.anomaly_flags):
-    if not flag and len(pattern_sets[cls]) < 8:
-        pattern_sets[cls].append(lv)
+pattern_sets = pattern_training_sets(levels, year.classes, year.anomaly_flags, 8)
 pattern, _ = train_pattern_field(pattern_sets, bounds,
                                  DeConfig(population_size=10, generations=20,
                                           seed=7))

@@ -3,8 +3,10 @@
 All parameter search goes through one DE/rand/1/bin minimizer. Receptive
 fields are trained in two phases: a global sweep narrows the evaporation
 interval (the most sensitive parameter), then a local per-field DE run finds
-the full parameter vector against labeled training couples. The same
-minimizer also tunes the per-class anomaly-index thresholds.
+the full parameter vector against labeled training couples
+(``train_perceptron``). The pattern field then trains on typical days of each
+class (``pattern_training_sets``). The same minimizer also tunes the
+per-class anomaly-index thresholds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import CLASS_LETTERS
-from .perceptron import scale_levels
+from .perceptron import StigmergicPerceptron, scale_levels
 from .srf import PARAM_KEYS, SrfParams, indexed_similarity
 
 COARSE_INTERVALS = {
@@ -275,6 +277,29 @@ def local_training(sp, bounds: ParamBounds, cfg: DeConfig,
         trained = trained.with_params(archetype.name, SrfParams.from_vector(result.best))
         histories[archetype.name] = result.history
     return trained, histories
+
+
+def train_perceptron(synthetic_sets: dict[str, list], length: int, cfg: DeConfig):
+    """The paper's perceptron recipe: the global evaporation sweep narrows the
+    coarse bounds, then one local DE runs per field. Returns the trained
+    perceptron, the narrowed bounds and the per-field histories."""
+    sp = StigmergicPerceptron.untrained(length)
+    bounds = global_training([a for a, _ in sp.fields], synthetic_sets,
+                             ParamBounds.coarse())
+    sp, histories = local_training(sp, bounds, cfg, synthetic_sets)
+    return sp, bounds, histories
+
+
+def pattern_training_sets(levels, classes, flags, per_class: int) -> dict[str, list]:
+    """The pattern field's training days: for each class letter, the first
+    ``per_class`` days in day order that are not flagged anomalous."""
+    if per_class < 1:
+        raise ValueError(f"pattern_per_class = {per_class} must be at least 1")
+    by_class: dict[str, list] = {c: [] for c in CLASS_LETTERS}
+    for level_series, cls, flag in zip(levels, classes, flags):
+        if not flag and len(by_class[cls]) < per_class:
+            by_class[cls].append(level_series)
+    return by_class
 
 
 def pattern_training_pairs(level_sets_by_class: dict[str, list]) -> TrainingCouples:

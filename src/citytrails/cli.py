@@ -20,31 +20,15 @@ from .anomaly import (
     similarity_matrix,
 )
 from .baseline import baseline_matrix
-from .calibrate import (
-    ParamBounds,
-    global_training,
-    local_training,
-    train_pattern_field,
-)
+from .calibrate import pattern_training_sets, train_pattern_field, train_perceptron
 from .config import ENV_CONFIG_VAR, PipelineConfig, load_config, write_history_csv
 from .hotspot import ConeMark, TimeSlot, check_hotspot_id, extract_hotspots, \
     hotspots_from_geojson, hotspots_to_geojson, relevance_mask, build_slot_trail
 from .ingest import BucketGrid, bucketize, hotspot_activity, parse_trips, \
     rejections_to_csv, slot_event_batches
-from .perceptron import (
-    StigmergicPerceptron,
-    load_sp,
-    params_from_config,
-    params_to_config,
-    save_sp,
-    transform_many,
-)
-from .series import (
-    CLASS_LETTERS,
-    all_archetypes,
-    series_from_csv,
-    series_to_csv,
-)
+from .perceptron import load_sp, params_from_config, params_to_config, save_sp, \
+    transform_many
+from .series import series_from_csv, series_to_csv
 from .srf import final_trail
 from .stigspace import CELL_CENTERS, Trail2D, to_ascii_grid
 
@@ -186,8 +170,7 @@ def _labelled_days(cfg: PipelineConfig, hotspot_id: str | None):
     """One hotspot's days, with each day's weekday class and whether
     ``labels.csv`` flags it anomalous."""
     days = _load_series_dir(cfg, hotspot_id)
-    labels = synth.parse_labels_csv(_require(cfg.out_dir / "labels.csv").read_text())
-    flagged = {day_id for day_id, _, flag, _ in labels if flag}
+    flagged = synth.parse_labels_csv(_require(cfg.out_dir / "labels.csv").read_text())
     classes = [expected_class_for(date.fromisoformat(s.day_id)) for s in days]
     return days, classes, [s.day_id in flagged for s in days]
 
@@ -213,9 +196,7 @@ def cmd_train(cfg: PipelineConfig, args) -> None:
     sets = synth.archetype_training_sets(length, cfg.training.per_class,
                                          cfg.training.noise, cfg.training.max_shift,
                                          seed=cfg.stage_seed("sp-train"))
-    bounds = global_training(all_archetypes(length), sets, ParamBounds.coarse())
-    sp, histories = local_training(StigmergicPerceptron.untrained(length), bounds,
-                                   cfg.de_for("local"), sets)
+    sp, bounds, histories = train_perceptron(sets, length, cfg.de_for("local"))
     save_sp(sp, cfg.out_dir / "sp.ini")
     for name, history in histories.items():
         write_history_csv(cfg.out_dir / "history" / f"{name}.csv", history)
@@ -226,10 +207,8 @@ def cmd_train(cfg: PipelineConfig, args) -> None:
     if labelled is None:
         print("train: no series/labels present, skipping pattern-field training")
         return
-    by_class: dict[str, list] = {c: [] for c in CLASS_LETTERS}
-    for level_series, cls, flag in zip(*_labelled_levels(cfg, labelled)):
-        if not flag and len(by_class[cls]) < cfg.training.pattern_per_class:
-            by_class[cls].append(level_series)
+    by_class = pattern_training_sets(*_labelled_levels(cfg, labelled),
+                                     cfg.training.pattern_per_class)
     params, history = train_pattern_field(by_class, bounds, cfg.de_for("pattern"))
     _write(_pattern_params_path(cfg), params_to_config({"pattern": params}))
     write_history_csv(cfg.out_dir / "history" / "pattern.csv", history)
@@ -326,7 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate synthetic inputs")
+    def command(name: str, handler, text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("synth", cmd_synth, "generate synthetic inputs")
     p.add_argument("--kind", choices=("year", "trips", "all"),
                    default="all")
     p.add_argument("--days", type=int, default=364)
@@ -335,35 +319,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invalid-rows", type=int, default=100)
     p.add_argument("--hotspot", default="D")
 
-    p = sub.add_parser("ingest", help="parse and bucketize a trip CSV")
+    p = command("ingest", cmd_ingest, "parse and bucketize a trip CSV")
     p.add_argument("--trips", help="trip CSV path (default: config or out/trips.csv)")
 
-    sub.add_parser("hotspots", help="build slot trails and extract hotspots")
-    sub.add_parser("extract", help="extract per-hotspot daily activity series")
-
-    p = sub.add_parser("train", help="train the perceptron and pattern field")
-    p.add_argument("--hotspot", default=None)
-
-    p = sub.add_parser("classify", help="score days and tune thresholds")
-    p.add_argument("--hotspot", default=None)
-
-    p = sub.add_parser("compare", help="accuracy table for SRF, DTW, Frechet")
-    p.add_argument("--hotspot", default=None)
-
-    sub.add_parser("plotdata", help="emit plot-ready CSV bundles")
+    command("hotspots", cmd_hotspots, "build slot trails and extract hotspots")
+    command("extract", cmd_extract, "extract per-hotspot daily activity series")
+    for name, handler, text in (
+            ("train", cmd_train, "train the perceptron and pattern field"),
+            ("classify", cmd_classify, "score days and tune thresholds"),
+            ("compare", cmd_compare, "accuracy table for SRF, DTW, Frechet")):
+        command(name, handler, text).add_argument("--hotspot", default=None)
+    command("plotdata", cmd_plotdata, "emit plot-ready CSV bundles")
     return parser
-
-
-_HANDLERS = {
-    "synth": cmd_synth,
-    "ingest": cmd_ingest,
-    "hotspots": cmd_hotspots,
-    "extract": cmd_extract,
-    "train": cmd_train,
-    "classify": cmd_classify,
-    "compare": cmd_compare,
-    "plotdata": cmd_plotdata,
-}
 
 
 def main(argv=None) -> int:
@@ -377,7 +344,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out_dir=Path(args.out))
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        _HANDLERS[args.command](cfg, args)
+        args.handler(cfg, args)
         return EXIT_OK
     except FileNotFoundError as exc:
         print(f"error: missing artifact: {exc}", file=sys.stderr)

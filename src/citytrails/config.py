@@ -114,7 +114,8 @@ def load_config(path=None) -> PipelineConfig:
     So does a ``[grid] resolution_minutes`` that does not divide a day or
     leaves it fewer than the ``series.MIN_ARCHETYPE_LENGTH`` samples every
     stage that trains needs, a ``[hotspots] relevance_fraction`` outside
-    (0, 1] and a negative ``min_area_km2``.
+    (0, 1], a negative ``min_area_km2`` and a ``[training]`` ``per_class``,
+    ``pattern_per_class`` or ``representatives`` below 1.
     """
     base = PipelineConfig()
     if path is None:
@@ -159,6 +160,10 @@ def load_config(path=None) -> PipelineConfig:
     if not hs.min_area_km2 >= 0:
         raise ValueError(f"{path}: [hotspots] min_area_km2 = {hs.min_area_km2} "
                          "must be non-negative")
+    for key in ("per_class", "pattern_per_class", "representatives"):
+        count = getattr(cfg.training, key)
+        if count < 1:
+            raise ValueError(f"{path}: [training] {key} = {count} must be at least 1")
     return cfg
 
 

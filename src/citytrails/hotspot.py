@@ -151,26 +151,28 @@ def relevance_mask(trail: Trail2D, fraction: float) -> np.ndarray:
     return trail.cells >= fraction * peak
 
 
-def _connected_components(mask: np.ndarray) -> np.ndarray:
-    """8-connected components of a boolean grid as one label grid: 0 off the
-    mask, 1..n on it in row-major order of each component's first cell."""
-    labels = np.zeros(mask.shape, dtype=int)
-    current = 0
+def _connected_components(mask: np.ndarray) -> list[np.ndarray]:
+    """8-connected components of a boolean grid, each as an (n, 2) array of
+    its (row, col) cells, in row-major order of each component's first cell."""
+    seen = np.zeros(mask.shape, dtype=bool)
+    components = []
     rows, cols = mask.shape
     for r0, c0 in np.argwhere(mask).tolist():
-        if labels[r0, c0]:
+        if seen[r0, c0]:
             continue
-        current += 1
+        seen[r0, c0] = True
         stack = [(r0, c0)]
-        labels[r0, c0] = current
+        cells = []
         while stack:
             r, c = stack.pop()
+            cells.append((r, c))
             for rr in range(max(r - 1, 0), min(r + 2, rows)):
                 for cc in range(max(c - 1, 0), min(c + 2, cols)):
-                    if mask[rr, cc] and not labels[rr, cc]:
-                        labels[rr, cc] = current
+                    if mask[rr, cc] and not seen[rr, cc]:
+                        seen[rr, cc] = True
                         stack.append((rr, cc))
-    return labels
+        components.append(np.array(cells))
+    return components
 
 
 # Marching-squares segments per square configuration, oriented with the
@@ -261,8 +263,9 @@ def extract_hotspots(slot_trails: dict[TimeSlot, Trail2D],
     Each slot trail is binarized at ``relevance_fraction`` of its own peak
     (so uniform rescaling of the trails cannot change the result), the four
     masks are intersected, and each surviving 8-connected component above the
-    minimum area is traced into its outer contour and lettered by its topmost
-    row, then leftmost column. An empty intersection yields an empty list.
+    minimum area is traced into its outer contour and lettered by its bounding
+    box's lowest row index (row 0 is the southmost band), then its lowest
+    column. An empty intersection yields an empty list.
     """
     if set(slot_trails) != set(TimeSlot):
         raise ValueError("need one trail per time slot")
@@ -278,27 +281,21 @@ def extract_hotspots(slot_trails: dict[TimeSlot, Trail2D],
     if not combined.any():
         return []
 
-    labels = _connected_components(combined)
-    cells = np.argwhere(labels)
-    owner = labels[tuple(cells.T)]
-    size = np.bincount(owner)
-    # bounding box [lo, hi) of each label, as (row, col) pairs
-    lo = np.full((size.size, 2), max(labels.shape))
-    hi = np.zeros((size.size, 2), dtype=int)
-    np.minimum.at(lo, owner, cells)
-    np.maximum.at(hi, owner, cells + 1)
     min_cells = min_area_km2 * 1e6 / first.cell_size ** 2
-    kept = sorted((k for k in range(1, size.size) if size[k] >= min_cells),
-                  key=lambda k: tuple(lo[k]))
+    kept = sorted((cells for cells in _connected_components(combined)
+                   if len(cells) >= min_cells),
+                  key=lambda cells: tuple(cells.min(axis=0)))
 
     x0, y0 = first.origin
     s = first.cell_size
     # every component lies inside all four slot masks
     coverage = tuple(sorted(slot.value for slot in TimeSlot))
     hotspots = []
-    for n, k in enumerate(kept):
-        component = labels[lo[k, 0]:hi[k, 0], lo[k, 1]:hi[k, 1]] == k
-        rings = [ring + lo[k, ::-1] for ring in _trace_rings(component)]
+    for n, cells in enumerate(kept):
+        lo = cells.min(axis=0)
+        component = np.zeros(tuple(cells.max(axis=0) - lo + 1), dtype=bool)
+        component[tuple((cells - lo).T)] = True
+        rings = [ring + lo[::-1] for ring in _trace_rings(component)]
         outer = max(rings, key=lambda r: abs(polygon_area(r)))
         polygon = np.column_stack([x0 + (outer[:, 0] + 0.5) * s,
                                    y0 + (outer[:, 1] + 0.5) * s])

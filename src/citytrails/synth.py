@@ -36,6 +36,7 @@ DEFAULT_YEAR_START = date(2015, 1, 5)  # a Monday; 364 days = 52 exact weeks
 YEAR_NOISE = 0.04
 YEAR_MAX_SHIFT = 1
 TRIPS_START = date(2015, 2, 2)  # a Monday, the first day of a trip fixture
+LABELS_HEADER = "day_id,class,is_anomaly,kind"
 
 # Planted spatial clusters: events per cluster and step, their spread in
 # meters, background events per step, and the two events' passenger counts.
@@ -110,7 +111,7 @@ class SyntheticYear:
     kinds: tuple[str, ...]            # "", "suppression" or "shift"
 
     def labels_csv(self) -> str:
-        lines = ["day_id,class,is_anomaly,kind"]
+        lines = [LABELS_HEADER]
         for day, cls, flag, kind in zip(self.days, self.classes,
                                         self.anomaly_flags, self.kinds):
             lines.append(f"{day.day_id},{cls},{int(flag)},{kind}")
@@ -178,14 +179,25 @@ def synthetic_year(n_days: int = 364, anomaly_count: int = 20,
     return SyntheticYear(tuple(days), tuple(classes), tuple(flags), tuple(kinds))
 
 
-def parse_labels_csv(text: str):
-    """(day_id, class, is_anomaly, kind) rows from a labels CSV."""
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    rows = []
-    for line in lines[1:]:
-        day_id, cls, flag, kind = (line.split(",") + [""])[:4]
-        rows.append((day_id, cls, flag == "1", kind))
-    return rows
+def parse_labels_csv(text: str) -> set[str]:
+    """The day ids that a labels CSV, as ``SyntheticYear.labels_csv`` writes
+    it, flags anomalous. A header other than ``LABELS_HEADER``, a row without
+    four fields or a flag other than 0/1 raises ValueError naming the line."""
+    lines = text.splitlines()
+    if not lines or lines[0] != LABELS_HEADER:
+        raise ValueError(f"labels.csv line 1: expected the header {LABELS_HEADER!r}")
+    flagged = set()
+    for number, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise ValueError(f"labels.csv line {number}: expected 4 fields, "
+                             f"got {len(fields)}")
+        if fields[2] not in ("0", "1"):
+            raise ValueError(f"labels.csv line {number}: is_anomaly = "
+                             f"{fields[2]!r} is not 0 or 1")
+        if fields[2] == "1":
+            flagged.add(fields[0])
+    return flagged
 
 
 # --- planted spatial clusters ------------------------------------------------

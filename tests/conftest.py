@@ -14,12 +14,12 @@ from citytrails.baseline import baseline_matrix
 from citytrails.calibrate import (
     DeConfig,
     ParamBounds,
-    global_training,
-    local_training,
+    pattern_training_sets,
     train_pattern_field,
+    train_perceptron,
 )
 from citytrails.perceptron import StigmergicPerceptron, transform_many
-from citytrails.series import CLASS_LETTERS, all_archetypes
+from citytrails.series import all_archetypes
 from citytrails.synth import archetype_training_sets, synthetic_year
 
 DAY_LENGTH = 144
@@ -56,12 +56,9 @@ class PipelineCache:
 
     def trained(self) -> TrainedFields:
         if self._trained is None:
-            archetypes = all_archetypes(DAY_LENGTH)
             sets = archetype_training_sets(DAY_LENGTH, seed=SETS_SEED)
-            bounds = global_training(archetypes, sets, ParamBounds.coarse(), SP_DE)
-            sp, _ = local_training(StigmergicPerceptron.untrained(DAY_LENGTH),
-                                   bounds, SP_DE, sets)
-            self._trained = TrainedFields(archetypes, sets, bounds, sp)
+            sp, bounds, _ = train_perceptron(sets, DAY_LENGTH, SP_DE)
+            self._trained = TrainedFields(all_archetypes(DAY_LENGTH), sets, bounds, sp)
         return self._trained
 
     def year_run(self) -> YearRun:
@@ -69,11 +66,8 @@ class PipelineCache:
             trained = self.trained()
             year = synthetic_year(seed=YEAR_SEED)
             levels = transform_many(trained.sp, year.days)
-            pattern_sets = {c: [] for c in CLASS_LETTERS}
-            for level_series, cls, flag in zip(levels, year.classes,
-                                               year.anomaly_flags):
-                if not flag and len(pattern_sets[cls]) < 10:
-                    pattern_sets[cls].append(level_series)
+            pattern_sets = pattern_training_sets(levels, year.classes,
+                                                 year.anomaly_flags, 10)
             pattern_params, _ = train_pattern_field(pattern_sets, trained.bounds,
                                                     PATTERN_DE)
             srf = classification_run(

@@ -11,8 +11,10 @@ from citytrails.calibrate import (
     local_training,
     narrowest_quality_interval,
     pattern_training_pairs,
+    pattern_training_sets,
     population_fitness,
     train_pattern_field,
+    train_perceptron,
     training_pairs_for_field,
     tune_thresholds,
 )
@@ -354,6 +356,38 @@ class TestLocalTraining:
         sp2, _ = local_training(StigmergicPerceptron.untrained(DAY), bounds,
                                 SMALL_DE, reordered)
         assert [p for _, p in sp2.fields] == [p for _, p in sp.fields]
+
+
+def test_train_perceptron_is_global_then_local_training(small_sets, trained):
+    bounds, sp, histories = trained
+    sp2, bounds2, histories2 = train_perceptron(small_sets, DAY, SMALL_DE)
+    assert [a.name for a, _ in sp2.fields] == [a.name for a, _ in sp.fields]
+    for (_, p), (_, p2) in zip(sp.fields, sp2.fields):
+        assert np.array_equal(p.to_vector(), p2.to_vector())
+    assert bounds2.intervals == bounds.intervals
+    assert histories2 == histories
+
+
+class TestPatternTrainingSets:
+    # day k: (level series, class, flagged)
+    DAYS = [("w0", "W", False), ("e0", "E", False), ("w1", "W", True),
+            ("w2", "W", False), ("e1", "E", True), ("w3", "W", False),
+            ("e2", "E", False)]
+
+    def sets(self, per_class):
+        return pattern_training_sets(*zip(*self.DAYS), per_class)
+
+    def test_skips_flagged_days_and_keeps_day_order(self):
+        assert self.sets(10) == {"W": ["w0", "w2", "w3"], "E": ["e0", "e2"], "L": []}
+
+    def test_caps_each_class(self):
+        assert self.sets(2) == {"W": ["w0", "w2"], "E": ["e0", "e2"], "L": []}
+        assert self.sets(1) == {"W": ["w0"], "E": ["e0"], "L": []}
+
+    def test_per_class_below_one_rejected(self):
+        for per_class in (0, -1):
+            with pytest.raises(ValueError, match="pattern_per_class"):
+                self.sets(per_class)
 
 
 class TestPatternTraining:

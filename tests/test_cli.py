@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -504,6 +505,47 @@ class TestTrainClassifyCompare:
         assert setting in capsys.readouterr().err
         assert not (out / "sp.ini").exists()
 
+    @pytest.mark.parametrize("key", ["per_class", "pattern_per_class",
+                                     "representatives"])
+    def test_training_count_below_one_exits_2_writing_nothing(self, workspace,
+                                                             capsys, key):
+        config, out = workspace
+        run(config, "synth", "--kind", "year", "--days", "42", "--anomalies", "9")
+        text = config.read_text(encoding="utf-8")
+        config.write_text(re.sub(rf"^{key} = .*$", f"{key} = 0", text, flags=re.M),
+                          encoding="utf-8")
+        capsys.readouterr()
+        assert run(config, "train") == 2
+        assert f"[training] {key} = 0" in capsys.readouterr().err
+        assert not (out / "sp.ini").exists() and not (out / "history").exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda t: t.replace(",1,", ",yes,"), "line 8: is_anomaly = 'yes'"),
+        (lambda t: "garbage\n", "line 1"),
+        (lambda t: "", "line 1"),
+        (lambda t: t.replace("day_id,class,is_anomaly,kind", "day,class,flag,kind"),
+         "line 1"),
+        (lambda t: t.replace(",0,\n", ",0\n", 1), "line 2: expected 4 fields, got 3"),
+    ], ids=["flag-yes", "garbage", "empty", "header", "short-row"])
+    def test_malformed_labels_exit_2_naming_the_line(self, workspace, capsys, edit,
+                                                    named):
+        config, out = workspace
+        run(config, "synth", "--kind", "year", "--days", "42", "--anomalies", "9")
+        labels = out / "labels.csv"
+        original = labels.read_text(encoding="utf-8")
+        labels.write_text(edit(original), encoding="utf-8")
+        capsys.readouterr()
+        assert run(config, "train") == 2
+        assert named in capsys.readouterr().err
+        assert not (out / "sp.ini").exists() and not (out / "history").exists()
+        labels.write_text(original, encoding="utf-8")
+        assert run(config, "train") == 0
+        labels.write_text(edit(original), encoding="utf-8")
+        capsys.readouterr()
+        assert run(config, "classify") == 2
+        assert named in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
     def test_classify_report_format_and_idempotence(self, trained):
         config, out = trained
         assert run(config, "classify") == 0
@@ -627,7 +669,7 @@ class TestExitCodes:
         def boom(cfg, args):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli._HANDLERS, "synth", boom)
+        monkeypatch.setattr(cli, "cmd_synth", boom)
         assert run(config, "synth") == 1
 
     def test_missing_config_exits_3(self, tmp_path):

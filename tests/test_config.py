@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import re
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from citytrails.calibrate import DeConfig
-from citytrails.cli import _HANDLERS, main
+from citytrails.cli import build_parser, main
 from citytrails.config import (
     DE_STAGES,
     HotspotSettings,
@@ -144,6 +145,17 @@ def test_unknown_section_or_key_rejected(tmp_path, text, named):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", ["per_class", "pattern_per_class", "representatives"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_training_count_below_one_rejected(tmp_path, key, value):
+    path = tmp_path / "pipeline.ini"
+    path.write_text(f"[training]\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"\[training\] {key} = {value} must be at least 1"):
+        load_config(path)
+    path.write_text(f"[training]\n{key} = 1\n", encoding="utf-8")
+    assert getattr(load_config(path).training, key) == 1
+
+
 def test_every_de_stage_accepts_overrides(tmp_path):
     path = tmp_path / "pipeline.ini"
     path.write_text("".join(f"[de.{stage}]\ngenerations = {i}\n\n"
@@ -155,7 +167,12 @@ def test_every_de_stage_accepts_overrides(tmp_path):
         cfg.de_for("thresholds:euclid")
 
 
-@pytest.mark.parametrize("command", sorted(_HANDLERS))
+# every subcommand the CLI registers
+COMMANDS = sorted(next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_misspelled_key_exits_2_naming_it(tmp_path, capsys, command):
     path = tmp_path / "pipeline.ini"
     path.write_text("[hotspots]\ntrail_detla = 0.1\n", encoding="utf-8")

@@ -265,8 +265,7 @@ class TestSlotTrail:
         trail = build_slot_trail(batches_for(steps), 0.5, grid())
         mask = trail.cells > 0.1 * trail.cells.max()
         from citytrails.hotspot import _connected_components
-        labels = _connected_components(mask)
-        assert labels.max() == 2
+        assert len(_connected_components(mask)) == 2
 
 
 class TestExtraction:

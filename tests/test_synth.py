@@ -1,11 +1,14 @@
-"""The synthetic trip CSV generator: pinned bytes and argument checks."""
+"""The synthetic trip CSV generator (pinned bytes and argument checks) and the
+labels CSV reader."""
 
 import hashlib
+import re
 
 import pytest
 
 from citytrails.ingest import GeoBox
-from citytrails.synth import TRIPS_HEADER, planted_trips_csv
+from citytrails.synth import TRIPS_HEADER, parse_labels_csv, planted_trips_csv, \
+    synthetic_year
 
 # The study box of the CLI tests' config.
 BOX = GeoBox(lon_min=-74.02, lon_max=-73.98, lat_min=40.70, lat_max=40.74)
@@ -46,3 +49,26 @@ class TestPlantedTripsCsv:
     def test_shape_below_one_rejected(self, name, n_valid):
         with pytest.raises(ValueError, match=f"{name} = 0 must be at least 1"):
             planted_trips_csv(BOX, n_valid=n_valid, n_invalid=0, **{name: 0})
+
+
+class TestParseLabelsCsv:
+    def test_reads_back_the_flagged_days(self):
+        year = synthetic_year(n_days=21, anomaly_count=9, length=96, seed=4)
+        flagged = {d.day_id for d, f in zip(year.days, year.anomaly_flags) if f}
+        assert len(flagged) == 9
+        assert parse_labels_csv(year.labels_csv()) == flagged
+
+    @pytest.mark.parametrize("text, named", [
+        ("", "line 1"),
+        ("day_id,class,is_anomaly\n", "line 1"),
+        ("day_id,class,is_anomaly,kind\n2015-01-05,W,0,\n2015-01-06,W,1\n",
+         "line 3: expected 4 fields, got 3"),
+        ("day_id,class,is_anomaly,kind\n2015-01-05,W,0,,\n",
+         "line 2: expected 4 fields, got 5"),
+        ("day_id,class,is_anomaly,kind\n\n", "line 2: expected 4 fields, got 1"),
+        ("day_id,class,is_anomaly,kind\n2015-01-05,W,True,shift\n",
+         "line 2: is_anomaly = 'True' is not 0 or 1"),
+    ], ids=["empty", "header", "short-row", "long-row", "blank-row", "flag"])
+    def test_malformed_rejected_naming_the_line(self, text, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            parse_labels_csv(text)
