@@ -46,15 +46,18 @@ DOMAIN_INTERVALS = {
 DELTA_GRID_POINTS = 30
 BEST_QUALITY_QUANTILE = 0.9
 
+# DE/rand/1/bin's differential weight F and crossover rate CR, the same for
+# every search; a DeConfig sets only the population and generation budget.
+DIFFERENTIAL_WEIGHT = 0.7
+CROSSOVER_RATE = 0.9
+
 
 @dataclass(frozen=True)
 class DeConfig:
-    """Differential evolution hyperparameters (rand/1/bin)."""
+    """Differential evolution budget and seed (rand/1/bin)."""
 
     population_size: int = 30
     generations: int = 150
-    differential_weight: float = 0.7
-    crossover_rate: float = 0.9
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -62,10 +65,6 @@ class DeConfig:
             raise ValueError("population_size must be at least 4")
         if self.generations < 0:
             raise ValueError(f"generations must be non-negative, got {self.generations}")
-        if not 0 < self.differential_weight <= 2:
-            raise ValueError("differential_weight must lie in (0, 2]")
-        if not 0 <= self.crossover_rate <= 1:
-            raise ValueError("crossover_rate must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -169,8 +168,8 @@ def de_minimize(objective, bounds, cfg: DeConfig) -> DeResult:
             forced[i] = rng.integers(dim)
         # Partners are drawn from the size - 1 others: skip past the individual.
         a, b, c = population[(picks + (picks >= rows[:, None])).T]
-        mutant = a + cfg.differential_weight * (b - c)
-        cross = uniforms < cfg.crossover_rate
+        mutant = a + DIFFERENTIAL_WEIGHT * (b - c)
+        cross = uniforms < CROSSOVER_RATE
         cross[rows, forced] = True
         trials = np.clip(np.where(cross, mutant, population), lo, hi)
         trial_energies = np.asarray(objective(trials), dtype=float)
@@ -220,7 +219,8 @@ def global_training(archetypes, synthetic_sets: dict[str, list],
                     cfg: DeConfig | None = None) -> ParamBounds:
     """Sweep evaporation over a log grid for every field (other parameters at
     mid-bounds), pool the per-point quality, and narrow the evaporation
-    interval to the best decile. Other intervals pass through unchanged.
+    interval to the best decile. ``beta_c1``, ``beta_c2`` and ``epsilon`` take
+    their ``DOMAIN_INTERVALS``; the other intervals pass through unchanged.
 
     The sweep runs no DE, so ``cfg`` is unread; it stays for existing callers.
     """

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import os
 import sys
@@ -168,18 +169,36 @@ def _load_series_dir(cfg: PipelineConfig, hotspot_id: str | None):
 
 def _labelled_days(cfg: PipelineConfig, hotspot_id: str | None):
     """One hotspot's days, with each day's weekday class and whether
-    ``labels.csv`` flags it anomalous."""
+    ``labels.csv`` flags it anomalous; every day needs its row there."""
     days = _load_series_dir(cfg, hotspot_id)
-    flagged = synth.parse_labels_csv(_require(cfg.out_dir / "labels.csv").read_text())
+    path = _require(cfg.out_dir / "labels.csv")
+    flags = synth.parse_labels_csv(path.read_text())
+    unlabelled = next((s.day_id for s in days if s.day_id not in flags), None)
+    if unlabelled is not None:
+        raise ValueError(f"{path} has no row for series day {unlabelled}")
     classes = [expected_class_for(date.fromisoformat(s.day_id)) for s in days]
-    return days, classes, [s.day_id in flagged for s in days]
+    return days, classes, [flags[s.day_id] for s in days]
 
 
 def _labelled_levels(cfg: PipelineConfig, labelled):
     """The trained perceptron's level series of ``_labelled_days``' days."""
     days, classes, flags = labelled
-    sp = load_sp(_require(cfg.out_dir / "sp.ini"), cfg.day_length)
-    return transform_many(sp, days), classes, flags
+    return transform_many(_load_sp(cfg), days), classes, flags
+
+
+@contextlib.contextmanager
+def _naming(path: Path):
+    """Prefix ``path`` to a format error raised while reading it."""
+    try:
+        yield
+    except (ValueError, configparser.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _load_sp(cfg: PipelineConfig):
+    path = _require(cfg.out_dir / "sp.ini")
+    with _naming(path):
+        return load_sp(path, cfg.day_length)
 
 
 def _pattern_params_path(cfg: PipelineConfig) -> Path:
@@ -228,8 +247,10 @@ def _classification_run(cfg: PipelineConfig, inputs, matrix_fn, de_stage: str):
 def _srf_run(cfg: PipelineConfig, args):
     """The classification inputs and their run with the trained pattern field."""
     inputs = _labelled_levels(cfg, _labelled_days(cfg, args.hotspot))
-    text = _require(_pattern_params_path(cfg)).read_text(encoding="utf-8")
-    pattern = params_from_config(text, ["pattern"])["pattern"]
+    path = _require(_pattern_params_path(cfg))
+    with _naming(path):
+        pattern = params_from_config(path.read_text(encoding="utf-8"),
+                                     ["pattern"])["pattern"]
     return inputs, _classification_run(
         cfg, inputs, lambda pats: similarity_matrix(pats, pattern), "thresholds")
 
@@ -269,9 +290,8 @@ def cmd_compare(cfg: PipelineConfig, args) -> None:
 # --- plotdata ----------------------------------------------------------------
 
 def _archetype_trail_rows(cfg: PipelineConfig) -> str:
-    sp = load_sp(_require(cfg.out_dir / "sp.ini"), cfg.day_length)
     lines = ["archetype,cell_index,cell_center,intensity"]
-    for archetype, params in sp.fields:
+    for archetype, params in _load_sp(cfg).fields:
         trail = final_trail(archetype.samples, params)
         for i, (center, value) in enumerate(zip(CELL_CENTERS, trail)):
             lines.append(f"{archetype.name},{i},{center:.6g},{value:.6g}")

@@ -70,11 +70,8 @@ class PipelineConfig:
     def de_for(self, stage: str) -> DeConfig:
         if stage not in DE_STAGES:
             raise ValueError(f"unknown DE stage {stage!r}")
-        cfg = dataclasses.replace(self.de, seed=self.stage_seed(f"de:{stage}"))
-        overrides = self.de_overrides.get(stage, {})
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
-        return cfg
+        return dataclasses.replace(self.de, seed=self.stage_seed(f"de:{stage}"),
+                                   **self.de_overrides.get(stage.split(":")[0], {}))
 
 
 # Sections read field by field into the settings dataclass of the same name.
@@ -87,9 +84,11 @@ SCALAR_KEYS = {
     ("grid", "resolution_minutes"): "resolution_minutes",
     ("seeds", "master"): "master_seed",
 }
-# Stages that ask PipelineConfig.de_for for their DE settings; each may have
-# a [de.<stage>] section.
-DE_STAGES = ("local", "pattern", "thresholds", "thresholds:dtw", "thresholds:frechet")
+# Training phases that run DE; each may have a [de.<phase>] section.
+DE_PHASES = ("local", "pattern", "thresholds")
+# Stages that ask PipelineConfig.de_for for their DE settings: each is seeded
+# by its own name and budgeted by the phase its name starts with.
+DE_STAGES = DE_PHASES + ("thresholds:dtw", "thresholds:frechet")
 
 
 def _accepted_keys(base: PipelineConfig) -> dict[str, set[str]]:
@@ -97,7 +96,7 @@ def _accepted_keys(base: PipelineConfig) -> dict[str, set[str]]:
     accepted = {name: {f.name for f in dataclasses.fields(getattr(base, name))}
                 for name in SETTINGS_SECTIONS}
     accepted["de"].remove("seed")  # DE seeds derive from the master seed
-    accepted.update({f"de.{stage}": accepted["de"] for stage in DE_STAGES})
+    accepted.update({f"de.{phase}": accepted["de"] for phase in DE_PHASES})
     for name, key in SCALAR_KEYS:
         accepted.setdefault(name, set()).add(key)
     accepted["paths"].add("trips")
@@ -107,8 +106,8 @@ def _accepted_keys(base: PipelineConfig) -> dict[str, set[str]]:
 def load_config(path=None) -> PipelineConfig:
     """Read a config file. Every key is optional: a missing one keeps the
     default its dataclass field declares, and a present one is cast with the
-    type of that default. ``[de.<stage>]`` sections override ``[de]`` for one
-    stage; relative ``[paths] trips`` resolves against the file's directory.
+    type of that default. ``[de.<phase>]`` sections override ``[de]`` for one
+    training phase; relative ``[paths] trips`` resolves against the file's directory.
     Values may carry ``;`` comments. An unknown section or key raises
     ValueError, so a misspelled key cannot silently fall back to its default.
     So does a ``[grid] resolution_minutes`` that does not divide a day or

@@ -49,6 +49,12 @@ REASON_BAD_VALUE = "bad_value"
 REASON_OUT_OF_BOX = "out_of_box"
 REASON_TIME_ORDER = "dropoff_before_pickup"
 
+# The bucket archive's metadata keys, in the order of its first line, and the
+# column header on its second.
+ARCHIVE_META_KEYS = ("lon_min", "lon_max", "lat_min", "lat_max", "cell_m",
+                     "bucket_minutes")
+ARCHIVE_HEADER = "day,bucket,ix,iy,count"
+
 
 @dataclass(frozen=True)
 class GeoBox:
@@ -85,7 +91,6 @@ class GeoBox:
 
 @dataclass(frozen=True)
 class TripRecord:
-    taxi_id: str
     passenger_count: int
     pickup: tuple[datetime, float, float]    # (timestamp, lon, lat)
     dropoff: tuple[datetime, float, float]
@@ -145,7 +150,7 @@ def parse_trips(path, box: GeoBox) -> tuple[list[TripRecord], list[Rejection]]:
 def _parse_row(values: list[str], box: GeoBox):
     if "" in values:
         return REASON_MISSING
-    taxi_id, passengers, pickup, dropoff, *coords = values
+    _, passengers, pickup, dropoff, *coords = values  # the taxi id need only be present
     try:
         passengers = int(passengers)
         pickup_ts = _parse_timestamp(pickup)
@@ -159,8 +164,7 @@ def _parse_row(values: list[str], box: GeoBox):
         return REASON_TIME_ORDER
     if not (box.contains(plon, plat) and box.contains(dlon, dlat)):
         return REASON_OUT_OF_BOX
-    return TripRecord(taxi_id, passengers, (pickup_ts, plon, plat),
-                      (dropoff_ts, dlon, dlat))
+    return TripRecord(passengers, (pickup_ts, plon, plat), (dropoff_ts, dlon, dlat))
 
 
 def _parse_timestamp(text: str) -> datetime:
@@ -235,7 +239,7 @@ class BucketGrid:
         header = (f"# lon_min={self.box.lon_min!r},lon_max={self.box.lon_max!r},"
                   f"lat_min={self.box.lat_min!r},lat_max={self.box.lat_max!r},"
                   f"cell_m={self.cell_m!r},bucket_minutes={self.bucket_minutes}")
-        lines = [header, "day,bucket,ix,iy,count"]
+        lines = [header, ARCHIVE_HEADER]
         lines.extend(f"{d},{b},{x},{y},{c}" for d, b, x, y, c in zip(
             self.day.tolist(), self.bucket.tolist(), self.ix.tolist(),
             self.iy.tolist(), self.counts.tolist()))
@@ -244,21 +248,38 @@ class BucketGrid:
     @classmethod
     def from_csv(cls, text: str) -> "BucketGrid":
         """Read a ``to_csv`` archive; blank lines are skipped, and an error in
-        a data row names its line."""
+        the metadata line, the header line or a data row names its line."""
         lines = text.split("\n")
         kept = [n for n, line in enumerate(lines, 1) if line.strip()]
         if not kept or not lines[kept[0] - 1].startswith("#"):
             raise ValueError("bucket archive must start with a metadata comment line")
-        meta = {}
-        for item in lines[kept[0] - 1].lstrip("#").strip().split(","):
-            key, _, value = item.partition("=")
-            meta[key.strip()] = float(value)
+        items = [item.partition("=") for item in
+                 lines[kept[0] - 1].lstrip("#").strip().split(",")]
+        meta = {key.strip(): value for key, _, value in items}
+        odd = sorted(meta.keys() ^ set(ARCHIVE_META_KEYS))
+        if odd:
+            problem = "unknown" if odd[0] in meta else "missing"
+            raise ValueError(f"bucket archive line {kept[0]}: {problem} "
+                             f"metadata key {odd[0]!r}")
+        for key, value in meta.items():
+            try:
+                meta[key] = float(value)
+            except ValueError:
+                raise ValueError(f"bucket archive line {kept[0]}: metadata key "
+                                 f"{key!r} needs a number, got {value!r}") from None
+        if not meta["bucket_minutes"].is_integer():
+            raise ValueError(f"bucket archive line {kept[0]}: metadata key "
+                             f"'bucket_minutes' = {meta['bucket_minutes']!r} is not whole")
+        if len(kept) < 2 or lines[kept[1] - 1].strip() != ARCHIVE_HEADER:
+            where = f"line {kept[1]}" if len(kept) > 1 else "end of file"
+            raise ValueError(f"bucket archive {where}: expected the header "
+                             f"{ARCHIVE_HEADER!r} after the metadata line")
         kept = kept[2:]
         rows = [lines[n - 1] for n in kept]
         ragged = next((n for n, row in zip(kept, rows) if row.count(",") != 4), None)
         if ragged is not None:
             raise ValueError(f"bucket archive line {ragged}: expected the 5 fields "
-                             "day,bucket,ix,iy,count")
+                             f"{ARCHIVE_HEADER}")
         def parse(part):
             return np.loadtxt(part, dtype=np.int64, delimiter=",", comments=None,
                               usecols=(1, 2, 3, 4), ndmin=2)

@@ -133,14 +133,30 @@ def params_to_config(blocks: dict[str, SrfParams]) -> str:
 
 
 def params_from_config(text: str, names) -> dict[str, SrfParams]:
-    """The named parameter blocks of ``params_to_config`` text."""
+    """The named parameter blocks of ``params_to_config`` text. A missing
+    block or key, or a value that is not a number or breaks an ``SrfParams``
+    invariant, raises ValueError naming the block and key."""
     cfg = configparser.ConfigParser()
     cfg.read_string(text)
     missing = [name for name in names if name not in cfg]
     if missing:
         raise ValueError(f"missing parameter block(s) {missing}")
-    return {name: SrfParams(**{k: float(cfg[name][k]) for k in PARAM_KEYS})
-            for name in names}
+    blocks = {}
+    for name in names:
+        section, values = cfg[name], {}
+        for key in PARAM_KEYS:
+            if key not in section:
+                raise ValueError(f"parameter block [{name}] has no {key}")
+            try:
+                values[key] = float(section[key])
+            except ValueError:
+                raise ValueError(f"parameter block [{name}] {key} = "
+                                 f"{section[key]!r} is not a number") from None
+        try:
+            blocks[name] = SrfParams(**values)
+        except ValueError as exc:
+            raise ValueError(f"parameter block [{name}] {exc}") from None
+    return blocks
 
 
 def save_sp(sp: StigmergicPerceptron, path) -> None:

@@ -179,25 +179,37 @@ def synthetic_year(n_days: int = 364, anomaly_count: int = 20,
     return SyntheticYear(tuple(days), tuple(classes), tuple(flags), tuple(kinds))
 
 
-def parse_labels_csv(text: str) -> set[str]:
-    """The day ids that a labels CSV, as ``SyntheticYear.labels_csv`` writes
-    it, flags anomalous. A header other than ``LABELS_HEADER``, a row without
-    four fields or a flag other than 0/1 raises ValueError naming the line."""
+def parse_labels_csv(text: str) -> dict[str, bool]:
+    """Whether a labels CSV, as ``SyntheticYear.labels_csv`` writes it, flags
+    each day it lists anomalous, by day id. A header other than
+    ``LABELS_HEADER``, a row without four fields, a day id that is not an ISO
+    date or that repeats, a class other than ``expected_class_for`` the day
+    or a flag other than 0/1 raises ValueError naming the line."""
     lines = text.splitlines()
     if not lines or lines[0] != LABELS_HEADER:
         raise ValueError(f"labels.csv line 1: expected the header {LABELS_HEADER!r}")
-    flagged = set()
+    flags: dict[str, bool] = {}
     for number, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != 4:
             raise ValueError(f"labels.csv line {number}: expected 4 fields, "
                              f"got {len(fields)}")
-        if fields[2] not in ("0", "1"):
+        day_id, cls, flag, _ = fields
+        try:
+            expected = expected_class_for(date.fromisoformat(day_id))
+        except ValueError:
+            raise ValueError(f"labels.csv line {number}: day_id {day_id!r} is not "
+                             "an ISO date") from None
+        if day_id in flags:
+            raise ValueError(f"labels.csv line {number}: day {day_id} is listed again")
+        if cls != expected:
+            raise ValueError(f"labels.csv line {number}: day {day_id} has class "
+                             f"{cls!r}, but its weekday class is {expected!r}")
+        if flag not in ("0", "1"):
             raise ValueError(f"labels.csv line {number}: is_anomaly = "
-                             f"{fields[2]!r} is not 0 or 1")
-        if fields[2] == "1":
-            flagged.add(fields[0])
-    return flagged
+                             f"{flag!r} is not 0 or 1")
+        flags[day_id] = flag == "1"
+    return flags
 
 
 # --- planted spatial clusters ------------------------------------------------

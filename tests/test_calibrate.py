@@ -121,8 +121,8 @@ def reference_de_minimize(objective, bounds, cfg: DeConfig) -> calibrate.DeResul
             picks = rng.choice(size - 1, size=3, replace=False)
             picks[picks >= i] += 1
             a, b, c = population[picks]
-            mutant = a + cfg.differential_weight * (b - c)
-            cross = rng.random(dim) < cfg.crossover_rate
+            mutant = a + calibrate.DIFFERENTIAL_WEIGHT * (b - c)
+            cross = rng.random(dim) < calibrate.CROSSOVER_RATE
             cross[rng.integers(dim)] = True
             trials[i] = np.clip(np.where(cross, mutant, population[i]), lo, hi)
         trial_energies = np.asarray(objective(trials), dtype=float)
@@ -162,17 +162,17 @@ class TestDeMinimizeMatchesReference:
     @pytest.mark.parametrize("dim", [1, 3, 8])
     @pytest.mark.parametrize("size", [4, 10, 30])
     @pytest.mark.parametrize("crossover_rate", [0.0, 0.9, 1.0])
-    def test_bit_equal(self, dim, size, crossover_rate):
-        cfg = DeConfig(population_size=size, generations=12,
-                       crossover_rate=crossover_rate, seed=dim * 100 + size)
+    def test_bit_equal(self, monkeypatch, dim, size, crossover_rate):
+        monkeypatch.setattr(calibrate, "CROSSOVER_RATE", crossover_rate)
+        cfg = DeConfig(population_size=size, generations=12, seed=dim * 100 + size)
         self.assert_same([(-1.0, 1.5)] * dim, cfg)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_bit_equal_with_clipped_mutants(self, seed):
+    def test_bit_equal_with_clipped_mutants(self, monkeypatch, seed):
         # F = 2 on a narrow box throws most mutants outside it.
+        monkeypatch.setattr(calibrate, "DIFFERENTIAL_WEIGHT", 2.0)
         bounds = [(0.0, 0.1), (-2.0, -1.9), (5.0, 5.05)]
-        cfg = DeConfig(population_size=10, generations=15, differential_weight=2.0,
-                       seed=seed)
+        cfg = DeConfig(population_size=10, generations=15, seed=seed)
         seen = self.assert_same(bounds, cfg)
         trials = np.concatenate(seen[1:])
         lo, hi = np.array(bounds).T
@@ -227,10 +227,6 @@ class TestDeMinimize:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DeConfig(population_size=3)
-        with pytest.raises(ValueError):
-            DeConfig(differential_weight=2.5)
-        with pytest.raises(ValueError):
-            DeConfig(crossover_rate=1.5)
         with pytest.raises(ValueError, match="generations"):
             DeConfig(generations=-1)
         assert DeConfig(generations=0).generations == 0

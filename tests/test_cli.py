@@ -298,6 +298,32 @@ class TestSpatialPipeline:
         assert run(config, stage) == 2
         assert "bucket archive line 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["hotspots", "extract"])
+    @pytest.mark.parametrize("line, text, named", [
+        (1, "# lon_min=-74.02", "line 1: missing metadata key 'bucket_minutes'"),
+        (1, None, "line 1: metadata key 'cell_m' needs a number, got ''"),
+        (2, None, "line 2: expected the header 'day,bucket,ix,iy,count'"),
+        (2, "day,bucket,ix,iy", "line 2: expected the header"),
+    ], ids=["metadata-key", "metadata-value", "no-header", "bad-header"])
+    def test_bad_archive_head_exits_2_writing_nothing(self, ingested, capsys, stage,
+                                                      line, text, named):
+        config, out = ingested
+        if stage == "extract":
+            assert run(config, "hotspots") == 0
+        lines = (out / "buckets.csv").read_text().split("\n")
+        if text is not None:
+            lines[line - 1] = text
+        elif line == 1:
+            lines[0] = re.sub(r"cell_m=[^,]*", "cell_m=", lines[0])
+        else:
+            del lines[1]
+        (out / "buckets.csv").write_text("\n".join(lines), encoding="utf-8")
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run(config, stage) == 2
+        assert f"bucket archive {named}" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_trip_series_train_on_the_config_day_grid(self, ingested, capsys):
         # extract samples each day on the [grid] resolution that train reads
         config, out = ingested
@@ -526,7 +552,14 @@ class TestTrainClassifyCompare:
         (lambda t: t.replace("day_id,class,is_anomaly,kind", "day,class,flag,kind"),
          "line 1"),
         (lambda t: t.replace(",0,\n", ",0\n", 1), "line 2: expected 4 fields, got 3"),
-    ], ids=["flag-yes", "garbage", "empty", "header", "short-row"])
+        (lambda t: re.sub(r"^2015-01-1.*\n", "", t, flags=re.M),
+         "has no row for series day 2015-01-10"),
+        (lambda t: t + t.split("\n")[1] + "\n", "line 44: day 2015-01-05 is listed again"),
+        (lambda t: t.replace("2015-01-05,W,", "2015-01-05,L,"),
+         "line 2: day 2015-01-05 has class 'L', but its weekday class is 'W'"),
+        (lambda t: t.replace("2015-01-05,", "Jan 5,"), "line 2: day_id 'Jan 5' is not"),
+    ], ids=["flag-yes", "garbage", "empty", "header", "short-row", "missing-days",
+            "duplicate-day", "wrong-class", "non-date"])
     def test_malformed_labels_exit_2_naming_the_line(self, workspace, capsys, edit,
                                                     named):
         config, out = workspace
@@ -545,6 +578,32 @@ class TestTrainClassifyCompare:
         assert run(config, "classify") == 2
         assert named in capsys.readouterr().err
         assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("name, old, new, named", [
+        ("sp.ini", "epsilon", "epsilonn", "[Asleep] has no epsilon"),
+        ("sp.ini", "delta = ", "delta = x", "[Asleep] delta = 'x"),
+        ("pattern.ini", "alpha_a = ", "alpha_a = ~", "[pattern] alpha_a = '~"),
+        ("pattern.ini", "beta_a", "betta_a", "[pattern] has no beta_a"),
+    ], ids=["sp-missing-key", "sp-non-number", "pattern-non-number",
+            "pattern-missing-key"])
+    def test_bad_parameter_file_exits_2_naming_file_block_and_key(
+            self, trained, capsys, name, old, new, named):
+        config, out = trained
+        path = out / name
+        path.write_text(path.read_text().replace(old, new, 1), encoding="utf-8")
+        capsys.readouterr()
+        assert run(config, "classify") == 2
+        assert f"error: {path}: parameter block {named}" in capsys.readouterr().err
+        assert not (out / "report.csv").exists() and not (out / "matrix.csv").exists()
+
+    def test_labels_for_days_without_series_are_allowed(self, trained):
+        config, out = trained
+        assert run(config, "classify") == 0
+        report = (out / "report.csv").read_bytes()
+        with open(out / "labels.csv", "a", encoding="utf-8") as fh:
+            fh.write("2016-01-04,W,1,suppression\n")
+        assert run(config, "classify") == 0
+        assert (out / "report.csv").read_bytes() == report
 
     def test_classify_report_format_and_idempotence(self, trained):
         config, out = trained

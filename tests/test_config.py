@@ -5,13 +5,16 @@ from pathlib import Path
 
 import pytest
 
+from citytrails import calibrate
 from citytrails.calibrate import DeConfig
 from citytrails.cli import build_parser, main
 from citytrails.config import (
+    DE_PHASES,
     DE_STAGES,
     HotspotSettings,
     PipelineConfig,
     TrainingSettings,
+    _accepted_keys,
     load_config,
 )
 from citytrails.ingest import GeoBox
@@ -54,14 +57,10 @@ representatives = 3
 [de]
 population_size = 11
 generations = 9
-differential_weight = 0.6
-crossover_rate = 0.8
 
 [de.local]
 population_size = 5
 generations = 4
-differential_weight = 0.5
-crossover_rate = 0.3
 
 [seeds]
 master = 23
@@ -80,9 +79,8 @@ def test_full_config_loads_every_key(tmp_path):
         resolution_minutes=30,
         hotspots=HotspotSettings(0.4, 0.02, 120.0, 40.0, 9.0, 0.3, 4.0, 0.25, 25.0),
         training=TrainingSettings(7, 0.08, 2, 6, 3),
-        de=DeConfig(11, 9, 0.6, 0.8),
-        de_overrides={"local": {"population_size": 5, "generations": 4,
-                                "differential_weight": 0.5, "crossover_rate": 0.3}},
+        de=DeConfig(11, 9),
+        de_overrides={"local": {"population_size": 5, "generations": 4}},
         master_seed=23)
     cfg = load_config(path)
     assert cfg == expected
@@ -92,7 +90,7 @@ def test_full_config_loads_every_key(tmp_path):
     assert cfg.day_length == 48  # 1440 / 30
     assert cfg.de.seed == 0
     local = cfg.de_for("local")
-    assert (local.population_size, local.crossover_rate) == (5, 0.3)
+    assert (local.population_size, local.generations) == (5, 4)
     assert local.seed == cfg.stage_seed("de:local")
 
 
@@ -136,8 +134,12 @@ def test_readme_example_loads(tmp_path):
     ("[de]\nseed = 5\n", "seed"),
     ("[de.local]\nseed = 5\n", "seed"),
     ("[training]\nday_length = 96\n", "day_length"),
+    ("[de]\ndifferential_weight = 0.7\n", "differential_weight"),
+    ("[de.local]\ncrossover_rate = 0.9\n", "crossover_rate"),
+    ("[de.thresholds:dtw]\ngenerations = 2\n", "[de.thresholds:dtw]"),
 ], ids=["key", "section", "de-stage", "de-stage-key", "paths-key", "de-global",
-        "de-seed", "de-stage-seed", "day_length"])
+        "de-seed", "de-stage-seed", "day_length", "de-f", "de-stage-cr",
+        "de-thresholds-dtw"])
 def test_unknown_section_or_key_rejected(tmp_path, text, named):
     path = tmp_path / "pipeline.ini"
     path.write_text(text, encoding="utf-8")
@@ -158,13 +160,40 @@ def test_training_count_below_one_rejected(tmp_path, key, value):
 
 def test_every_de_stage_accepts_overrides(tmp_path):
     path = tmp_path / "pipeline.ini"
-    path.write_text("".join(f"[de.{stage}]\ngenerations = {i}\n\n"
-                            for i, stage in enumerate(DE_STAGES)), encoding="utf-8")
+    path.write_text("".join(f"[de.{phase}]\ngenerations = {i}\n\n"
+                            for i, phase in enumerate(DE_PHASES)), encoding="utf-8")
     cfg = load_config(path)
-    assert [cfg.de_for(stage).generations for stage in DE_STAGES] == list(
-        range(len(DE_STAGES)))
+    # compare's DTW and Frechet threshold searches share [de.thresholds] with
+    # SRF's, and each keeps the seed of its own stage name
+    assert [cfg.de_for(stage).generations for stage in DE_STAGES] == [0, 1, 2, 2, 2]
+    seeds = [cfg.de_for(stage).seed for stage in DE_STAGES]
+    assert seeds == [cfg.stage_seed(f"de:{stage}") for stage in DE_STAGES]
+    assert len(set(seeds)) == len(DE_STAGES)
     with pytest.raises(ValueError):
         cfg.de_for("thresholds:euclid")
+
+
+def test_settable_config_surface_is_pinned():
+    """Every (section, key) a config file may set. A new setting must be added
+    here, so it shows up in review."""
+    de = {"population_size", "generations"}
+    assert _accepted_keys(PipelineConfig()) == {
+        "paths": {"out", "trips"},
+        "box": {"lon_min", "lon_max", "lat_min", "lat_max"},
+        "grid": {"bucket_cell_m", "bucket_minutes", "resolution_minutes"},
+        "hotspots": {"relevance_fraction", "min_area_km2", "cone_base_radius_m",
+                     "cone_top_radius_m", "smooth_alpha", "smooth_beta", "count_cap",
+                     "trail_delta", "trail_cell_m"},
+        "training": {"per_class", "noise", "max_shift", "pattern_per_class",
+                     "representatives"},
+        "de": de, "de.local": de, "de.pattern": de, "de.thresholds": de,
+        "seeds": {"master"},
+    }
+    assert sum(map(len, _accepted_keys(PipelineConfig()).values())) == 32
+    # F and CR are fixed for every DE search
+    assert (calibrate.DIFFERENTIAL_WEIGHT, calibrate.CROSSOVER_RATE) == (0.7, 0.9)
+    assert [f.name for f in dataclasses.fields(DeConfig)] == [
+        "population_size", "generations", "seed"]
 
 
 # every subcommand the CLI registers

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from datetime import datetime
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from citytrails.hotspot import Hotspot, TimeSlot
 from citytrails.ingest import (
+    ARCHIVE_HEADER,
     DEFAULT_CELL_M,
     EARTH_RADIUS_M,
     MAX_PASSENGER_COUNT,
@@ -55,7 +57,7 @@ def from_datetime(text):
 
 def record(pickup="2015-02-02 08:00:00", dropoff="2015-02-02 08:10:00",
            plon=-74.0, plat=40.73, dlon=-73.99, dlat=40.74, passengers=2):
-    return TripRecord("T1", passengers,
+    return TripRecord(passengers,
                       (from_datetime(pickup), plon, plat),
                       (from_datetime(dropoff), dlon, dlat))
 
@@ -65,7 +67,6 @@ class TestParse:
         records, rejections = parse_trips(write_csv(tmp_path, [GOOD_ROW]), BOX)
         assert len(records) == 1 and not rejections
         r = records[0]
-        assert r.taxi_id == "T1"
         assert r.passenger_count == 2
         assert r.pickup[1] == pytest.approx(-74.0)
 
@@ -195,6 +196,44 @@ class TestBucketize:
         lines[3] = lines[3].rpartition(",")[0] + ",-2"
         with pytest.raises(ValueError, match="bucket archive line 4: negative count"):
             BucketGrid.from_csv("\n".join(lines))
+
+    @pytest.mark.parametrize("header, named", [
+        (None, "line 2: expected the header 'day,bucket,ix,iy,count'"),
+        ("day,bucket,ix,iy", "line 2: expected the header"),
+        ("count,iy,ix,bucket,day", "line 2: expected the header"),
+    ], ids=["missing", "short", "reordered"])
+    def test_archive_header_line_checked(self, header, named):
+        lines = bucketize([record()], BOX).to_csv().split("\n")
+        assert lines[1] == ARCHIVE_HEADER
+        if header is None:
+            del lines[1]  # the first data row would be taken for the header
+        else:
+            lines[1] = header
+        with pytest.raises(ValueError, match=re.escape(f"bucket archive {named}")):
+            BucketGrid.from_csv("\n".join(lines))
+
+    def test_archive_without_header_or_rows_rejected(self):
+        meta = bucketize([], BOX).to_csv().split("\n")[0]
+        with pytest.raises(ValueError, match="bucket archive end of file: expected"):
+            BucketGrid.from_csv(meta + "\n\n")
+
+    @pytest.mark.parametrize("old, new, named", [
+        (",bucket_minutes=5", "", "line 1: missing metadata key 'bucket_minutes'"),
+        ("lat_min=40.7,", "lat_min=,", "line 1: metadata key 'lat_min' needs a "
+                                       "number, got ''"),
+        ("cell_m=3.048", "cell_m=ten", "line 1: metadata key 'cell_m' needs a "
+                                       "number, got 'ten'"),
+        (",bucket_minutes=5", ",bucket_minutes=5,zone=est",
+         "line 1: unknown metadata key 'zone'"),
+        (",bucket_minutes=5", ",bucket_minutes=5.5",
+         "line 1: metadata key 'bucket_minutes' = 5.5 is not whole"),
+    ], ids=["missing-key", "empty-value", "non-number", "unknown-key",
+            "fractional-minutes"])
+    def test_archive_metadata_error_names_line_and_key(self, old, new, named):
+        text = bucketize([record()], BOX).to_csv()
+        assert old in text
+        with pytest.raises(ValueError, match=re.escape(f"bucket archive {named}")):
+            BucketGrid.from_csv(text.replace(old, new))
 
     def test_archive_counts_that_would_overflow_rejected(self):
         lines = bucketize([record()], BOX).to_csv().split("\n")
@@ -378,7 +417,7 @@ def reference_header_map(fieldnames) -> dict[str, str]:
     taxi = next((c for c in TAXI_ID_COLUMNS if c in lowered), None)
     if taxi is None:
         raise ValueError(f"missing mandatory column: one of {TAXI_ID_COLUMNS}")
-    mapping["taxi_id"] = lowered[taxi]
+    mapping["taxi_id"] = lowered[taxi]  # only checked for presence
     for column in REQUIRED_COLUMNS:
         if column not in lowered:
             raise ValueError(f"missing mandatory column: {column}")
@@ -422,7 +461,7 @@ def reference_parse_row(row: dict, columns: dict[str, str], box: GeoBox):
         return REASON_TIME_ORDER
     if not (box.contains(coords[0], coords[1]) and box.contains(coords[2], coords[3])):
         return REASON_OUT_OF_BOX
-    return TripRecord(values["taxi_id"], passengers,
+    return TripRecord(passengers,
                       (pickup_ts, coords[0], coords[1]),
                       (dropoff_ts, coords[2], coords[3]))
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from citytrails.perceptron import (
     StigmergicPerceptron,
     activity_level,
     load_sp,
+    params_from_config,
+    params_to_config,
     save_sp,
     transform,
     transform_many,
@@ -139,3 +143,17 @@ class TestPersistence:
                         encoding="utf-8")
         with pytest.raises(ValueError):
             load_sp(path, length=48)
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("epsilon = 0.2\n", "", "parameter block [pattern] has no epsilon"),
+        ("epsilon = 0.2", "epsilon = wide",
+         "parameter block [pattern] epsilon = 'wide' is not a number"),
+        ("epsilon = 0.2", "epsilon =", "parameter block [pattern] epsilon = '' is not"),
+        ("delta = 0.1", "delta = -0.1", "parameter block [pattern] delta = -0.1 must"),
+    ], ids=["missing-key", "non-number", "empty", "invariant"])
+    def test_bad_block_value_names_block_and_key(self, old, new, named):
+        text = params_to_config({"pattern": SrfParams.defaults()})
+        assert params_from_config(text, ["pattern"]) == {"pattern": SrfParams.defaults()}
+        assert old in text
+        with pytest.raises(ValueError, match=re.escape(named)):
+            params_from_config(text.replace(old, new), ["pattern"])

@@ -56,7 +56,9 @@ class TestParseLabelsCsv:
         year = synthetic_year(n_days=21, anomaly_count=9, length=96, seed=4)
         flagged = {d.day_id for d, f in zip(year.days, year.anomaly_flags) if f}
         assert len(flagged) == 9
-        assert parse_labels_csv(year.labels_csv()) == flagged
+        flags = parse_labels_csv(year.labels_csv())
+        assert list(flags) == [d.day_id for d in year.days]
+        assert {day for day, flag in flags.items() if flag} == flagged
 
     @pytest.mark.parametrize("text, named", [
         ("", "line 1"),
@@ -68,7 +70,14 @@ class TestParseLabelsCsv:
         ("day_id,class,is_anomaly,kind\n\n", "line 2: expected 4 fields, got 1"),
         ("day_id,class,is_anomaly,kind\n2015-01-05,W,True,shift\n",
          "line 2: is_anomaly = 'True' is not 0 or 1"),
-    ], ids=["empty", "header", "short-row", "long-row", "blank-row", "flag"])
+        ("day_id,class,is_anomaly,kind\n2015-01-05,W,0,\n2015-01-05,W,1,shift\n",
+         "line 3: day 2015-01-05 is listed again"),
+        ("day_id,class,is_anomaly,kind\n2015-01-10,W,0,\n",
+         "line 2: day 2015-01-10 has class 'W', but its weekday class is 'E'"),
+        ("day_id,class,is_anomaly,kind\n2015-01-11,L,0,\n2015-02-30,W,0,\n",
+         "line 3: day_id '2015-02-30' is not an ISO date"),
+    ], ids=["empty", "header", "short-row", "long-row", "blank-row", "flag",
+            "duplicate-day", "wrong-class", "non-date"])
     def test_malformed_rejected_naming_the_line(self, text, named):
         with pytest.raises(ValueError, match=re.escape(named)):
             parse_labels_csv(text)
