@@ -6,8 +6,6 @@ their own documented files there; exit codes are 0 success, 1 internal error,
 from __future__ import annotations
 
 import argparse
-import configparser
-import contextlib
 import dataclasses
 import os
 import sys
@@ -22,7 +20,8 @@ from .anomaly import (
 )
 from .baseline import baseline_matrix
 from .calibrate import pattern_training_sets, train_pattern_field, train_perceptron
-from .config import ENV_CONFIG_VAR, PipelineConfig, load_config, write_history_csv
+from .config import ENV_CONFIG_VAR, PipelineConfig, load_config, read_artifact, \
+    write_history_csv
 from .hotspot import ConeMark, TimeSlot, check_hotspot_id, extract_hotspots, \
     hotspots_from_geojson, hotspots_to_geojson, relevance_mask, build_slot_trail
 from .ingest import BucketGrid, bucketize, hotspot_activity, parse_trips, \
@@ -38,11 +37,7 @@ EXIT_INTERNAL = 1
 EXIT_FORMAT = 2
 EXIT_MISSING = 3
 
-
-def _require(path: Path) -> Path:
-    if not Path(path).exists():
-        raise FileNotFoundError(str(path))
-    return Path(path)
+REPORT_HEADER = "day_id,class,anomaly_index,threshold,verdict"
 
 
 def _write(path: Path, text: str) -> None:
@@ -79,8 +74,8 @@ def cmd_synth(cfg: PipelineConfig, args) -> None:
 
 def cmd_ingest(cfg: PipelineConfig, args) -> None:
     trips = Path(args.trips) if args.trips else (cfg.trips_path or cfg.out_dir / "trips.csv")
-    _require(trips)
-    records, rejections = parse_trips(trips, cfg.box)
+    records, rejections = read_artifact(trips, lambda p: parse_trips(p, cfg.box),
+                                        stream=True)
     grid = bucketize(records, cfg.box, cfg.bucket_cell_m, cfg.bucket_minutes)
     _write(cfg.out_dir / "buckets.csv", grid.to_csv())
     _write(cfg.out_dir / "rejections.csv", rejections_to_csv(rejections))
@@ -103,7 +98,7 @@ def _slot_trails(cfg: PipelineConfig, grid: BucketGrid) -> dict[TimeSlot, Trail2
 
 
 def cmd_hotspots(cfg: PipelineConfig, args) -> None:
-    grid = BucketGrid.from_csv(_require(cfg.out_dir / "buckets.csv").read_text())
+    grid = read_artifact(cfg.out_dir / "buckets.csv", BucketGrid.from_csv)
     trails = _slot_trails(cfg, grid)
     for slot, trail in trails.items():
         _write(cfg.out_dir / "trails" / f"{slot.value}.asc", to_ascii_grid(trail))
@@ -119,9 +114,8 @@ def cmd_hotspots(cfg: PipelineConfig, args) -> None:
 # --- extract -----------------------------------------------------------------
 
 def cmd_extract(cfg: PipelineConfig, args) -> None:
-    grid = BucketGrid.from_csv(_require(cfg.out_dir / "buckets.csv").read_text())
-    found = hotspots_from_geojson(
-        _require(cfg.out_dir / "hotspots.geojson").read_text())
+    grid = read_artifact(cfg.out_dir / "buckets.csv", BucketGrid.from_csv)
+    found = read_artifact(cfg.out_dir / "hotspots.geojson", hotspots_from_geojson)
     targets = {cfg.out_dir / "series" / h.id / f"{day}.csv":
                series_to_csv(hotspot_activity(grid, h, day, cfg.resolution_minutes))
                for h in found for day in grid.days()}
@@ -139,7 +133,9 @@ def cmd_extract(cfg: PipelineConfig, args) -> None:
 # --- train -------------------------------------------------------------------
 
 def _load_series_dir(cfg: PipelineConfig, hotspot_id: str | None):
-    root = _require(cfg.out_dir / "series")
+    root = cfg.out_dir / "series"
+    if not root.is_dir():
+        raise FileNotFoundError(str(root))
     subdirs = sorted(p for p in root.iterdir() if p.is_dir())
     if hotspot_id is not None:
         chosen = root / hotspot_id
@@ -153,14 +149,11 @@ def _load_series_dir(cfg: PipelineConfig, hotspot_id: str | None):
     # Every day must lie on the [grid] day the archetypes are built for; a
     # file from another grid would otherwise be read as if it lay on this one.
     for path in sorted(chosen.glob("*.csv")):
-        day = series_from_csv(path.read_text())
-        if len(day) != cfg.day_length:
-            raise ValueError(f"{path} has {len(day)} samples, but the [grid] day "
-                             f"has {cfg.day_length}")
-        if day.resolution_minutes != cfg.resolution_minutes:
-            raise ValueError(f"{path} is headed resolution_minutes="
-                             f"{day.resolution_minutes}, but [grid] "
-                             f"resolution_minutes = {cfg.resolution_minutes}")
+        day = read_artifact(path, series_from_csv)
+        if (len(day), day.resolution_minutes) != (cfg.day_length, cfg.resolution_minutes):
+            raise ValueError(f"{path} has {len(day)} samples headed resolution_minutes="
+                             f"{day.resolution_minutes}, but the [grid] day has "
+                             f"{cfg.day_length} at resolution_minutes = {cfg.resolution_minutes}")
         days.append(day)
     if not days:
         raise FileNotFoundError(f"{chosen}/*.csv")
@@ -171,8 +164,8 @@ def _labelled_days(cfg: PipelineConfig, hotspot_id: str | None):
     """One hotspot's days, with each day's weekday class and whether
     ``labels.csv`` flags it anomalous; every day needs its row there."""
     days = _load_series_dir(cfg, hotspot_id)
-    path = _require(cfg.out_dir / "labels.csv")
-    flags = synth.parse_labels_csv(path.read_text())
+    path = cfg.out_dir / "labels.csv"
+    flags = read_artifact(path, synth.parse_labels_csv)
     unlabelled = next((s.day_id for s in days if s.day_id not in flags), None)
     if unlabelled is not None:
         raise ValueError(f"{path} has no row for series day {unlabelled}")
@@ -186,32 +179,18 @@ def _labelled_levels(cfg: PipelineConfig, labelled):
     return transform_many(_load_sp(cfg), days), classes, flags
 
 
-@contextlib.contextmanager
-def _naming(path: Path):
-    """Prefix ``path`` to a format error raised while reading it."""
-    try:
-        yield
-    except (ValueError, configparser.Error) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _load_sp(cfg: PipelineConfig):
-    path = _require(cfg.out_dir / "sp.ini")
-    with _naming(path):
-        return load_sp(path, cfg.day_length)
-
-
-def _pattern_params_path(cfg: PipelineConfig) -> Path:
-    return cfg.out_dir / "pattern.ini"
+    return read_artifact(cfg.out_dir / "sp.ini", lambda p: load_sp(p, cfg.day_length),
+                         stream=True)
 
 
 def cmd_train(cfg: PipelineConfig, args) -> None:
     length = cfg.day_length
     # Resolve the pattern field's days first, so that a bad series directory
     # fails before any DE runs and before sp.ini is written.
-    labelled = None
-    if (cfg.out_dir / "series").exists() and (cfg.out_dir / "labels.csv").exists():
-        labelled = _labelled_days(cfg, args.hotspot)
+    absent = [str(p) for p in (cfg.out_dir / "series", cfg.out_dir / "labels.csv")
+              if not p.exists()]
+    labelled = None if absent else _labelled_days(cfg, args.hotspot)
     sets = synth.archetype_training_sets(length, cfg.training.per_class,
                                          cfg.training.noise, cfg.training.max_shift,
                                          seed=cfg.stage_seed("sp-train"))
@@ -224,14 +203,14 @@ def cmd_train(cfg: PipelineConfig, args) -> None:
           f"(evaporation interval [{d_lo:.4g}, {d_hi:.4g}])")
 
     if labelled is None:
-        print("train: no series/labels present, skipping pattern-field training")
+        print(f"train: no {' or '.join(absent)}, skipping pattern-field training")
         return
     by_class = pattern_training_sets(*_labelled_levels(cfg, labelled),
                                      cfg.training.pattern_per_class)
     params, history = train_pattern_field(by_class, bounds, cfg.de_for("pattern"))
-    _write(_pattern_params_path(cfg), params_to_config({"pattern": params}))
+    _write(cfg.out_dir / "pattern.ini", params_to_config({"pattern": params}))
     write_history_csv(cfg.out_dir / "history" / "pattern.csv", history)
-    print(f"train: pattern field saved to {_pattern_params_path(cfg)}")
+    print(f"train: pattern field saved to {cfg.out_dir / 'pattern.ini'}")
 
 
 # --- classify / compare -------------------------------------------------------
@@ -247,16 +226,14 @@ def _classification_run(cfg: PipelineConfig, inputs, matrix_fn, de_stage: str):
 def _srf_run(cfg: PipelineConfig, args):
     """The classification inputs and their run with the trained pattern field."""
     inputs = _labelled_levels(cfg, _labelled_days(cfg, args.hotspot))
-    path = _require(_pattern_params_path(cfg))
-    with _naming(path):
-        pattern = params_from_config(path.read_text(encoding="utf-8"),
-                                     ["pattern"])["pattern"]
+    pattern = read_artifact(cfg.out_dir / "pattern.ini", lambda text: params_from_config(
+        text, ["pattern"])["pattern"])
     return inputs, _classification_run(
         cfg, inputs, lambda pats: similarity_matrix(pats, pattern), "thresholds")
 
 
 def report_csv(report) -> str:
-    lines = ["day_id,class,anomaly_index,threshold,verdict"]
+    lines = [REPORT_HEADER]
     for r in report.records:
         lines.append(f"{r.day_id},{r.class_name},{r.anomaly_index:.12g},"
                      f"{r.threshold_used:.12g},{r.verdict}")
@@ -298,18 +275,26 @@ def _archetype_trail_rows(cfg: PipelineConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_plotdata(cfg: PipelineConfig, args) -> None:
-    report_path = _require(cfg.out_dir / "report.csv")
-    matrix_path = _require(cfg.out_dir / "matrix.csv")
-    lines = [ln for ln in report_path.read_text().split("\n") if ln.strip()]
-    if not lines or lines[0] != "day_id,class,anomaly_index,threshold,verdict":
-        raise ValueError("malformed report.csv header")
+def _scatter_csv(report: str) -> str:
+    """The plotdata scatter rows of a ``report_csv`` text."""
+    lines = [(n, ln) for n, ln in enumerate(report.split("\n"), 1) if ln.strip()]
+    if not lines or lines[0][1] != REPORT_HEADER:
+        raise ValueError(f"expected the header {REPORT_HEADER!r}")
     scatter = ["day_index,day_id,anomaly_index,verdict,threshold"]
-    for i, line in enumerate(lines[1:]):
-        day_id, _, index, threshold, verdict = line.split(",")
+    for i, (n, line) in enumerate(lines[1:]):
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise ValueError(f"line {n}: expected the 5 fields {REPORT_HEADER}")
+        day_id, _, index, threshold, verdict = fields
         scatter.append(f"{i},{day_id},{index},{verdict},{threshold}")
-    _write(cfg.out_dir / "plotdata" / "scatter.csv", "\n".join(scatter) + "\n")
-    _write(cfg.out_dir / "plotdata" / "matrix.csv", matrix_path.read_text())
+    return "\n".join(scatter) + "\n"
+
+
+def cmd_plotdata(cfg: PipelineConfig, args) -> None:
+    scatter = read_artifact(cfg.out_dir / "report.csv", _scatter_csv)
+    matrix = read_artifact(cfg.out_dir / "matrix.csv", str)
+    _write(cfg.out_dir / "plotdata" / "scatter.csv", scatter)
+    _write(cfg.out_dir / "plotdata" / "matrix.csv", matrix)
     _write(cfg.out_dir / "plotdata" / "trail_snapshots.csv",
            _archetype_trail_rows(cfg))
     print(f"plotdata: bundles under {cfg.out_dir / 'plotdata'}")
@@ -369,7 +354,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (ValueError, KeyError, configparser.Error) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except Exception as exc:  # pragma: no cover - defensive

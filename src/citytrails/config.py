@@ -16,6 +16,7 @@ from pathlib import Path
 from . import anomaly, hotspot, series, stigspace, synth
 from .calibrate import DeConfig
 from .ingest import DEFAULT_BUCKET_MINUTES, DEFAULT_CELL_M, GeoBox
+from .perceptron import read_ini
 
 ENV_CONFIG_VAR = "PIPELINE_CONFIG"
 
@@ -91,16 +92,38 @@ DE_PHASES = ("local", "pattern", "thresholds")
 DE_STAGES = DE_PHASES + ("thresholds:dtw", "thresholds:frechet")
 
 
+def _schema(base: PipelineConfig) -> dict[str, dict[str, type]]:
+    """Every section the loader reads, with the type of each key it reads there."""
+    schema = {name: {f.name: type(getattr(getattr(base, name), f.name))
+                     for f in dataclasses.fields(getattr(base, name))}
+              for name in SETTINGS_SECTIONS}
+    del schema["de"]["seed"]  # DE seeds derive from the master seed
+    schema.update({f"de.{phase}": schema["de"] for phase in DE_PHASES})
+    for (name, key), attr in SCALAR_KEYS.items():
+        schema.setdefault(name, {})[key] = type(getattr(base, attr))
+    schema["paths"]["trips"] = Path
+    return schema
+
+
 def _accepted_keys(base: PipelineConfig) -> dict[str, set[str]]:
-    """Every section the loader reads, with the keys it reads there."""
-    accepted = {name: {f.name for f in dataclasses.fields(getattr(base, name))}
-                for name in SETTINGS_SECTIONS}
-    accepted["de"].remove("seed")  # DE seeds derive from the master seed
-    accepted.update({f"de.{phase}": accepted["de"] for phase in DE_PHASES})
-    for name, key in SCALAR_KEYS:
-        accepted.setdefault(name, set()).add(key)
-    accepted["paths"].add("trips")
-    return accepted
+    return {name: set(types) for name, types in _schema(base).items()}
+
+
+def read_artifact(path, parse, stream: bool = False):
+    """``parse`` of the strict UTF-8 text of the file at ``path`` or, to
+    ``stream`` it, of the path itself. A path that is missing or not a regular
+    file raises FileNotFoundError (exit 3); a decode error, ValueError,
+    KeyError or configparser.Error from ``parse`` becomes one ValueError
+    ``"<path>: <reason>"`` (exit 2), so no reader need name its file."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"{path} is not a regular file" if path.exists()
+                                else str(path))
+    try:
+        return parse(path if stream else path.read_text(encoding="utf-8"))
+    except (ValueError, KeyError, configparser.Error) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: {reason}") from None
 
 
 def load_config(path=None) -> PipelineConfig:
@@ -108,61 +131,48 @@ def load_config(path=None) -> PipelineConfig:
     default its dataclass field declares, and a present one is cast with the
     type of that default. ``[de.<phase>]`` sections override ``[de]`` for one
     training phase; relative ``[paths] trips`` resolves against the file's directory.
-    Values may carry ``;`` comments. An unknown section or key raises
-    ValueError, so a misspelled key cannot silently fall back to its default.
+    Values may carry ``;`` comments. An unknown section or key, or a value
+    its type cannot cast, raises ValueError naming the file, section and key,
+    so a misspelled key cannot silently fall back to its default.
     So does a ``[grid] resolution_minutes`` that does not divide a day or
     leaves it fewer than the ``series.MIN_ARCHETYPE_LENGTH`` samples every
     stage that trains needs, a ``[hotspots] relevance_fraction`` outside
     (0, 1], a negative ``min_area_km2`` and a ``[training]`` ``per_class``,
     ``pattern_per_class`` or ``representatives`` below 1.
     """
-    base = PipelineConfig()
     if path is None:
-        return base
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    parser.read(path, encoding="utf-8")
-    accepted = _accepted_keys(base)
-    for name in parser.sections():
-        if name not in accepted:
-            raise ValueError(f"{path}: unknown section [{name}]")
-        unknown = sorted(set(parser[name]) - accepted[name])
-        if unknown:
-            raise ValueError(f"{path}: unknown key {unknown[0]!r} in section [{name}]")
+        return PipelineConfig()
+    return read_artifact(path, lambda text: _parse_config(text, Path(path).parent))
 
-    def read(name: str, settings) -> dict:
-        section = parser[name] if parser.has_section(name) else {}
-        return {f.name: type(getattr(settings, f.name))(section[f.name])
-                for f in dataclasses.fields(settings) if f.name in section}
 
-    changes = {name: dataclasses.replace(getattr(base, name),
-                                         **read(name, getattr(base, name)))
+def _parse_config(text: str, root: Path) -> PipelineConfig:
+    base = PipelineConfig()
+    sections = read_ini(text, _schema(base), "section")
+    changes = {name: dataclasses.replace(getattr(base, name), **sections.get(name, {}))
                for name in SETTINGS_SECTIONS}
-    changes["de_overrides"] = {name.split(".", 1)[1]: read(name, base.de)
-                               for name in parser.sections() if name.startswith("de.")}
+    changes["de_overrides"] = {name.split(".", 1)[1]: values
+                               for name, values in sections.items() if name.startswith("de.")}
     for (name, key), attr in SCALAR_KEYS.items():
-        if parser.has_option(name, key):
-            changes[attr] = type(getattr(base, attr))(parser[name][key])
-    if parser.has_option("paths", "trips"):
-        changes["trips_path"] = path.parent / parser["paths"]["trips"]
+        if key in sections.get(name, {}):
+            changes[attr] = sections[name][key]
+    if "trips" in sections.get("paths", {}):
+        changes["trips_path"] = root / sections["paths"]["trips"]
     cfg = dataclasses.replace(base, **changes)
     if cfg.day_length < series.MIN_ARCHETYPE_LENGTH:
-        raise ValueError(f"{path}: [grid] resolution_minutes = {cfg.resolution_minutes} "
+        raise ValueError(f"[grid] resolution_minutes = {cfg.resolution_minutes} "
                          f"gives {cfg.day_length} samples a day, below the "
                          f"{series.MIN_ARCHETYPE_LENGTH} an archetype needs")
     hs = cfg.hotspots
     if not 0 < hs.relevance_fraction <= 1:
-        raise ValueError(f"{path}: [hotspots] relevance_fraction = "
+        raise ValueError(f"[hotspots] relevance_fraction = "
                          f"{hs.relevance_fraction} is outside (0, 1]")
     if not hs.min_area_km2 >= 0:
-        raise ValueError(f"{path}: [hotspots] min_area_km2 = {hs.min_area_km2} "
+        raise ValueError(f"[hotspots] min_area_km2 = {hs.min_area_km2} "
                          "must be non-negative")
     for key in ("per_class", "pattern_per_class", "representatives"):
         count = getattr(cfg.training, key)
         if count < 1:
-            raise ValueError(f"{path}: [training] {key} = {count} must be at least 1")
+            raise ValueError(f"[training] {key} = {count} must be at least 1")
     return cfg
 
 

@@ -248,7 +248,8 @@ class BucketGrid:
     @classmethod
     def from_csv(cls, text: str) -> "BucketGrid":
         """Read a ``to_csv`` archive; blank lines are skipped, and an error in
-        the metadata line, the header line or a data row names its line."""
+        the metadata line, the header line or a data row names its line. A
+        day names a series file, so it must be an ISO date."""
         lines = text.split("\n")
         kept = [n for n, line in enumerate(lines, 1) if line.strip()]
         if not kept or not lines[kept[0] - 1].startswith("#"):
@@ -280,6 +281,15 @@ class BucketGrid:
         if ragged is not None:
             raise ValueError(f"bucket archive line {ragged}: expected the 5 fields "
                              f"{ARCHIVE_HEADER}")
+        days = [row.partition(",")[0] for row in rows]
+        for day in dict.fromkeys(days):
+            try:
+                iso = date.fromisoformat(day).isoformat()
+            except ValueError:
+                iso = None
+            if iso != day:
+                raise ValueError(f"bucket archive line {kept[days.index(day)]}: "
+                                 f"day {day!r} is not an ISO date")
         def parse(part):
             return np.loadtxt(part, dtype=np.int64, delimiter=",", comments=None,
                               usecols=(1, 2, 3, 4), ndmin=2)
@@ -303,8 +313,7 @@ class BucketGrid:
                              "negative count")
         return cls(GeoBox(meta["lon_min"], meta["lon_max"],
                           meta["lat_min"], meta["lat_max"]),
-                   meta["cell_m"], int(meta["bucket_minutes"]),
-                   [row.partition(",")[0] for row in rows], *values.T)
+                   meta["cell_m"], int(meta["bucket_minutes"]), days, *values.T)
 
 
 def bucketize(records: list[TripRecord], box: GeoBox, cell_m: float = DEFAULT_CELL_M,

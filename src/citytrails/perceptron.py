@@ -9,7 +9,6 @@ moves through.
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,36 +123,53 @@ def transform(sp: StigmergicPerceptron, a) -> ActivityLevelSeries:
 def params_to_config(blocks: dict[str, SrfParams]) -> str:
     """INI text with one ``[name]`` section of PARAM_KEYS values per block:
     the format of both ``sp.ini`` and ``pattern.ini``."""
-    cfg = configparser.ConfigParser()
+    lines = []
     for name, params in blocks.items():
-        cfg[name] = {k: repr(v) for k, v in params.to_block().items()}
-    out = io.StringIO()
-    cfg.write(out)
-    return out.getvalue()
+        lines += [f"[{name}]", *(f"{k} = {v!r}" for k, v in params.to_block().items()), ""]
+    return "".join(line + "\n" for line in lines)
+
+
+def read_ini(text: str, schema, noun: str, required: bool = False) -> dict[str, dict]:
+    """INI ``text`` as {section: {key: value}}, each value cast by ``schema``
+    (section -> key -> type); values may carry ``;`` comments. An unknown
+    section or key, with ``required`` a missing key, or a failed cast raises
+    ValueError naming the section, as ``<noun> [<name>]``, and the key."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string(text)
+    if parser.defaults():
+        raise ValueError(f"unknown {noun} [{parser.default_section}]")
+    sections = {}
+    for name in parser.sections():
+        if name not in schema:
+            raise ValueError(f"unknown {noun} [{name}]")
+        types = schema[name]
+        values = sections[name] = {}
+        absent = next((key for key in types if key not in parser[name]), None)
+        if required and absent:
+            raise ValueError(f"{noun} [{name}] has no {absent}")
+        for key, raw in parser[name].items():
+            if key not in types:
+                raise ValueError(f"unknown key {key!r} in {noun} [{name}]")
+            try:
+                values[key] = types[key](raw)
+            except ValueError:
+                kind = "an integer" if types[key] is int else "a number"
+                raise ValueError(f"{noun} [{name}] {key} = {raw!r} is not {kind}") from None
+    return sections
 
 
 def params_from_config(text: str, names) -> dict[str, SrfParams]:
-    """The named parameter blocks of ``params_to_config`` text. A missing
-    block or key, or a value that is not a number or breaks an ``SrfParams``
-    invariant, raises ValueError naming the block and key."""
-    cfg = configparser.ConfigParser()
-    cfg.read_string(text)
-    missing = [name for name in names if name not in cfg]
+    """The named parameter blocks of ``params_to_config`` text. A missing or
+    unknown block or key, or a value that is not a number or breaks an
+    ``SrfParams`` invariant, raises ValueError naming the block and key."""
+    blocks = read_ini(text, {name: dict.fromkeys(PARAM_KEYS, float) for name in names},
+                      "parameter block", required=True)
+    missing = [name for name in names if name not in blocks]
     if missing:
         raise ValueError(f"missing parameter block(s) {missing}")
-    blocks = {}
     for name in names:
-        section, values = cfg[name], {}
-        for key in PARAM_KEYS:
-            if key not in section:
-                raise ValueError(f"parameter block [{name}] has no {key}")
-            try:
-                values[key] = float(section[key])
-            except ValueError:
-                raise ValueError(f"parameter block [{name}] {key} = "
-                                 f"{section[key]!r} is not a number") from None
         try:
-            blocks[name] = SrfParams(**values)
+            blocks[name] = SrfParams(**blocks[name])
         except ValueError as exc:
             raise ValueError(f"parameter block [{name}] {exc}") from None
     return blocks

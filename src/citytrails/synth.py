@@ -187,26 +187,26 @@ def parse_labels_csv(text: str) -> dict[str, bool]:
     or a flag other than 0/1 raises ValueError naming the line."""
     lines = text.splitlines()
     if not lines or lines[0] != LABELS_HEADER:
-        raise ValueError(f"labels.csv line 1: expected the header {LABELS_HEADER!r}")
+        raise ValueError(f"line 1: expected the header {LABELS_HEADER!r}")
     flags: dict[str, bool] = {}
     for number, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != 4:
-            raise ValueError(f"labels.csv line {number}: expected 4 fields, "
+            raise ValueError(f"line {number}: expected 4 fields, "
                              f"got {len(fields)}")
         day_id, cls, flag, _ = fields
         try:
             expected = expected_class_for(date.fromisoformat(day_id))
         except ValueError:
-            raise ValueError(f"labels.csv line {number}: day_id {day_id!r} is not "
+            raise ValueError(f"line {number}: day_id {day_id!r} is not "
                              "an ISO date") from None
         if day_id in flags:
-            raise ValueError(f"labels.csv line {number}: day {day_id} is listed again")
+            raise ValueError(f"line {number}: day {day_id} is listed again")
         if cls != expected:
-            raise ValueError(f"labels.csv line {number}: day {day_id} has class "
+            raise ValueError(f"line {number}: day {day_id} has class "
                              f"{cls!r}, but its weekday class is {expected!r}")
         if flag not in ("0", "1"):
-            raise ValueError(f"labels.csv line {number}: is_anomaly = "
+            raise ValueError(f"line {number}: is_anomaly = "
                              f"{flag!r} is not 0 or 1")
         flags[day_id] = flag == "1"
     return flags

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -596,6 +597,16 @@ class TestTrainClassifyCompare:
         assert f"error: {path}: parameter block {named}" in capsys.readouterr().err
         assert not (out / "report.csv").exists() and not (out / "matrix.csv").exists()
 
+    def test_train_without_labels_names_what_is_missing(self, workspace, capsys):
+        config, out = workspace
+        run(config, "synth", "--kind", "year", "--days", "42", "--anomalies", "9")
+        (out / "labels.csv").unlink()
+        capsys.readouterr()
+        assert run(config, "train") == 0
+        assert capsys.readouterr().out.endswith(
+            f"train: no {out / 'labels.csv'}, skipping pattern-field training\n")
+        assert not (out / "pattern.ini").exists()
+
     def test_labels_for_days_without_series_are_allowed(self, trained):
         config, out = trained
         assert run(config, "classify") == 0
@@ -740,3 +751,109 @@ class TestExitCodes:
         assert main(["synth", "--kind", "trips", "--valid-rows", "20",
                      "--invalid-rows", "2"]) == 0
         assert (out / "trips.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """Every artifact of one tiny run: the synthetic year under series/D and
+    the trip hotspots beside it, trained, classified and plotted."""
+    root = tmp_path_factory.mktemp("finished")
+    config = root / "pipeline.ini"
+    config.write_text(TINY_CONFIG.format(out=root / "out"), encoding="utf-8")
+    for args in (["synth", "--kind", "all", "--days", "42", "--anomalies", "9"],
+                 ["ingest"], ["hotspots"], ["extract"], ["train", "--hotspot", "D"],
+                 ["classify", "--hotspot", "D"], ["plotdata"]):
+        assert run(config, *args) == 0, args
+    return root / "out"
+
+
+def _replace(old, new):
+    def edit(path):
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    return edit
+
+
+def _as_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def _non_utf8(path):
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+
+
+def _drop_field(path):
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[3] = lines[3].rpartition(",")[0]
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+TRAIN_D, CLASSIFY_D = ["train", "--hotspot", "D"], ["classify", "--hotspot", "D"]
+# (artifact, mutation, command, exit code, what the message must name
+# besides the artifact's path)
+READ_PROBES = {
+    "sp-directory": ("sp.ini", _as_directory, CLASSIFY_D, 3, ()),
+    "labels-directory": ("labels.csv", _as_directory, TRAIN_D, 3, ()),
+    "buckets-directory": ("buckets.csv", _as_directory, ["hotspots"], 3, ()),
+    "config-directory": ("pipeline.ini", _as_directory, ["synth", "--kind", "trips"], 3,
+                         ()),
+    "series-non-utf8": ("series/D/2015-01-20.csv", _non_utf8, TRAIN_D, 2, ("utf-8",)),
+    "labels-non-utf8": ("labels.csv", _non_utf8, TRAIN_D, 2, ()),
+    "config-non-utf8": ("pipeline.ini", _non_utf8, ["hotspots"], 2, ()),
+    "buckets-non-utf8": ("buckets.csv", _non_utf8, ["hotspots"], 2, ()),
+    "trips-non-utf8": ("trips.csv", _non_utf8, ["ingest"], 2, ()),
+    "report-non-utf8": ("report.csv", _non_utf8, ["plotdata"], 2, ()),
+    "series-value": ("series/D/2015-01-20.csv", _replace("\n5,", "\n5,x"), TRAIN_D, 2,
+                     ()),
+    "series-header": ("series/D/2015-01-20.csv",
+                      _replace("resolution_minutes=15", "resolution_minutes=x"),
+                      TRAIN_D, 2, ()),
+    "geojson-truncated": ("hotspots.geojson", _truncate, ["extract"], 2, ()),
+    "config-cast": ("pipeline.ini", _replace("generations = 6", "generations = ten"),
+                    TRAIN_D, 2, ("[de]", "generations", "'ten'")),
+    "sp-extra-key": ("sp.ini", _replace("[Asleep]\n", "[Asleep]\nepsilonn = 3\n"),
+                     CLASSIFY_D, 2, ("[Asleep]", "epsilonn")),
+    "sp-extra-section": ("sp.ini",
+                         _replace("[Asleep]\n", "[Asleeep]\nepsilon = 3\n\n[Asleep]\n"),
+                         CLASSIFY_D, 2, ("[Asleeep]",)),
+    "pattern-extra-key": ("pattern.ini",
+                          _replace("[pattern]\n", "[pattern]\nepsilonn = 3\n"),
+                          CLASSIFY_D, 2, ("[pattern]", "epsilonn")),
+    "pattern-default-section": ("pattern.ini",
+                                _replace("[pattern]\n",
+                                         "[DEFAULT]\nepsilon = 3\n\n[pattern]\n"),
+                                CLASSIFY_D, 2, ("[DEFAULT]",)),
+    "archive-day-escape": ("buckets.csv", _replace("\n2015-", "\n../../escaped-"),
+                           ["extract"], 2, ("line 3", "'../../escaped-")),
+    "report-ragged-row": ("report.csv", _drop_field, ["plotdata"], 2,
+                          ("line 4: expected the 5 fields",)),
+}
+
+
+@pytest.mark.parametrize("artifact, mutate, command, code, named",
+                         READ_PROBES.values(), ids=READ_PROBES.keys())
+def test_bad_artifact_exits_2_or_3_naming_it_and_writing_nothing(
+        finished_run, tmp_path, monkeypatch, capsys, artifact, mutate, command, code,
+        named):
+    monkeypatch.chdir(tmp_path)  # where a config's default [paths] out points
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    config = tmp_path / "pipeline.ini"
+    config.write_text(TINY_CONFIG.format(out=out), encoding="utf-8")
+    path = config if artifact == "pipeline.ini" else out / artifact
+    mutate(path)
+    before = sorted(tmp_path.rglob("*"))
+    contents = {p: p.read_bytes() for p in before if p.is_file()}
+    capsys.readouterr()
+    assert run(config, *command) == code
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert str(path) in err and all(name in err for name in named), err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert {p: p.read_bytes() for p in before if p.is_file()} == contents

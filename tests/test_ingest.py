@@ -197,6 +197,19 @@ class TestBucketize:
         with pytest.raises(ValueError, match="bucket archive line 4: negative count"):
             BucketGrid.from_csv("\n".join(lines))
 
+    @pytest.mark.parametrize("day", ["../../escaped", "2015-02-30", "20150202",
+                                     " 2015-02-02", ""],
+                             ids=["path", "no-such-date", "basic-format", "padded",
+                                  "empty"])
+    def test_archive_day_that_is_no_iso_date_names_its_line(self, day):
+        # the day names a series file, so anything but an ISO date could
+        # place it outside series/
+        lines = bucketize([record()], BOX).to_csv().split("\n")
+        lines[3] = day + "," + lines[3].partition(",")[2]
+        with pytest.raises(ValueError, match=re.escape(
+                f"bucket archive line 4: day {day!r} is not an ISO date")):
+            BucketGrid.from_csv("\n".join(lines))
+
     @pytest.mark.parametrize("header, named", [
         (None, "line 2: expected the header 'day,bucket,ix,iy,count'"),
         ("day,bucket,ix,iy", "line 2: expected the header"),

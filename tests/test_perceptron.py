@@ -1,3 +1,5 @@
+import configparser
+import io
 import re
 
 import numpy as np
@@ -135,6 +137,19 @@ class TestPersistence:
         text = (tmp_path / "sp.ini").read_text(encoding="utf-8")
         for a in all_archetypes(48):
             assert f"[{a.name}]" in text
+
+    def test_block_text_is_what_configparser_writes(self):
+        blocks = {"Flow": SrfParams(11, 0.21, 31, 0.81, 0.11, 0.21, 41, 0.61),
+                  "pattern": SrfParams.defaults()}
+        reference = configparser.ConfigParser()
+        for name, params in blocks.items():
+            reference[name] = {k: repr(v) for k, v in params.to_block().items()}
+        written = io.StringIO()
+        reference.write(written)
+        assert params_to_config(blocks) == written.getvalue()
+        # reading the text back and writing it again reproduces the bytes
+        assert params_to_config(params_from_config(written.getvalue(), list(blocks))) \
+            == written.getvalue()
 
     def test_missing_block_rejected(self, tmp_path):
         path = tmp_path / "sp.ini"
