@@ -18,7 +18,7 @@ import numpy as np
 
 from .calibrate import DeConfig, ThresholdResult, tune_thresholds
 from .perceptron import scale_levels
-from .series import CLASS_LETTERS, CLASS_NAMES, AffinityTriple
+from .series import CLASS_LETTERS, CLASS_NAMES, AffinityTriple, framed_csv
 from .srf import SrfParams, indexed_similarity
 
 DEFAULT_REPRESENTATIVES = 5
@@ -55,10 +55,9 @@ class SimilarityMatrix:
         object.__setattr__(self, "day_ids", tuple(self.day_ids))
 
     def to_csv(self) -> str:
-        lines = ["day_id," + ",".join(self.day_ids)]
-        for day, row in zip(self.day_ids, self.values):
-            lines.append(day + "," + ",".join(f"{v:.12g}" for v in row))
-        return "\n".join(lines) + "\n"
+        return framed_csv(",".join(("day_id", *self.day_ids)), (
+            ",".join((day, *(f"{v:.12g}" for v in row)))
+            for day, row in zip(self.day_ids, self.values)))
 
 
 def pair_matrix(patterns, pair_values) -> SimilarityMatrix:

@@ -9,7 +9,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from datetime import date
 from pathlib import Path
 
 from . import synth
@@ -28,7 +27,8 @@ from .ingest import BucketGrid, bucketize, hotspot_activity, parse_trips, \
     rejections_to_csv, slot_event_batches
 from .perceptron import load_sp, params_from_config, params_to_config, save_sp, \
     transform_many
-from .series import series_from_csv, series_to_csv
+from .series import framed_csv, iso_date, read_framed_csv, series_from_csv, \
+    series_to_csv
 from .srf import final_trail
 from .stigspace import CELL_CENTERS, Trail2D, to_ascii_grid
 
@@ -119,10 +119,11 @@ def cmd_extract(cfg: PipelineConfig, args) -> None:
     targets = {cfg.out_dir / "series" / h.id / f"{day}.csv":
                series_to_csv(hotspot_activity(grid, h, day, cfg.resolution_minutes))
                for h in found for day in grid.days()}
-    # A rerun rewrites the same bytes; any other file there belongs to another
-    # source (synth writes its year under series/<hotspot>), so write nothing.
+    # A rerun rewrites the same bytes; anything else there, a directory too,
+    # belongs to another source (synth writes its year under series/<hotspot>).
     for path, text in targets.items():
-        if path.exists() and path.read_bytes() != text.encode("utf-8"):
+        if path.exists() and not (path.is_file()
+                                  and path.read_bytes() == text.encode("utf-8")):
             raise ValueError(f"{path} exists with other contents; "
                              "extract would overwrite it")
     for path, text in targets.items():
@@ -154,6 +155,9 @@ def _load_series_dir(cfg: PipelineConfig, hotspot_id: str | None):
             raise ValueError(f"{path} has {len(day)} samples headed resolution_minutes="
                              f"{day.resolution_minutes}, but the [grid] day has "
                              f"{cfg.day_length} at resolution_minutes = {cfg.resolution_minutes}")
+        if (day.day_id, day.hotspot_id) != (path.stem, chosen.name):
+            raise ValueError(f"{path} is headed day_id={day.day_id}, hotspot_id="
+                             f"{day.hotspot_id}, but lies at {chosen.name}/{path.stem}")
         days.append(day)
     if not days:
         raise FileNotFoundError(f"{chosen}/*.csv")
@@ -169,7 +173,7 @@ def _labelled_days(cfg: PipelineConfig, hotspot_id: str | None):
     unlabelled = next((s.day_id for s in days if s.day_id not in flags), None)
     if unlabelled is not None:
         raise ValueError(f"{path} has no row for series day {unlabelled}")
-    classes = [expected_class_for(date.fromisoformat(s.day_id)) for s in days]
+    classes = [expected_class_for(iso_date(s.day_id)) for s in days]
     return days, classes, [flags[s.day_id] for s in days]
 
 
@@ -233,11 +237,9 @@ def _srf_run(cfg: PipelineConfig, args):
 
 
 def report_csv(report) -> str:
-    lines = [REPORT_HEADER]
-    for r in report.records:
-        lines.append(f"{r.day_id},{r.class_name},{r.anomaly_index:.12g},"
-                     f"{r.threshold_used:.12g},{r.verdict}")
-    return "\n".join(lines) + "\n"
+    return framed_csv(REPORT_HEADER, (f"{r.day_id},{r.class_name},{r.anomaly_index:.12g},"
+                                      f"{r.threshold_used:.12g},{r.verdict}"
+                                      for r in report.records))
 
 
 def cmd_classify(cfg: PipelineConfig, args) -> None:
@@ -255,11 +257,8 @@ def cmd_compare(cfg: PipelineConfig, args) -> None:
         runs[label] = _classification_run(
             cfg, inputs, lambda pats: baseline_matrix(pats, method),
             f"thresholds:{method}")
-    lines = ["method,accuracy,correlation"]
-    for label in ("SRF", "DTW", "Frechet"):
-        r = runs[label]
-        lines.append(f"{label},{r.accuracy:.12g},{r.correlation:.12g}")
-    _write(cfg.out_dir / "accuracy.csv", "\n".join(lines) + "\n")
+    _write(cfg.out_dir / "accuracy.csv", framed_csv("method,accuracy,correlation", (
+        f"{label},{r.accuracy:.12g},{r.correlation:.12g}" for label, r in runs.items())))
     print("compare: " + ", ".join(
         f"{label} {runs[label].accuracy:.4f}" for label in ("SRF", "DTW", "Frechet")))
 
@@ -267,27 +266,19 @@ def cmd_compare(cfg: PipelineConfig, args) -> None:
 # --- plotdata ----------------------------------------------------------------
 
 def _archetype_trail_rows(cfg: PipelineConfig) -> str:
-    lines = ["archetype,cell_index,cell_center,intensity"]
-    for archetype, params in _load_sp(cfg).fields:
-        trail = final_trail(archetype.samples, params)
-        for i, (center, value) in enumerate(zip(CELL_CENTERS, trail)):
-            lines.append(f"{archetype.name},{i},{center:.6g},{value:.6g}")
-    return "\n".join(lines) + "\n"
+    trails = [(a.name, final_trail(a.samples, p)) for a, p in _load_sp(cfg).fields]
+    return framed_csv("archetype,cell_index,cell_center,intensity", (
+        f"{name},{i},{center:.6g},{value:.6g}" for name, trail in trails
+        for i, (center, value) in enumerate(zip(CELL_CENTERS, trail))))
 
 
 def _scatter_csv(report: str) -> str:
     """The plotdata scatter rows of a ``report_csv`` text."""
-    lines = [(n, ln) for n, ln in enumerate(report.split("\n"), 1) if ln.strip()]
-    if not lines or lines[0][1] != REPORT_HEADER:
-        raise ValueError(f"expected the header {REPORT_HEADER!r}")
-    scatter = ["day_index,day_id,anomaly_index,verdict,threshold"]
-    for i, (n, line) in enumerate(lines[1:]):
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise ValueError(f"line {n}: expected the 5 fields {REPORT_HEADER}")
-        day_id, _, index, threshold, verdict = fields
-        scatter.append(f"{i},{day_id},{index},{verdict},{threshold}")
-    return "\n".join(scatter) + "\n"
+    _, _, _, rows, _ = read_framed_csv(report, "report", REPORT_HEADER)
+    fields = (row.split(",") for row in rows)
+    return framed_csv("day_index,day_id,anomaly_index,verdict,threshold", (
+        f"{i},{day_id},{index},{verdict},{threshold}"
+        for i, (day_id, _, index, threshold, verdict) in enumerate(fields)))
 
 
 def cmd_plotdata(cfg: PipelineConfig, args) -> None:

@@ -177,8 +177,7 @@ def _parse_config(text: str, root: Path) -> PipelineConfig:
 
 
 def write_history_csv(path, history) -> None:
-    lines = ["generation,best_fitness"]
-    lines.extend(f"{g},{v:.12g}" for g, v in enumerate(history))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(series.framed_csv("generation,best_fitness", (
+        f"{g},{v:.12g}" for g, v in enumerate(history))), encoding="utf-8")

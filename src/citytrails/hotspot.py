@@ -321,14 +321,17 @@ def hotspots_to_geojson(hotspots) -> str:
 def hotspots_from_geojson(text: str) -> list[Hotspot]:
     data = json.loads(text)
     hotspots = []
-    for feature in data["features"]:
-        hotspot_id = feature["properties"]["id"]
-        rings = feature["geometry"]["coordinates"]
-        if not rings or np.ndim(rings[0]) != 2:
-            raise ValueError(f"hotspot {hotspot_id} has no polygon ring")
-        ring = np.asarray(rings[0], dtype=float)
-        if np.array_equal(ring[0], ring[-1]):
-            ring = ring[:-1]
-        hotspots.append(Hotspot(hotspot_id, ring,
-                                tuple(feature["properties"]["slot_coverage"])))
+    try:
+        for feature in data["features"]:
+            hotspot_id = feature["properties"]["id"]
+            rings = feature["geometry"]["coordinates"]
+            if not rings or np.ndim(rings[0]) != 2:
+                raise ValueError(f"hotspot {hotspot_id} has no polygon ring")
+            ring = np.asarray(rings[0], dtype=float)
+            if np.array_equal(ring[0], ring[-1]):
+                ring = ring[:-1]
+            hotspots.append(Hotspot(hotspot_id, ring,
+                                    tuple(feature["properties"]["slot_coverage"])))
+    except TypeError as exc:
+        raise ValueError(f"not a FeatureCollection of hotspots: {exc}") from None
     return hotspots

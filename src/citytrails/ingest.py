@@ -23,7 +23,7 @@ import numpy as np
 
 from .hotspot import Hotspot, SpatialEventBatch, TimeSlot, point_in_polygon, slot_for_hour
 from .series import DEFAULT_RESOLUTION_MINUTES, MINUTES_PER_DAY, ActivityTimeSeries, \
-    normalize_min_max, samples_per_day
+    framed_csv, iso_date, normalize_min_max, read_framed_csv, samples_per_day
 
 EARTH_RADIUS_M = 6371000.0
 FOOT_M = 0.3048
@@ -49,10 +49,10 @@ REASON_BAD_VALUE = "bad_value"
 REASON_OUT_OF_BOX = "out_of_box"
 REASON_TIME_ORDER = "dropoff_before_pickup"
 
-# The bucket archive's metadata keys, in the order of its first line, and the
-# column header on its second.
-ARCHIVE_META_KEYS = ("lon_min", "lon_max", "lat_min", "lat_max", "cell_m",
-                     "bucket_minutes")
+# The bucket archive's metadata keys, in the order of its first line, each
+# read as a number, and the column header on its second.
+ARCHIVE_META = dict.fromkeys(("lon_min", "lon_max", "lat_min", "lat_max", "cell_m",
+                              "bucket_minutes"), float)
 ARCHIVE_HEADER = "day,bucket,ix,iy,count"
 
 
@@ -176,9 +176,8 @@ def _parse_timestamp(text: str) -> datetime:
 
 
 def rejections_to_csv(rejections) -> str:
-    lines = ["line_number,reason"]
-    lines.extend(f"{r.line_number},{r.reason}" for r in rejections)
-    return "\n".join(lines) + "\n"
+    return framed_csv("line_number,reason", (f"{r.line_number},{r.reason}"
+                                             for r in rejections))
 
 
 def _check_grid(cell_m: float, bucket_minutes: int) -> None:
@@ -236,80 +235,30 @@ class BucketGrid:
         return np.unique(self.day).tolist()
 
     def to_csv(self) -> str:
-        header = (f"# lon_min={self.box.lon_min!r},lon_max={self.box.lon_max!r},"
-                  f"lat_min={self.box.lat_min!r},lat_max={self.box.lat_max!r},"
-                  f"cell_m={self.cell_m!r},bucket_minutes={self.bucket_minutes}")
-        lines = [header, ARCHIVE_HEADER]
-        lines.extend(f"{d},{b},{x},{y},{c}" for d, b, x, y, c in zip(
+        meta = {**vars(self.box), "cell_m": self.cell_m,
+                "bucket_minutes": self.bucket_minutes}
+        rows = (f"{d},{b},{x},{y},{c}" for d, b, x, y, c in zip(
             self.day.tolist(), self.bucket.tolist(), self.ix.tolist(),
             self.iy.tolist(), self.counts.tolist()))
-        return "\n".join(lines) + "\n"
+        return framed_csv(ARCHIVE_HEADER, rows, meta)
 
     @classmethod
     def from_csv(cls, text: str) -> "BucketGrid":
-        """Read a ``to_csv`` archive; blank lines are skipped, and an error in
-        the metadata line, the header line or a data row names its line. A
-        day names a series file, so it must be an ISO date."""
-        lines = text.split("\n")
-        kept = [n for n, line in enumerate(lines, 1) if line.strip()]
-        if not kept or not lines[kept[0] - 1].startswith("#"):
-            raise ValueError("bucket archive must start with a metadata comment line")
-        items = [item.partition("=") for item in
-                 lines[kept[0] - 1].lstrip("#").strip().split(",")]
-        meta = {key.strip(): value for key, _, value in items}
-        odd = sorted(meta.keys() ^ set(ARCHIVE_META_KEYS))
-        if odd:
-            problem = "unknown" if odd[0] in meta else "missing"
-            raise ValueError(f"bucket archive line {kept[0]}: {problem} "
-                             f"metadata key {odd[0]!r}")
-        for key, value in meta.items():
-            try:
-                meta[key] = float(value)
-            except ValueError:
-                raise ValueError(f"bucket archive line {kept[0]}: metadata key "
-                                 f"{key!r} needs a number, got {value!r}") from None
+        """Read a ``to_csv`` archive with ``read_framed_csv``, so an error names
+        its line. A day names a series file, so it must be an ISO date."""
+        meta, meta_line, numbers, rows, values = read_framed_csv(
+            text, "bucket archive", ARCHIVE_HEADER, ARCHIVE_META, (1, 2, 3, 4), np.int64)
         if not meta["bucket_minutes"].is_integer():
-            raise ValueError(f"bucket archive line {kept[0]}: metadata key "
+            raise ValueError(f"bucket archive line {meta_line}: metadata key "
                              f"'bucket_minutes' = {meta['bucket_minutes']!r} is not whole")
-        if len(kept) < 2 or lines[kept[1] - 1].strip() != ARCHIVE_HEADER:
-            where = f"line {kept[1]}" if len(kept) > 1 else "end of file"
-            raise ValueError(f"bucket archive {where}: expected the header "
-                             f"{ARCHIVE_HEADER!r} after the metadata line")
-        kept = kept[2:]
-        rows = [lines[n - 1] for n in kept]
-        ragged = next((n for n, row in zip(kept, rows) if row.count(",") != 4), None)
-        if ragged is not None:
-            raise ValueError(f"bucket archive line {ragged}: expected the 5 fields "
-                             f"{ARCHIVE_HEADER}")
         days = [row.partition(",")[0] for row in rows]
-        for day in dict.fromkeys(days):
-            try:
-                iso = date.fromisoformat(day).isoformat()
-            except ValueError:
-                iso = None
-            if iso != day:
-                raise ValueError(f"bucket archive line {kept[days.index(day)]}: "
-                                 f"day {day!r} is not an ISO date")
-        def parse(part):
-            return np.loadtxt(part, dtype=np.int64, delimiter=",", comments=None,
-                              usecols=(1, 2, 3, 4), ndmin=2)
-        try:
-            values = parse(rows) if rows else np.empty((0, 4), dtype=np.int64)
-        except ValueError:
-            # rows parse independently, so bisect for the first one that fails
-            lo, hi = 0, len(rows)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                try:
-                    parse(rows[lo:mid])
-                    lo = mid
-                except ValueError:
-                    hi = mid
-            raise ValueError(f"bucket archive line {kept[lo]}: bucket, ix, iy and "
-                             "count must be integers within int64") from None
+        bad = next((day for day in dict.fromkeys(days) if iso_date(day) is None), None)
+        if bad is not None:
+            raise ValueError(f"bucket archive line {numbers[days.index(bad)]}: "
+                             f"day {bad!r} is not an ISO date")
         negative = np.flatnonzero(values[:, 3] < 0)
         if negative.size:
-            raise ValueError(f"bucket archive line {kept[negative[0]]}: "
+            raise ValueError(f"bucket archive line {numbers[negative[0]]}: "
                              "negative count")
         return cls(GeoBox(meta["lon_min"], meta["lon_max"],
                           meta["lat_min"], meta["lat_max"]),

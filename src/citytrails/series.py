@@ -9,6 +9,7 @@ levels (low 0.1, mid 0.5, high 0.9) with quarter/half piecewise geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import date
 
 import numpy as np
 
@@ -199,41 +200,143 @@ def assessment_error(predicted: AffinityTriple, annotated: AffinityTriple) -> in
     return errors
 
 
-# --- CSV round trip ---------------------------------------------------------
-# One comment line with the metadata, an index,value header, then the rows.
+# --- comment-headed CSV -----------------------------------------------------
+# The bucket archive, the series files and report.csv share one framing: an
+# optional "# key=value,..." metadata line, a column header line, then rows of
+# the header's fields. Blank lines are skipped but keep their line numbers.
+
+def iso_date(text: str) -> date | None:
+    """The date of an ISO day id (``YYYY-MM-DD``), else None, also for text
+    such as ``20150202`` that ``date.fromisoformat`` reads on newer Pythons."""
+    try:
+        day = date.fromisoformat(text)
+    except ValueError:
+        return None
+    return day if day.isoformat() == text else None
+
+
+def framed_csv(header: str, rows, meta: dict | None = None) -> str:
+    """The text ``read_framed_csv`` reads: the ``meta`` line, if any, the
+    ``header`` line and the ``rows``, each line ended by LF."""
+    head = [] if meta is None else ["# " + ",".join(f"{k}={v}" for k, v in meta.items())]
+    return "\n".join([*head, header, *rows]) + "\n"
+
+
+def read_framed_csv(text: str, name: str, header: str, meta: dict | None = None,
+                    usecols: tuple[int, ...] = (), dtype=float):
+    """The metadata of a comment-headed CSV text, with exactly the keys of the
+    ``meta`` schema (key -> cast), and its line number; the rows' line numbers
+    and texts; and their ``usecols`` as one ``np.loadtxt`` table. Each is None
+    when not asked for. An error names ``name`` and the line."""
+    lines = text.split("\n")
+    kept = [n for n, line in enumerate(lines, 1) if line.strip()]
+    metadata = meta_line = table = None
+    if meta is not None:
+        if not kept or not lines[kept[0] - 1].startswith("#"):
+            raise ValueError(f"{name} must start with a metadata comment line")
+        meta_line = kept.pop(0)
+        where = f"{name} line {meta_line}"
+        items = [item.partition("=") for item in
+                 lines[meta_line - 1].lstrip("#").strip().split(",")]
+        metadata = {key.strip(): value for key, _, value in items}
+        odd = sorted(metadata.keys() ^ meta.keys())
+        if odd:
+            problem = "unknown" if odd[0] in metadata else "missing"
+            raise ValueError(f"{where}: {problem} metadata key {odd[0]!r}")
+        if len(metadata) < len(items):
+            keys = [key.strip() for key, _, _ in items]
+            repeated = next(key for key in keys if keys.count(key) > 1)
+            raise ValueError(f"{where}: repeated metadata key {repeated!r}")
+        for key, value in metadata.items():
+            try:
+                metadata[key] = meta[key](value)
+            except ValueError:
+                noun = "an integer" if meta[key] is int else "a number"
+                raise ValueError(f"{where}: metadata key {key!r} needs {noun}, "
+                                 f"got {value!r}") from None
+    if not kept or lines[kept[0] - 1].strip() != header:
+        where = f"line {kept[0]}" if kept else "end of file"
+        raise ValueError(f"{name} {where}: expected the header {header!r}")
+    numbers = kept[1:]
+    rows = [lines[n - 1] for n in numbers]
+    width = header.count(",")
+
+    def check_fields():
+        bad = next((n for n, row in zip(numbers, rows) if row.count(",") != width), None)
+        if bad is not None:
+            raise ValueError(f"{name} line {bad}: expected the {width + 1} fields {header}")
+    # A row short of the last column fails to parse, so when that column is
+    # parsed, a row with too many fields shows in the total count of commas.
+    if width not in usecols or "\n".join(rows).count(",") != width * len(rows):
+        check_fields()
+
+    def parse(part):
+        return np.loadtxt(part, dtype=dtype, delimiter=",", comments=None,
+                          usecols=usecols, ndmin=2)
+    try:
+        if usecols:
+            table = parse(rows) if rows else np.empty((0, len(usecols)), dtype=dtype)
+    except ValueError:
+        check_fields()  # a short row, with a long one making up the commas
+        # rows parse independently, so bisect for the first one that fails
+        lo, hi = 0, len(rows)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                parse(rows[lo:mid])
+                lo = mid
+            except ValueError:
+                hi = mid
+        names = [header.split(",")[c] for c in usecols]
+        kind = "integers within int64" if dtype is np.int64 else "numbers"
+        raise ValueError(f"{name} line {numbers[lo]}: {', '.join(names[:-1])} and "
+                         f"{names[-1]} must be {kind}") from None
+    return metadata, meta_line, numbers, rows, table
+
+
+# --- series CSV ---------------------------------------------------------------
+# The metadata line, the index,value header, then one row per sample whose
+# index counts from 0. A day id is an ISO date; an empty id reads as None.
+
+SERIES_HEADER = "index,value"
+SERIES_META = {"day_id": str, "hotspot_id": str, "resolution_minutes": int}
+
 
 def series_to_csv(a) -> str:
-    day = a.day_id if a.day_id is not None else ""
-    hotspot = a.hotspot_id if a.hotspot_id is not None else ""
-    lines = [f"# day_id={day},hotspot_id={hotspot},resolution_minutes={a.resolution_minutes}",
-             "index,value"]
     values = a.samples if isinstance(a, ActivityTimeSeries) else a.levels
-    lines.extend(f"{i},{v:.12g}" for i, v in enumerate(values))
-    return "\n".join(lines) + "\n"
+    return framed_csv(SERIES_HEADER, (f"{i},{v:.12g}" for i, v in enumerate(values)),
+                      {"day_id": a.day_id or "", "hotspot_id": a.hotspot_id or "",
+                       "resolution_minutes": a.resolution_minutes})
+
+
+def _read_series(text: str):
+    """The values, the metadata dict, and the rows' line numbers and texts of
+    a series CSV text."""
+    meta, meta_line, numbers, rows, table = read_framed_csv(
+        text, "series", SERIES_HEADER, SERIES_META, (0, 1))
+    if meta["day_id"] and iso_date(meta["day_id"]) is None:
+        raise ValueError(f"series line {meta_line}: day_id {meta['day_id']!r} "
+                         "is not an ISO date")
+    index, values = table.T
+    wrong = np.flatnonzero(index != np.arange(index.size))
+    if wrong.size:
+        raise ValueError(f"series line {numbers[wrong[0]]}: expected index "
+                         f"{wrong[0]}, got {rows[wrong[0]]!r}")
+    meta.update((key, meta[key] or None) for key in ("day_id", "hotspot_id"))
+    return values, meta, numbers, rows
 
 
 def parse_series_csv(text: str) -> tuple[np.ndarray, dict]:
     """Values plus the metadata dict from the series CSV format."""
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("series CSV must start with a metadata comment line")
-    meta: dict = {}
-    for item in lines[0].lstrip("#").strip().split(","):
-        key, _, value = item.partition("=")
-        meta[key.strip()] = value.strip()
-    meta["resolution_minutes"] = int(meta.get("resolution_minutes", DEFAULT_RESOLUTION_MINUTES))
-    for key in ("day_id", "hotspot_id"):
-        if not meta.get(key):
-            meta[key] = None
-    rows = [ln.split(",") for ln in lines[1:] if not ln.startswith("index")]
-    for fields in rows:
-        if len(fields) < 2:
-            raise ValueError(f"series row {','.join(fields)!r} has no value column")
-    values = np.array([float(fields[1]) for fields in rows])
-    return values, meta
+    return _read_series(text)[:2]
 
 
 def series_from_csv(text: str) -> ActivityTimeSeries:
-    values, meta = parse_series_csv(text)
+    """An activity series read back; its values must lie in [0, 1]."""
+    values, meta, numbers, rows = _read_series(text)
+    outside = np.flatnonzero(~((values >= 0) & (values <= 1)))
+    if outside.size:
+        raise ValueError(f"series line {numbers[outside[0]]}: expected a value "
+                         f"in [0, 1], got {rows[outside[0]]!r}")
     return ActivityTimeSeries(values, meta["resolution_minutes"],
                               meta["day_id"], meta["hotspot_id"])

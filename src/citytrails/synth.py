@@ -23,7 +23,9 @@ from .series import (
     MINUTES_PER_DAY,
     ActivityTimeSeries,
     CLASS_LETTERS,
+    framed_csv,
     generate_archetype,
+    iso_date,
     perturb_samples,
 )
 
@@ -111,11 +113,9 @@ class SyntheticYear:
     kinds: tuple[str, ...]            # "", "suppression" or "shift"
 
     def labels_csv(self) -> str:
-        lines = [LABELS_HEADER]
-        for day, cls, flag, kind in zip(self.days, self.classes,
-                                        self.anomaly_flags, self.kinds):
-            lines.append(f"{day.day_id},{cls},{int(flag)},{kind}")
-        return "\n".join(lines) + "\n"
+        return framed_csv(LABELS_HEADER, (
+            f"{day.day_id},{cls},{int(flag)},{kind}" for day, cls, flag, kind
+            in zip(self.days, self.classes, self.anomaly_flags, self.kinds)))
 
 
 def _anomaly_quota(total: int, class_days: dict[str, list[int]]) -> dict[str, int]:
@@ -195,11 +195,11 @@ def parse_labels_csv(text: str) -> dict[str, bool]:
             raise ValueError(f"line {number}: expected 4 fields, "
                              f"got {len(fields)}")
         day_id, cls, flag, _ = fields
-        try:
-            expected = expected_class_for(date.fromisoformat(day_id))
-        except ValueError:
+        day = iso_date(day_id)
+        if day is None:
             raise ValueError(f"line {number}: day_id {day_id!r} is not "
-                             "an ISO date") from None
+                             "an ISO date")
+        expected = expected_class_for(day)
         if day_id in flags:
             raise ValueError(f"line {number}: day {day_id} is listed again")
         if cls != expected:

@@ -7,8 +7,10 @@ import pytest
 
 import citytrails.cli as cli
 from citytrails.cli import main
+from citytrails.hotspot import hotspots_from_geojson, hotspots_to_geojson
+from citytrails.ingest import BucketGrid
 from citytrails.perceptron import load_sp
-from citytrails.series import ActivityTimeSeries, series_to_csv
+from citytrails.series import ActivityTimeSeries, series_from_csv, series_to_csv
 from test_srf import oracle_final_trail
 
 TINY_CONFIG = """\
@@ -446,6 +448,18 @@ class TestSpatialPipeline:
         assert str(out / "series" / "D" / "2015-02-02.csv") in capsys.readouterr().err
         assert {p: p.read_bytes() for p in (out / "series").rglob("*.csv")} == year
 
+    def test_extract_refuses_to_write_over_a_directory(self, ingested, capsys):
+        config, out = ingested
+        assert run(config, "hotspots") == 0
+        target = out / "series" / "A" / "2015-02-02.csv"
+        target.mkdir(parents=True)
+        before = sorted(out.rglob("*"))
+        capsys.readouterr()
+        assert run(config, "extract") == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and str(target) in err
+        assert sorted(out.rglob("*")) == before
+
     def test_extract_rerun_is_byte_identical(self, ingested):
         config, out = ingested
         assert run(config, "hotspots") == 0
@@ -683,7 +697,7 @@ def test_series_row_without_value_exits_2_naming_it(workspace, capsys):
                    "index,value\n0\n", encoding="utf-8")
     capsys.readouterr()
     assert run(config, "classify", "--hotspot", "D") == 2
-    assert "series row '0'" in capsys.readouterr().err
+    assert "series line 3: expected the 2 fields" in capsys.readouterr().err
 
 
 def test_mixed_day_lengths_exit_2_naming_the_day(workspace, capsys):
@@ -788,6 +802,20 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
 
 
+def _set_text(text):
+    def edit(path):
+        path.write_text(text, encoding="utf-8")
+    return edit
+
+
+def _sub(pattern, new):
+    def edit(path):
+        text = path.read_text(encoding="utf-8")
+        assert re.search(pattern, text)
+        path.write_text(re.sub(pattern, new, text, count=1), encoding="utf-8")
+    return edit
+
+
 def _drop_field(path):
     lines = path.read_text(encoding="utf-8").split("\n")
     lines[3] = lines[3].rpartition(",")[0]
@@ -833,7 +861,51 @@ READ_PROBES = {
                            ["extract"], 2, ("line 3", "'../../escaped-")),
     "report-ragged-row": ("report.csv", _drop_field, ["plotdata"], 2,
                           ("line 4: expected the 5 fields",)),
+    "geojson-feature-number": ("hotspots.geojson", _set_text('{"features": [1]}'), ["extract"],
+                               2, ()),
+    "geojson-list": ("hotspots.geojson", _set_text("[]"), ["extract"], 2, ()),
+    # a series file breaks the format's rules: each names its line
+    "series-unknown-key": ("series/D/2015-01-20.csv",
+                           _replace("resolution_minutes=15", "resolution_minutes=15,zone=est"),
+                           CLASSIFY_D, 2, ("line 1", "'zone'")),
+    "series-missing-key": ("series/D/2015-01-20.csv", _replace(",resolution_minutes=15", ""),
+                           CLASSIFY_D, 2, ("line 1", "'resolution_minutes'")),
+    "series-no-header": ("series/D/2015-01-20.csv", _replace("index,value\n", ""),
+                         CLASSIFY_D, 2, ("line 2", "'index,value'")),
+    "series-bad-index": ("series/D/2015-01-20.csv", _replace("\n5,", "\nfive,"), CLASSIFY_D,
+                         2, ("line 8",)),
+    "series-swapped-rows": ("series/D/2015-01-20.csv",
+                            _sub(r"\n(3,[^\n]*)\n(4,[^\n]*)", r"\n\2\n\1"),
+                            CLASSIFY_D, 2, ("line 6", "expected index 3")),
+    "series-header-as-row": ("series/D/2015-01-20.csv", _replace("\n5,", "\nindex,value\n5,"),
+                             CLASSIFY_D, 2, ("line 8",)),
+    "series-extra-field": ("series/D/2015-01-20.csv", _replace("\n3,", "\n3,0.1,"), CLASSIFY_D,
+                           2, ("line 6", "expected the 2 fields")),
+    "series-huge-value": ("series/D/2015-01-20.csv", _sub(r"\n5,[^\n]*", "\n5,1e308"),
+                          CLASSIFY_D, 2, ("line 8", "[0, 1]")),
+    "series-nan-value": ("series/D/2015-01-20.csv", _sub(r"\n5,[^\n]*", "\n5,nan"),
+                         CLASSIFY_D, 2, ("line 8", "[0, 1]")),
+    # a series file must name the day and hotspot its path does
+    "series-foreign-hotspot": ("series/D/2015-01-20.csv",
+                               _replace("hotspot_id=D", "hotspot_id=Q"), CLASSIFY_D, 2,
+                               ("hotspot_id=Q", "at D/2015-01-20")),
+    "series-foreign-day": ("series/D/2015-01-20.csv",
+                           _replace("day_id=2015-01-20", "day_id=2015-01-21"), CLASSIFY_D, 2,
+                           ("day_id=2015-01-21", "at D/2015-01-20")),
 }
+
+
+@pytest.mark.parametrize("pattern, read, write", [
+    ("series/*/*.csv", series_from_csv, series_to_csv),
+    ("buckets.csv", BucketGrid.from_csv, BucketGrid.to_csv),
+    ("hotspots.geojson", hotspots_from_geojson, hotspots_to_geojson),
+], ids=["series", "buckets", "hotspots"])
+def test_writing_what_was_read_gives_the_same_bytes(finished_run, pattern, read, write):
+    paths = sorted(finished_run.glob(pattern))
+    assert paths
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert write(read(text)) == text, path
 
 
 @pytest.mark.parametrize("artifact, mutate, command, code, named",

@@ -248,6 +248,13 @@ class TestBucketize:
         with pytest.raises(ValueError, match=re.escape(f"bucket archive {named}")):
             BucketGrid.from_csv(text.replace(old, new))
 
+    def test_archive_metadata_key_given_twice_names_it(self):
+        text = bucketize([record()], BOX).to_csv().replace(
+            ",bucket_minutes=5", ",bucket_minutes=5,cell_m=9", 1)
+        with pytest.raises(ValueError, match=re.escape(
+                "bucket archive line 1: repeated metadata key 'cell_m'")):
+            BucketGrid.from_csv(text)
+
     def test_archive_counts_that_would_overflow_rejected(self):
         lines = bucketize([record()], BOX).to_csv().split("\n")
         lines[3] = lines[2].rpartition(",")[0] + f",{2**62}"

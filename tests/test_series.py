@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from citytrails.series import (
     assessment_error,
     generate_archetype,
     normalize_min_max,
+    parse_series_csv,
     perturb,
     samples_per_day,
     series_from_csv,
@@ -183,6 +186,43 @@ class TestCsvRoundTrip:
     def test_rejects_missing_header(self):
         with pytest.raises(ValueError):
             series_from_csv("index,value\n0,0.5\n")
+
+    @pytest.mark.parametrize("old, new, named", [
+        (",resolution_minutes=10", "", "line 1: missing metadata key 'resolution_minutes'"),
+        ("=10", "=10,zone=est", "line 1: unknown metadata key 'zone'"),
+        ("=10", "=10,day_id=2015-02-02", "line 1: repeated metadata key 'day_id'"),
+        ("=10", "=ten", "line 1: metadata key 'resolution_minutes' needs an integer"),
+        ("2015-02-01", "20150201", "line 1: day_id '20150201' is not an ISO date"),
+        ("index,value", "value,index", "line 2: expected the header 'index,value'"),
+        ("\n1,0.25", "\n1,0.25,0.5", "line 4: expected the 2 fields index,value"),
+        ("\n1,0.25", "\n1", "line 4: expected the 2 fields index,value"),
+        # the two rows' commas add up to two rows' worth
+        ("\n1,0.25\n2,1", "\n1,0.25,0.5\n2", "line 4: expected the 2 fields index,value"),
+        ("\n1,0.25", "\n1,x", "line 4: index and value must be numbers"),
+        ("\n1,0.25", "\n2,0.25", "line 4: expected index 1, got '2,0.25'"),
+        ("\n1,0.25", "\n1,1.5", "line 4: expected a value in [0, 1], got '1,1.5'"),
+        ("\n1,0.25", "\n1,-0.25", "line 4: expected a value in [0, 1]"),
+        ("\n1,0.25", "\n1,inf", "line 4: expected a value in [0, 1]"),
+        ("\n1,0.25", "\n\n1,nan", "line 5: expected a value in [0, 1], got '1,nan'"),
+    ], ids=["missing-key", "unknown-key", "repeated-key", "non-integer", "basic-format-day",
+            "header", "extra-field", "no-value", "long-and-short-row", "non-number",
+            "index-skips", "above-one", "below-zero", "inf", "nan-after-blank-line"])
+    def test_malformed_series_names_its_line(self, old, new, named):
+        text = series_to_csv(ActivityTimeSeries(np.array([0.0, 0.25, 1.0]), 10,
+                                                "2015-02-01", "B"))
+        assert old in text
+        with pytest.raises(ValueError, match=re.escape(f"series {named}")):
+            series_from_csv(text.replace(old, new, 1))
+
+    def test_levels_outside_the_unit_interval_parse(self):
+        # exported activity levels run 0..7; only an activity series is held
+        # to [0, 1]
+        text = series_to_csv(ActivityTimeSeries(np.array([0.0, 0.5]))).replace(
+            "1,0.5", "1,6.5")
+        values, meta = parse_series_csv(text)
+        assert values.tolist() == [0.0, 6.5] and meta["day_id"] is None
+        with pytest.raises(ValueError, match="line 4"):
+            series_from_csv(text)
 
 
 class TestSyntheticYear:

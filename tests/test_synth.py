@@ -76,8 +76,11 @@ class TestParseLabelsCsv:
          "line 2: day 2015-01-10 has class 'W', but its weekday class is 'E'"),
         ("day_id,class,is_anomaly,kind\n2015-01-11,L,0,\n2015-02-30,W,0,\n",
          "line 3: day_id '2015-02-30' is not an ISO date"),
+        # read as 2015-02-02 by date.fromisoformat on Python 3.11, not on 3.10
+        ("day_id,class,is_anomaly,kind\n20150202,W,0,\n",
+         "line 2: day_id '20150202' is not an ISO date"),
     ], ids=["empty", "header", "short-row", "long-row", "blank-row", "flag",
-            "duplicate-day", "wrong-class", "non-date"])
+            "duplicate-day", "wrong-class", "non-date", "basic-format"])
     def test_malformed_rejected_naming_the_line(self, text, named):
         with pytest.raises(ValueError, match=re.escape(named)):
             parse_labels_csv(text)
