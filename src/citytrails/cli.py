@@ -19,16 +19,15 @@ from .anomaly import (
 )
 from .baseline import baseline_matrix
 from .calibrate import pattern_training_sets, train_pattern_field, train_perceptron
-from .config import ENV_CONFIG_VAR, PipelineConfig, load_config, read_artifact, \
-    write_history_csv
+from .config import ENV_CONFIG_VAR, PipelineConfig, load_config, write_history_csv
 from .hotspot import ConeMark, TimeSlot, check_hotspot_id, extract_hotspots, \
     hotspots_from_geojson, hotspots_to_geojson, relevance_mask, build_slot_trail
 from .ingest import BucketGrid, bucketize, hotspot_activity, parse_trips, \
     rejections_to_csv, slot_event_batches
 from .perceptron import load_sp, params_from_config, params_to_config, save_sp, \
     transform_many
-from .series import framed_csv, iso_date, read_framed_csv, series_from_csv, \
-    series_to_csv
+from .series import framed_csv, iso_date, read_artifact, read_framed_csv, series_from_csv, \
+    series_to_csv, write_artifact
 from .srf import final_trail
 from .stigspace import CELL_CENTERS, Trail2D, to_ascii_grid
 
@@ -38,11 +37,6 @@ EXIT_FORMAT = 2
 EXIT_MISSING = 3
 
 REPORT_HEADER = "day_id,class,anomaly_index,threshold,verdict"
-
-
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 # --- synth -------------------------------------------------------------------
@@ -57,16 +51,16 @@ def cmd_synth(cfg: PipelineConfig, args) -> None:
             hotspot_id=args.hotspot)
         for day in year.days:
             day = dataclasses.replace(day, resolution_minutes=cfg.resolution_minutes)
-            _write(out / "series" / args.hotspot / f"{day.day_id}.csv",
-                   series_to_csv(day))
-        _write(out / "labels.csv", year.labels_csv())
+            write_artifact(out / "series" / args.hotspot / f"{day.day_id}.csv",
+                           series_to_csv(day))
+        write_artifact(out / "labels.csv", year.labels_csv())
         print(f"synth: wrote {len(year.days)} days "
               f"({sum(year.anomaly_flags)} anomalous) under {out / 'series'}")
     if "trips" in kinds:
         text = synth.planted_trips_csv(cfg.box, n_valid=args.valid_rows,
                                        n_invalid=args.invalid_rows,
                                        seed=cfg.stage_seed("synth:trips"))
-        _write(out / "trips.csv", text)
+        write_artifact(out / "trips.csv", text)
         print(f"synth: wrote {out / 'trips.csv'}")
 
 
@@ -77,8 +71,8 @@ def cmd_ingest(cfg: PipelineConfig, args) -> None:
     records, rejections = read_artifact(trips, lambda p: parse_trips(p, cfg.box),
                                         stream=True)
     grid = bucketize(records, cfg.box, cfg.bucket_cell_m, cfg.bucket_minutes)
-    _write(cfg.out_dir / "buckets.csv", grid.to_csv())
-    _write(cfg.out_dir / "rejections.csv", rejections_to_csv(rejections))
+    write_artifact(cfg.out_dir / "buckets.csv", grid.to_csv())
+    write_artifact(cfg.out_dir / "rejections.csv", rejections_to_csv(rejections))
     print(f"ingest: {len(records)} accepted, {len(rejections)} rejected, "
           f"archive {cfg.out_dir / 'buckets.csv'}")
 
@@ -101,13 +95,13 @@ def cmd_hotspots(cfg: PipelineConfig, args) -> None:
     grid = read_artifact(cfg.out_dir / "buckets.csv", BucketGrid.from_csv)
     trails = _slot_trails(cfg, grid)
     for slot, trail in trails.items():
-        _write(cfg.out_dir / "trails" / f"{slot.value}.asc", to_ascii_grid(trail))
+        write_artifact(cfg.out_dir / "trails" / f"{slot.value}.asc", to_ascii_grid(trail))
         mask = relevance_mask(trail, cfg.hotspots.relevance_fraction)
-        _write(cfg.out_dir / "masks" / f"{slot.value}.asc",
-               to_ascii_grid(Trail2D(mask.astype(float), trail.origin, trail.cell_size)))
+        write_artifact(cfg.out_dir / "masks" / f"{slot.value}.asc", to_ascii_grid(
+            Trail2D(mask.astype(float), trail.origin, trail.cell_size)))
     found = extract_hotspots(trails, cfg.hotspots.relevance_fraction,
                              cfg.hotspots.min_area_km2)
-    _write(cfg.out_dir / "hotspots.geojson", hotspots_to_geojson(found))
+    write_artifact(cfg.out_dir / "hotspots.geojson", hotspots_to_geojson(found))
     print(f"hotspots: {len(found)} polygon(s) -> {cfg.out_dir / 'hotspots.geojson'}")
 
 
@@ -119,15 +113,21 @@ def cmd_extract(cfg: PipelineConfig, args) -> None:
     targets = {cfg.out_dir / "series" / h.id / f"{day}.csv":
                series_to_csv(hotspot_activity(grid, h, day, cfg.resolution_minutes))
                for h in found for day in grid.days()}
-    # A rerun rewrites the same bytes; anything else there, a directory too,
-    # belongs to another source (synth writes its year under series/<hotspot>).
+    # A rerun rewrites the same bytes; anything else there, a directory at the
+    # path or a regular file above it too, belongs to another source (synth
+    # writes its year under series/<hotspot>).
     for path, text in targets.items():
-        if path.exists() and not (path.is_file()
-                                  and path.read_bytes() == text.encode("utf-8")):
+        try:
+            same = path.read_bytes() == text.encode("utf-8")
+        except FileNotFoundError:
+            continue
+        except (IsADirectoryError, NotADirectoryError):
+            same = False
+        if not same:
             raise ValueError(f"{path} exists with other contents; "
                              "extract would overwrite it")
     for path, text in targets.items():
-        _write(path, text)
+        write_artifact(path, text)
     print(f"extract: {len(targets)} series under {cfg.out_dir / 'series'}")
 
 
@@ -180,12 +180,8 @@ def _labelled_days(cfg: PipelineConfig, hotspot_id: str | None):
 def _labelled_levels(cfg: PipelineConfig, labelled):
     """The trained perceptron's level series of ``_labelled_days``' days."""
     days, classes, flags = labelled
-    return transform_many(_load_sp(cfg), days), classes, flags
-
-
-def _load_sp(cfg: PipelineConfig):
-    return read_artifact(cfg.out_dir / "sp.ini", lambda p: load_sp(p, cfg.day_length),
-                         stream=True)
+    sp = load_sp(cfg.out_dir / "sp.ini", cfg.day_length)
+    return transform_many(sp, days), classes, flags
 
 
 def cmd_train(cfg: PipelineConfig, args) -> None:
@@ -212,7 +208,7 @@ def cmd_train(cfg: PipelineConfig, args) -> None:
     by_class = pattern_training_sets(*_labelled_levels(cfg, labelled),
                                      cfg.training.pattern_per_class)
     params, history = train_pattern_field(by_class, bounds, cfg.de_for("pattern"))
-    _write(cfg.out_dir / "pattern.ini", params_to_config({"pattern": params}))
+    write_artifact(cfg.out_dir / "pattern.ini", params_to_config({"pattern": params}))
     write_history_csv(cfg.out_dir / "history" / "pattern.csv", history)
     print(f"train: pattern field saved to {cfg.out_dir / 'pattern.ini'}")
 
@@ -244,8 +240,8 @@ def report_csv(report) -> str:
 
 def cmd_classify(cfg: PipelineConfig, args) -> None:
     _, report = _srf_run(cfg, args)
-    _write(cfg.out_dir / "report.csv", report_csv(report))
-    _write(cfg.out_dir / "matrix.csv", report.matrix.to_csv())
+    write_artifact(cfg.out_dir / "report.csv", report_csv(report))
+    write_artifact(cfg.out_dir / "matrix.csv", report.matrix.to_csv())
     print(f"classify: accuracy {report.accuracy:.4f}, "
           f"correlation {report.correlation:.4f} -> {cfg.out_dir / 'report.csv'}")
 
@@ -257,7 +253,7 @@ def cmd_compare(cfg: PipelineConfig, args) -> None:
         runs[label] = _classification_run(
             cfg, inputs, lambda pats: baseline_matrix(pats, method),
             f"thresholds:{method}")
-    _write(cfg.out_dir / "accuracy.csv", framed_csv("method,accuracy,correlation", (
+    write_artifact(cfg.out_dir / "accuracy.csv", framed_csv("method,accuracy,correlation", (
         f"{label},{r.accuracy:.12g},{r.correlation:.12g}" for label, r in runs.items())))
     print("compare: " + ", ".join(
         f"{label} {runs[label].accuracy:.4f}" for label in ("SRF", "DTW", "Frechet")))
@@ -266,7 +262,8 @@ def cmd_compare(cfg: PipelineConfig, args) -> None:
 # --- plotdata ----------------------------------------------------------------
 
 def _archetype_trail_rows(cfg: PipelineConfig) -> str:
-    trails = [(a.name, final_trail(a.samples, p)) for a, p in _load_sp(cfg).fields]
+    sp = load_sp(cfg.out_dir / "sp.ini", cfg.day_length)
+    trails = [(a.name, final_trail(a.samples, p)) for a, p in sp.fields]
     return framed_csv("archetype,cell_index,cell_center,intensity", (
         f"{name},{i},{center:.6g},{value:.6g}" for name, trail in trails
         for i, (center, value) in enumerate(zip(CELL_CENTERS, trail))))
@@ -284,10 +281,10 @@ def _scatter_csv(report: str) -> str:
 def cmd_plotdata(cfg: PipelineConfig, args) -> None:
     scatter = read_artifact(cfg.out_dir / "report.csv", _scatter_csv)
     matrix = read_artifact(cfg.out_dir / "matrix.csv", str)
-    _write(cfg.out_dir / "plotdata" / "scatter.csv", scatter)
-    _write(cfg.out_dir / "plotdata" / "matrix.csv", matrix)
-    _write(cfg.out_dir / "plotdata" / "trail_snapshots.csv",
-           _archetype_trail_rows(cfg))
+    write_artifact(cfg.out_dir / "plotdata" / "scatter.csv", scatter)
+    write_artifact(cfg.out_dir / "plotdata" / "matrix.csv", matrix)
+    write_artifact(cfg.out_dir / "plotdata" / "trail_snapshots.csv",
+                   _archetype_trail_rows(cfg))
     print(f"plotdata: bundles under {cfg.out_dir / 'plotdata'}")
 
 
@@ -339,7 +336,7 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, master_seed=args.seed)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out_dir=Path(args.out))
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        write_artifact(cfg.out_dir)
         args.handler(cfg, args)
         return EXIT_OK
     except FileNotFoundError as exc:

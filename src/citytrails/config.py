@@ -7,7 +7,6 @@ setting defaults to the library constant that the function it feeds uses.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
@@ -109,23 +108,6 @@ def _accepted_keys(base: PipelineConfig) -> dict[str, set[str]]:
     return {name: set(types) for name, types in _schema(base).items()}
 
 
-def read_artifact(path, parse, stream: bool = False):
-    """``parse`` of the strict UTF-8 text of the file at ``path`` or, to
-    ``stream`` it, of the path itself. A path that is missing or not a regular
-    file raises FileNotFoundError (exit 3); a decode error, ValueError,
-    KeyError or configparser.Error from ``parse`` becomes one ValueError
-    ``"<path>: <reason>"`` (exit 2), so no reader need name its file."""
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"{path} is not a regular file" if path.exists()
-                                else str(path))
-    try:
-        return parse(path if stream else path.read_text(encoding="utf-8"))
-    except (ValueError, KeyError, configparser.Error) as exc:
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"{path}: {reason}") from None
-
-
 def load_config(path=None) -> PipelineConfig:
     """Read a config file. Every key is optional: a missing one keeps the
     default its dataclass field declares, and a present one is cast with the
@@ -142,7 +124,7 @@ def load_config(path=None) -> PipelineConfig:
     """
     if path is None:
         return PipelineConfig()
-    return read_artifact(path, lambda text: _parse_config(text, Path(path).parent))
+    return series.read_artifact(path, lambda text: _parse_config(text, Path(path).parent))
 
 
 def _parse_config(text: str, root: Path) -> PipelineConfig:
@@ -177,7 +159,5 @@ def _parse_config(text: str, root: Path) -> PipelineConfig:
 
 
 def write_history_csv(path, history) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(series.framed_csv("generation,best_fitness", (
-        f"{g},{v:.12g}" for g, v in enumerate(history))), encoding="utf-8")
+    series.write_artifact(path, series.framed_csv("generation,best_fitness", (
+        f"{g},{v:.12g}" for g, v in enumerate(history))))

@@ -134,8 +134,9 @@ def build_slot_trail(batches, delta: float, grid: Trail2D, *,
                 y[start:block_stop], intensity[start:block_stop],
                 cone.base_radius, cone.top_radius)
         if stop > start:
-            np.add.at(flat, idx[start - block_start:stop - block_start],
-                      heights[start - block_start:stop - block_start])
+            part = slice(start - block_start, stop - block_start)
+            # 1-D operands take np.add.at's fast path, in the same C order
+            np.add.at(flat, idx[part].reshape(-1), heights[part].reshape(-1))
         evaporate(padded, delta)
     return Trail2D(padded[m:-m, m:-m], grid.origin, grid.cell_size)
 

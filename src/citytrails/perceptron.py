@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import ARCHETYPE_NAMES, DEFAULT_DAY_LENGTH, DEFAULT_RESOLUTION_MINUTES, \
-    Archetype, all_archetypes
+    Archetype, all_archetypes, read_artifact, write_artifact
 from .srf import PARAM_KEYS, SrfParams, indexed_similarity
 from .stigspace import _readonly
 
@@ -176,12 +176,10 @@ def params_from_config(text: str, names) -> dict[str, SrfParams]:
 
 
 def save_sp(sp: StigmergicPerceptron, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(params_to_config({a.name: p for a, p in sp.fields}))
+    write_artifact(path, params_to_config({a.name: p for a, p in sp.fields}))
 
 
 def load_sp(path, length: int = DEFAULT_DAY_LENGTH) -> StigmergicPerceptron:
     """Read a ``save_sp`` file onto the archetypes of ``length`` samples."""
-    with open(path, encoding="utf-8") as fh:
-        blocks = params_from_config(fh.read(), ARCHETYPE_NAMES)
+    blocks = read_artifact(path, lambda text: params_from_config(text, ARCHETYPE_NAMES))
     return StigmergicPerceptron(tuple((a, blocks[a.name]) for a in all_archetypes(length)))

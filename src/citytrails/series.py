@@ -1,4 +1,5 @@
-"""Activity time series: normalization, archetypes, perturbation, CSV round trip.
+"""Activity time series: normalization, archetypes, perturbation, CSV round trip,
+and the one read and one write path of every artifact.
 
 Series values are dimensionless activity samples in [0, 1] after min-max
 normalization. Archetypes are the seven pure-form daily behaviors the
@@ -8,8 +9,10 @@ levels (low 0.1, mid 0.5, high 0.9) with quarter/half piecewise geometry.
 
 from __future__ import annotations
 
+import configparser
 from dataclasses import dataclass
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 
@@ -302,16 +305,14 @@ SERIES_HEADER = "index,value"
 SERIES_META = {"day_id": str, "hotspot_id": str, "resolution_minutes": int}
 
 
-def series_to_csv(a) -> str:
-    values = a.samples if isinstance(a, ActivityTimeSeries) else a.levels
-    return framed_csv(SERIES_HEADER, (f"{i},{v:.12g}" for i, v in enumerate(values)),
+def series_to_csv(a: ActivityTimeSeries) -> str:
+    return framed_csv(SERIES_HEADER, (f"{i},{v:.12g}" for i, v in enumerate(a.samples)),
                       {"day_id": a.day_id or "", "hotspot_id": a.hotspot_id or "",
                        "resolution_minutes": a.resolution_minutes})
 
 
-def _read_series(text: str):
-    """The values, the metadata dict, and the rows' line numbers and texts of
-    a series CSV text."""
+def series_from_csv(text: str) -> ActivityTimeSeries:
+    """An activity series read back; its values must lie in [0, 1]."""
     meta, meta_line, numbers, rows, table = read_framed_csv(
         text, "series", SERIES_HEADER, SERIES_META, (0, 1))
     if meta["day_id"] and iso_date(meta["day_id"]) is None:
@@ -322,21 +323,46 @@ def _read_series(text: str):
     if wrong.size:
         raise ValueError(f"series line {numbers[wrong[0]]}: expected index "
                          f"{wrong[0]}, got {rows[wrong[0]]!r}")
-    meta.update((key, meta[key] or None) for key in ("day_id", "hotspot_id"))
-    return values, meta, numbers, rows
-
-
-def parse_series_csv(text: str) -> tuple[np.ndarray, dict]:
-    """Values plus the metadata dict from the series CSV format."""
-    return _read_series(text)[:2]
-
-
-def series_from_csv(text: str) -> ActivityTimeSeries:
-    """An activity series read back; its values must lie in [0, 1]."""
-    values, meta, numbers, rows = _read_series(text)
     outside = np.flatnonzero(~((values >= 0) & (values <= 1)))
     if outside.size:
         raise ValueError(f"series line {numbers[outside[0]]}: expected a value "
                          f"in [0, 1], got {rows[outside[0]]!r}")
     return ActivityTimeSeries(values, meta["resolution_minutes"],
-                              meta["day_id"], meta["hotspot_id"])
+                              meta["day_id"] or None, meta["hotspot_id"] or None)
+
+
+# --- artifact files -----------------------------------------------------------
+# Every stage reads through read_artifact and writes through write_artifact.
+
+def read_artifact(path, parse, stream: bool = False):
+    """``parse`` of the strict UTF-8 text of the file at ``path`` or, to
+    ``stream`` it, of the path itself. A path that is missing or not a regular
+    file raises FileNotFoundError (exit 3); a decode error, ValueError,
+    KeyError or configparser.Error from ``parse`` becomes one ValueError
+    ``"<path>: <reason>"`` (exit 2), so no reader need name its file."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"{path} is not a regular file" if path.exists()
+                                else str(path))
+    try:
+        return parse(path if stream else path.read_text(encoding="utf-8"))
+    except (ValueError, KeyError, configparser.Error) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: {reason}") from None
+
+
+def write_artifact(path, text: str | None = None) -> None:
+    """Write ``text`` as UTF-8 with LF line ends to the file at ``path`` or,
+    with no ``text``, make the directory ``path``, making missing parents. A
+    directory at the file, or a regular file where a directory must go,
+    raises ValueError naming it (exit 2)."""
+    path = Path(path)
+    try:
+        (path if text is None else path.parent).mkdir(parents=True, exist_ok=True)
+        if text is not None:
+            path.write_text(text, encoding="utf-8", newline="\n")
+    except (FileExistsError, NotADirectoryError, IsADirectoryError):
+        blocked = next((p for p in (path, *path.parents) if p.exists()
+                        and p.is_dir() == (p == path and text is not None)), path)
+        kind = "a directory" if blocked.is_dir() else "not a directory"
+        raise ValueError(f"cannot write {path}: {blocked} is {kind}") from None

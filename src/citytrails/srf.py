@@ -21,8 +21,8 @@ its full shape, which spares the many short steps of DE candidate
 populations NumPy's broadcast set-up; larger stacks broadcast them. Every
 trail has the one geometry of ``stigspace``: the value axis [0, 1] in
 CELL_COUNT cells; only the eight field parameters vary. The first
-``default_warmup(L)`` steps of an L-step stream, a tenth of it, fill the
-trails and are left out of the mean. The test suite pins the engine to a
+``default_warmup(L)`` steps of an L-step stream, a tenth of it, only fill
+the trails and are left out of the mean. The test suite pins the engine to a
 brute-force reference that spells out the clumping, the trapezoid, the
 evaporation, the Jaccard and the activation cell by cell.
 """
@@ -182,8 +182,8 @@ def indexed_similarity(streams, ia, ib, params, *, return_streams: bool = False)
     for a matrix, plus the activated streams past the warmup, shaped
     (..., L - default_warmup(L)), when ``return_streams`` is set.
 
-    A call allocates the (K, P, L) raw similarities, which the activation
-    overwrites, two (K, N, L) arrays for the clumping, the (K, N, C) trails
+    A call allocates the (K, P, L - warmup) raw similarities, which the
+    activation overwrites, two (K, N, L) clumping arrays, the (K, N, C) trails
     plus one buffer of their size for the marks, and three (PAIR_BLOCK, C)
     buffers. Each step gathers the trails of PAIR_BLOCK pairs at a time into
     two of them and sums their cell-wise totals and gaps in the third, so no
@@ -234,7 +234,7 @@ def indexed_similarity(streams, ia, ib, params, *, return_streams: bool = False)
             np.copyto(operand, value)
         mark_ops, delta = MarkOperands(*full[:3]), full[3]
     rows = trails.reshape(n_rows * n_streams, -1)  # a view of ``trails``
-    raw = np.empty((fa.size, length))
+    raw = np.empty((fa.size, length - warmup))
     block = max(1, min(PAIR_BLOCK, fa.size))
     gathered_a, gathered_b, work = (np.empty((block, CELL_COUNT)) for _ in range(3))
     blocks = []
@@ -244,14 +244,16 @@ def indexed_similarity(streams, ia, ib, params, *, return_streams: bool = False)
                        work[:ja.size], raw[s:s + block]))
     for t in range(length):
         _advance(trails, clumped[..., t], mark_ops, delta, marks)
+        if t < warmup:
+            continue  # the warmup steps only fill the trails
         for ja, jb, a, b, w, r in blocks:
             # the indices are checked above; "clip" lets take write into its
             # ``out`` directly instead of through a copy
             rows.take(ja, axis=0, out=a, mode="clip")
             rows.take(jb, axis=0, out=b, mode="clip")
-            r[:, t] = jaccard(a, b, w)
+            r[:, t - warmup] = jaccard(a, b, w)
 
-    streams_past = raw.reshape(out_shape + (length,))[..., warmup:]
+    streams_past = raw.reshape(out_shape + (length - warmup,))
     activated = activate(streams_past, cols, out=streams_past)
     means = activated.mean(axis=-1)
     if single:

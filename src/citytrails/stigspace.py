@@ -155,8 +155,8 @@ def cone_geometry(padded_cols: int, origin: tuple[float, float], cell_size: floa
     both shaped (E, w, w). Every event's window is the same square of cells
     around its centre's cell, computed from that event alone, so a geometry
     built for many events holds the doubles each event gives on its own.
-    ``np.add.at(padded.reshape(-1), idx, heights)`` deposits them in event
-    order."""
+    One ``np.add.at`` on the flattened padded grid, indices and heights
+    deposits them in event order."""
     x0, y0 = origin
     m = cone_margin(base_radius, cell_size)
     cx, cy, intensity = (np.asarray(v, dtype=float) for v in (cx, cy, intensity))
@@ -189,7 +189,7 @@ def deposit_2d(t: Trail2D, m: ConeMark) -> Trail2D:
     padded = np.pad(t.cells, margin)
     idx, heights = cone_geometry(padded.shape[1], t.origin, t.cell_size, [cx], [cy],
                                  [m.intensity], m.base_radius, m.top_radius)
-    np.add.at(padded.reshape(-1), idx, heights)
+    np.add.at(padded.reshape(-1), idx.reshape(-1), heights.reshape(-1))
     return dataclasses.replace(t, cells=padded[margin:-margin, margin:-margin])
 
 

@@ -27,6 +27,7 @@ from .series import (
     generate_archetype,
     iso_date,
     perturb_samples,
+    read_framed_csv,
 )
 
 TRAINING_PER_CLASS = 10  # the perceptron's pool: variants per archetype,
@@ -181,33 +182,27 @@ def synthetic_year(n_days: int = 364, anomaly_count: int = 20,
 
 def parse_labels_csv(text: str) -> dict[str, bool]:
     """Whether a labels CSV, as ``SyntheticYear.labels_csv`` writes it, flags
-    each day it lists anomalous, by day id. A header other than
-    ``LABELS_HEADER``, a row without four fields, a day id that is not an ISO
-    date or that repeats, a class other than ``expected_class_for`` the day
-    or a flag other than 0/1 raises ValueError naming the line."""
-    lines = text.splitlines()
-    if not lines or lines[0] != LABELS_HEADER:
-        raise ValueError(f"line 1: expected the header {LABELS_HEADER!r}")
+    each day it lists anomalous, by day id. Besides the framing rules of
+    ``read_framed_csv`` (the ``LABELS_HEADER`` line, four fields a row), a day
+    id that is not an ISO date or that repeats, a class other than
+    ``expected_class_for`` the day or a flag other than 0/1 raises ValueError
+    naming the line."""
+    _, _, numbers, rows, _ = read_framed_csv(text, "labels", LABELS_HEADER)
     flags: dict[str, bool] = {}
-    for number, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ValueError(f"line {number}: expected 4 fields, "
-                             f"got {len(fields)}")
-        day_id, cls, flag, _ = fields
+    for number, row in zip(numbers, rows):
+        day_id, cls, flag, _ = row.split(",")
+        where = f"labels line {number}"
         day = iso_date(day_id)
         if day is None:
-            raise ValueError(f"line {number}: day_id {day_id!r} is not "
-                             "an ISO date")
+            raise ValueError(f"{where}: day_id {day_id!r} is not an ISO date")
         expected = expected_class_for(day)
         if day_id in flags:
-            raise ValueError(f"line {number}: day {day_id} is listed again")
+            raise ValueError(f"{where}: day {day_id} is listed again")
         if cls != expected:
-            raise ValueError(f"line {number}: day {day_id} has class "
-                             f"{cls!r}, but its weekday class is {expected!r}")
+            raise ValueError(f"{where}: day {day_id} has class {cls!r}, "
+                             f"but its weekday class is {expected!r}")
         if flag not in ("0", "1"):
-            raise ValueError(f"line {number}: is_anomaly = "
-                             f"{flag!r} is not 0 or 1")
+            raise ValueError(f"{where}: is_anomaly = {flag!r} is not 0 or 1")
         flags[day_id] = flag == "1"
     return flags
 

@@ -563,10 +563,10 @@ class TestTrainClassifyCompare:
     @pytest.mark.parametrize("edit, named", [
         (lambda t: t.replace(",1,", ",yes,"), "line 8: is_anomaly = 'yes'"),
         (lambda t: "garbage\n", "line 1"),
-        (lambda t: "", "line 1"),
+        (lambda t: "", "end of file: expected the header"),
         (lambda t: t.replace("day_id,class,is_anomaly,kind", "day,class,flag,kind"),
          "line 1"),
-        (lambda t: t.replace(",0,\n", ",0\n", 1), "line 2: expected 4 fields, got 3"),
+        (lambda t: t.replace(",0,\n", ",0\n", 1), "line 2: expected the 4 fields"),
         (lambda t: re.sub(r"^2015-01-1.*\n", "", t, flags=re.M),
          "has no row for series day 2015-01-10"),
         (lambda t: t + t.split("\n")[1] + "\n", "line 44: day 2015-01-05 is listed again"),
@@ -929,3 +929,33 @@ def test_bad_artifact_exits_2_or_3_naming_it_and_writing_nothing(
     assert str(path) in err and all(name in err for name in named), err
     assert sorted(tmp_path.rglob("*")) == before
     assert {p: p.read_bytes() for p in before if p.is_file()} == contents
+
+
+# (a path under out/ that a regular file takes, the command that must write
+# under it); "" is the --out directory itself
+BLOCKED_OUTPUTS = {
+    "out": ("", ["synth", "--kind", "trips"]),
+    "series-hotspot": ("series/A", ["extract"]),
+    "trails": ("trails", ["hotspots"]),
+    "history": ("history", TRAIN_D),
+    "plotdata": ("plotdata", ["plotdata"]),
+}
+
+
+@pytest.mark.parametrize("blocked, command", BLOCKED_OUTPUTS.values(),
+                         ids=BLOCKED_OUTPUTS.keys())
+def test_output_blocked_by_a_regular_file_exits_2_naming_it(finished_run, tmp_path, capsys,
+                                                           blocked, command):
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    config = tmp_path / "pipeline.ini"
+    config.write_text(TINY_CONFIG.format(out=out), encoding="utf-8")
+    path = out / blocked
+    assert path.is_dir()
+    shutil.rmtree(path)
+    path.write_text("in the way\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(config, "--out", str(out), *command) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and str(path) in err, err
+    assert path.read_text(encoding="utf-8") == "in the way\n"

@@ -112,17 +112,6 @@ class TestLevelSeries:
         with pytest.raises(ValueError):
             ActivityLevelSeries(np.array([-0.1, 3.0]))
 
-    def test_exports_in_the_series_csv_shape(self):
-        from citytrails.series import parse_series_csv, series_to_csv
-        levels = ActivityLevelSeries(np.array([1.0, 4.25, 7.0]), 10,
-                                     "2015-06-01", "D")
-        text = series_to_csv(levels)
-        assert text.splitlines()[0] == \
-            "# day_id=2015-06-01,hotspot_id=D,resolution_minutes=10"
-        values, meta = parse_series_csv(text)
-        assert np.allclose(values, levels.levels)
-        assert meta["day_id"] == "2015-06-01"
-
 
 class TestPersistence:
     def test_config_round_trip(self, tmp_path):

@@ -11,11 +11,11 @@ from citytrails.series import (
     assessment_error,
     generate_archetype,
     normalize_min_max,
-    parse_series_csv,
     perturb,
     samples_per_day,
     series_from_csv,
     series_to_csv,
+    write_artifact,
 )
 from citytrails.synth import synthetic_year
 
@@ -214,15 +214,38 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=re.escape(f"series {named}")):
             series_from_csv(text.replace(old, new, 1))
 
-    def test_levels_outside_the_unit_interval_parse(self):
-        # exported activity levels run 0..7; only an activity series is held
-        # to [0, 1]
+    def test_levels_outside_the_unit_interval_are_rejected(self):
+        # activity levels run 0..7; a series file holds activity in [0, 1]
         text = series_to_csv(ActivityTimeSeries(np.array([0.0, 0.5]))).replace(
             "1,0.5", "1,6.5")
-        values, meta = parse_series_csv(text)
-        assert values.tolist() == [0.0, 6.5] and meta["day_id"] is None
         with pytest.raises(ValueError, match="line 4"):
             series_from_csv(text)
+
+
+class TestWriteArtifact:
+    def test_writes_utf8_with_lf_ends_making_parents(self, tmp_path):
+        path = tmp_path / "a" / "b" / "c.csv"
+        write_artifact(path, "day,\u00e9\n1,2\n")
+        assert path.read_bytes() == "day,\u00e9\n1,2\n".encode("utf-8")
+        write_artifact(tmp_path / "d" / "e")
+        assert (tmp_path / "d" / "e").is_dir()
+
+    @pytest.mark.parametrize("target, text, blocked, kind", [
+        ("file/x.csv", "x\n", "file", "not a directory"),
+        ("file/a/b/x.csv", "x\n", "file", "not a directory"),
+        ("file", None, "file", "not a directory"),
+        ("file/a", None, "file", "not a directory"),
+        ("dir", "x\n", "dir", "a directory"),
+    ], ids=["parent-file", "ancestor-file", "file-as-directory", "file-above-directory",
+            "directory-as-file"])
+    def test_blocked_path_named(self, tmp_path, target, text, blocked, kind):
+        (tmp_path / "file").write_text("in the way\n", encoding="utf-8")
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot write {tmp_path / target}: {tmp_path / blocked} is {kind}")):
+            write_artifact(tmp_path / target, text)
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "in the way\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
 
 
 class TestSyntheticYear:

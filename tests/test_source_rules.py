@@ -39,3 +39,28 @@ def test_iso_days_are_read_through_one_helper():
                           and helper.lineno <= node.lineno <= helper.end_lineno)
                 (inside if within else outside).append(f"{source.name}:{node.lineno}")
     assert outside == [] and len(inside) == 1
+
+
+def test_every_write_goes_through_one_helper():
+    # series.write_artifact names the path that blocks a write, so no other
+    # function makes a directory or opens a file for writing
+    writers = set()
+    for source in SOURCES:
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            # open(file, mode) or path.open(mode); a mode that is not a
+            # constant counts as a write
+            modes = [*(node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:1]),
+                     *(k.value for k in node.keywords if k.arg == "mode")]
+            if name in ("mkdir", "makedirs", "write_text", "write_bytes") or (
+                    name == "open" and any(not (isinstance(m, ast.Constant)
+                                                and set(m.value) <= set("rbt"))
+                                           for m in modes)):
+                within = [fn for fn in functions
+                          if fn.lineno <= node.lineno <= fn.end_lineno]
+                writers.add((source.name, within[-1].name if within else None))
+    assert writers == {("series.py", "write_artifact")}

@@ -59,15 +59,19 @@ class TestParseLabelsCsv:
         flags = parse_labels_csv(year.labels_csv())
         assert list(flags) == [d.day_id for d in year.days]
         assert {day for day, flag in flags.items() if flag} == flagged
+        # blank lines are skipped, as in every comment-headed CSV
+        assert parse_labels_csv(year.labels_csv().replace("\n", "\n\n")) == flags
 
     @pytest.mark.parametrize("text, named", [
-        ("", "line 1"),
-        ("day_id,class,is_anomaly\n", "line 1"),
+        ("", "end of file: expected the header"),
+        ("day_id,class,is_anomaly\n", "line 1: expected the header"),
         ("day_id,class,is_anomaly,kind\n2015-01-05,W,0,\n2015-01-06,W,1\n",
-         "line 3: expected 4 fields, got 3"),
+         "line 3: expected the 4 fields"),
         ("day_id,class,is_anomaly,kind\n2015-01-05,W,0,,\n",
-         "line 2: expected 4 fields, got 5"),
-        ("day_id,class,is_anomaly,kind\n\n", "line 2: expected 4 fields, got 1"),
+         "line 2: expected the 4 fields"),
+        # a blank line is skipped but still counted
+        ("day_id,class,is_anomaly,kind\n\n2015-01-05,W,2,\n",
+         "line 3: is_anomaly = '2' is not 0 or 1"),
         ("day_id,class,is_anomaly,kind\n2015-01-05,W,True,shift\n",
          "line 2: is_anomaly = 'True' is not 0 or 1"),
         ("day_id,class,is_anomaly,kind\n2015-01-05,W,0,\n2015-01-05,W,1,shift\n",
