@@ -1,7 +1,7 @@
 """Batch commands: synth, ingest, hotspots, extract, train, classify, compare,
-plotdata. Commands read prior stage outputs from the --out directory and write
-their own documented files there; exit codes are 0 success, 1 internal error,
-2 input-format error, 3 missing upstream artifact."""
+plotdata. Commands read prior stage outputs from the --out directory and return
+their documented files, which main writes there all or none; exit codes are 0
+success, 1 internal error, 2 input-format error, 3 missing upstream artifact."""
 
 from __future__ import annotations
 
@@ -19,15 +19,15 @@ from .anomaly import (
 )
 from .baseline import baseline_matrix
 from .calibrate import pattern_training_sets, train_pattern_field, train_perceptron
-from .config import ENV_CONFIG_VAR, PipelineConfig, load_config, write_history_csv
+from .config import ENV_CONFIG_VAR, PipelineConfig, history_csv, load_config
 from .hotspot import ConeMark, TimeSlot, check_hotspot_id, extract_hotspots, \
     hotspots_from_geojson, hotspots_to_geojson, relevance_mask, build_slot_trail
 from .ingest import BucketGrid, bucketize, hotspot_activity, parse_trips, \
     rejections_to_csv, slot_event_batches
-from .perceptron import load_sp, params_from_config, params_to_config, save_sp, \
+from .perceptron import load_sp, params_from_config, params_to_config, sp_ini, \
     transform_many
 from .series import framed_csv, iso_date, read_artifact, read_framed_csv, series_from_csv, \
-    series_to_csv, write_artifact
+    series_to_csv, write_artifact, write_artifacts
 from .srf import final_trail
 from .stigspace import CELL_CENTERS, Trail2D, to_ascii_grid
 
@@ -41,8 +41,8 @@ REPORT_HEADER = "day_id,class,anomaly_index,threshold,verdict"
 
 # --- synth -------------------------------------------------------------------
 
-def cmd_synth(cfg: PipelineConfig, args) -> None:
-    out = cfg.out_dir
+def cmd_synth(cfg: PipelineConfig, args):
+    out, files, lines = cfg.out_dir, {}, []
     kinds = {"year", "trips"} if args.kind == "all" else {args.kind}
     if "year" in kinds:
         year = synth.synthetic_year(
@@ -51,30 +51,30 @@ def cmd_synth(cfg: PipelineConfig, args) -> None:
             hotspot_id=args.hotspot)
         for day in year.days:
             day = dataclasses.replace(day, resolution_minutes=cfg.resolution_minutes)
-            write_artifact(out / "series" / args.hotspot / f"{day.day_id}.csv",
-                           series_to_csv(day))
-        write_artifact(out / "labels.csv", year.labels_csv())
-        print(f"synth: wrote {len(year.days)} days "
-              f"({sum(year.anomaly_flags)} anomalous) under {out / 'series'}")
+            files[out / "series" / args.hotspot / f"{day.day_id}.csv"] = series_to_csv(day)
+        files[out / "labels.csv"] = year.labels_csv()
+        lines.append(f"synth: wrote {len(year.days)} days "
+                     f"({sum(year.anomaly_flags)} anomalous) under {out / 'series'}")
     if "trips" in kinds:
         text = synth.planted_trips_csv(cfg.box, n_valid=args.valid_rows,
                                        n_invalid=args.invalid_rows,
                                        seed=cfg.stage_seed("synth:trips"))
-        write_artifact(out / "trips.csv", text)
-        print(f"synth: wrote {out / 'trips.csv'}")
+        files[out / "trips.csv"] = text
+        lines.append(f"synth: wrote {out / 'trips.csv'}")
+    return files, lines
 
 
 # --- ingest ------------------------------------------------------------------
 
-def cmd_ingest(cfg: PipelineConfig, args) -> None:
+def cmd_ingest(cfg: PipelineConfig, args):
     trips = Path(args.trips) if args.trips else (cfg.trips_path or cfg.out_dir / "trips.csv")
     records, rejections = read_artifact(trips, lambda p: parse_trips(p, cfg.box),
                                         stream=True)
     grid = bucketize(records, cfg.box, cfg.bucket_cell_m, cfg.bucket_minutes)
-    write_artifact(cfg.out_dir / "buckets.csv", grid.to_csv())
-    write_artifact(cfg.out_dir / "rejections.csv", rejections_to_csv(rejections))
-    print(f"ingest: {len(records)} accepted, {len(rejections)} rejected, "
-          f"archive {cfg.out_dir / 'buckets.csv'}")
+    files = {cfg.out_dir / "buckets.csv": grid.to_csv(),
+             cfg.out_dir / "rejections.csv": rejections_to_csv(rejections)}
+    return files, [f"ingest: {len(records)} accepted, {len(rejections)} rejected, "
+                   f"archive {cfg.out_dir / 'buckets.csv'}"]
 
 
 # --- hotspots ----------------------------------------------------------------
@@ -91,23 +91,33 @@ def _slot_trails(cfg: PipelineConfig, grid: BucketGrid) -> dict[TimeSlot, Trail2
             for slot in TimeSlot}
 
 
-def cmd_hotspots(cfg: PipelineConfig, args) -> None:
+def cmd_hotspots(cfg: PipelineConfig, args):
     grid = read_artifact(cfg.out_dir / "buckets.csv", BucketGrid.from_csv)
-    trails = _slot_trails(cfg, grid)
+    trails, files = _slot_trails(cfg, grid), {}
     for slot, trail in trails.items():
-        write_artifact(cfg.out_dir / "trails" / f"{slot.value}.asc", to_ascii_grid(trail))
+        files[cfg.out_dir / "trails" / f"{slot.value}.asc"] = to_ascii_grid(trail)
         mask = relevance_mask(trail, cfg.hotspots.relevance_fraction)
-        write_artifact(cfg.out_dir / "masks" / f"{slot.value}.asc", to_ascii_grid(
-            Trail2D(mask.astype(float), trail.origin, trail.cell_size)))
+        files[cfg.out_dir / "masks" / f"{slot.value}.asc"] = to_ascii_grid(
+            Trail2D(mask.astype(float), trail.origin, trail.cell_size))
     found = extract_hotspots(trails, cfg.hotspots.relevance_fraction,
                              cfg.hotspots.min_area_km2)
-    write_artifact(cfg.out_dir / "hotspots.geojson", hotspots_to_geojson(found))
-    print(f"hotspots: {len(found)} polygon(s) -> {cfg.out_dir / 'hotspots.geojson'}")
+    files[cfg.out_dir / "hotspots.geojson"] = hotspots_to_geojson(found)
+    return files, [f"hotspots: {len(found)} polygon(s) -> {cfg.out_dir / 'hotspots.geojson'}"]
 
 
 # --- extract -----------------------------------------------------------------
 
-def cmd_extract(cfg: PipelineConfig, args) -> None:
+def _same_bytes(path: Path, text: str) -> bool | None:
+    """Whether ``path`` holds ``text``'s UTF-8 bytes; None if nothing is there."""
+    try:
+        return path.read_bytes() == text.encode("utf-8")
+    except FileNotFoundError:
+        return None
+    except (IsADirectoryError, NotADirectoryError):
+        return False
+
+
+def cmd_extract(cfg: PipelineConfig, args):
     grid = read_artifact(cfg.out_dir / "buckets.csv", BucketGrid.from_csv)
     found = read_artifact(cfg.out_dir / "hotspots.geojson", hotspots_from_geojson)
     targets = {cfg.out_dir / "series" / h.id / f"{day}.csv":
@@ -117,18 +127,10 @@ def cmd_extract(cfg: PipelineConfig, args) -> None:
     # path or a regular file above it too, belongs to another source (synth
     # writes its year under series/<hotspot>).
     for path, text in targets.items():
-        try:
-            same = path.read_bytes() == text.encode("utf-8")
-        except FileNotFoundError:
-            continue
-        except (IsADirectoryError, NotADirectoryError):
-            same = False
-        if not same:
+        if _same_bytes(path, text) is False:
             raise ValueError(f"{path} exists with other contents; "
                              "extract would overwrite it")
-    for path, text in targets.items():
-        write_artifact(path, text)
-    print(f"extract: {len(targets)} series under {cfg.out_dir / 'series'}")
+    return targets, [f"extract: {len(targets)} series under {cfg.out_dir / 'series'}"]
 
 
 # --- train -------------------------------------------------------------------
@@ -177,40 +179,37 @@ def _labelled_days(cfg: PipelineConfig, hotspot_id: str | None):
     return days, classes, [flags[s.day_id] for s in days]
 
 
-def _labelled_levels(cfg: PipelineConfig, labelled):
-    """The trained perceptron's level series of ``_labelled_days``' days."""
-    days, classes, flags = labelled
-    sp = load_sp(cfg.out_dir / "sp.ini", cfg.day_length)
-    return transform_many(sp, days), classes, flags
-
-
-def cmd_train(cfg: PipelineConfig, args) -> None:
-    length = cfg.day_length
-    # Resolve the pattern field's days first, so that a bad series directory
-    # fails before any DE runs and before sp.ini is written.
-    absent = [str(p) for p in (cfg.out_dir / "series", cfg.out_dir / "labels.csv")
-              if not p.exists()]
+def cmd_train(cfg: PipelineConfig, args):
+    out, length = cfg.out_dir, cfg.day_length
+    # Resolve the pattern field's days first, so bad series fail before any DE runs.
+    absent = [str(p) for p in (out / "series", out / "labels.csv") if not p.exists()]
     labelled = None if absent else _labelled_days(cfg, args.hotspot)
     sets = synth.archetype_training_sets(length, cfg.training.per_class,
                                          cfg.training.noise, cfg.training.max_shift,
                                          seed=cfg.stage_seed("sp-train"))
     sp, bounds, histories = train_perceptron(sets, length, cfg.de_for("local"))
-    save_sp(sp, cfg.out_dir / "sp.ini")
+    files = {out / "sp.ini": sp_ini(sp)}
     for name, history in histories.items():
-        write_history_csv(cfg.out_dir / "history" / f"{name}.csv", history)
+        files[out / "history" / f"{name}.csv"] = history_csv(history)
     d_lo, d_hi = bounds.intervals["delta"]
-    print(f"train: perceptron saved to {cfg.out_dir / 'sp.ini'} "
-          f"(evaporation interval [{d_lo:.4g}, {d_hi:.4g}])")
+    lines = [f"train: perceptron saved to {out / 'sp.ini'} "
+             f"(evaporation interval [{d_lo:.4g}, {d_hi:.4g}])"]
 
     if labelled is None:
-        print(f"train: no {' or '.join(absent)}, skipping pattern-field training")
-        return
-    by_class = pattern_training_sets(*_labelled_levels(cfg, labelled),
+        # a pattern field trained on another sp.ini would outlive it
+        if (out / "pattern.ini").exists() and not _same_bytes(out / "sp.ini", files[out / "sp.ini"]):
+            raise ValueError(f"train would leave {out / 'pattern.ini'} trained on another "
+                             f"sp.ini: no {' or '.join(absent)} to retrain it on")
+        lines.append(f"train: no {' or '.join(absent)}, skipping pattern-field training")
+        return files, lines
+    days, classes, flags = labelled
+    by_class = pattern_training_sets(transform_many(sp, days), classes, flags,
                                      cfg.training.pattern_per_class)
     params, history = train_pattern_field(by_class, bounds, cfg.de_for("pattern"))
-    write_artifact(cfg.out_dir / "pattern.ini", params_to_config({"pattern": params}))
-    write_history_csv(cfg.out_dir / "history" / "pattern.csv", history)
-    print(f"train: pattern field saved to {cfg.out_dir / 'pattern.ini'}")
+    files[out / "pattern.ini"] = params_to_config({"pattern": params})
+    files[out / "history" / "pattern.csv"] = history_csv(history)
+    lines.append(f"train: pattern field saved to {out / 'pattern.ini'}")
+    return files, lines
 
 
 # --- classify / compare -------------------------------------------------------
@@ -225,7 +224,9 @@ def _classification_run(cfg: PipelineConfig, inputs, matrix_fn, de_stage: str):
 
 def _srf_run(cfg: PipelineConfig, args):
     """The classification inputs and their run with the trained pattern field."""
-    inputs = _labelled_levels(cfg, _labelled_days(cfg, args.hotspot))
+    days, classes, flags = _labelled_days(cfg, args.hotspot)
+    inputs = (transform_many(load_sp(cfg.out_dir / "sp.ini", cfg.day_length), days),
+              classes, flags)
     pattern = read_artifact(cfg.out_dir / "pattern.ini", lambda text: params_from_config(
         text, ["pattern"])["pattern"])
     return inputs, _classification_run(
@@ -238,25 +239,25 @@ def report_csv(report) -> str:
                                       for r in report.records))
 
 
-def cmd_classify(cfg: PipelineConfig, args) -> None:
+def cmd_classify(cfg: PipelineConfig, args):
     _, report = _srf_run(cfg, args)
-    write_artifact(cfg.out_dir / "report.csv", report_csv(report))
-    write_artifact(cfg.out_dir / "matrix.csv", report.matrix.to_csv())
-    print(f"classify: accuracy {report.accuracy:.4f}, "
-          f"correlation {report.correlation:.4f} -> {cfg.out_dir / 'report.csv'}")
+    files = {cfg.out_dir / "report.csv": report_csv(report),
+             cfg.out_dir / "matrix.csv": report.matrix.to_csv()}
+    return files, [f"classify: accuracy {report.accuracy:.4f}, correlation "
+                   f"{report.correlation:.4f} -> {cfg.out_dir / 'report.csv'}"]
 
 
-def cmd_compare(cfg: PipelineConfig, args) -> None:
+def cmd_compare(cfg: PipelineConfig, args):
     inputs, srf = _srf_run(cfg, args)
     runs = {"SRF": srf}
     for method, label in (("dtw", "DTW"), ("frechet", "Frechet")):
         runs[label] = _classification_run(
             cfg, inputs, lambda pats: baseline_matrix(pats, method),
             f"thresholds:{method}")
-    write_artifact(cfg.out_dir / "accuracy.csv", framed_csv("method,accuracy,correlation", (
-        f"{label},{r.accuracy:.12g},{r.correlation:.12g}" for label, r in runs.items())))
-    print("compare: " + ", ".join(
-        f"{label} {runs[label].accuracy:.4f}" for label in ("SRF", "DTW", "Frechet")))
+    files = {cfg.out_dir / "accuracy.csv": framed_csv("method,accuracy,correlation", (
+        f"{label},{r.accuracy:.12g},{r.correlation:.12g}" for label, r in runs.items()))}
+    return files, ["compare: " + ", ".join(
+        f"{label} {runs[label].accuracy:.4f}" for label in ("SRF", "DTW", "Frechet"))]
 
 
 # --- plotdata ----------------------------------------------------------------
@@ -278,14 +279,12 @@ def _scatter_csv(report: str) -> str:
         for i, (day_id, _, index, threshold, verdict) in enumerate(fields)))
 
 
-def cmd_plotdata(cfg: PipelineConfig, args) -> None:
-    scatter = read_artifact(cfg.out_dir / "report.csv", _scatter_csv)
-    matrix = read_artifact(cfg.out_dir / "matrix.csv", str)
-    write_artifact(cfg.out_dir / "plotdata" / "scatter.csv", scatter)
-    write_artifact(cfg.out_dir / "plotdata" / "matrix.csv", matrix)
-    write_artifact(cfg.out_dir / "plotdata" / "trail_snapshots.csv",
-                   _archetype_trail_rows(cfg))
-    print(f"plotdata: bundles under {cfg.out_dir / 'plotdata'}")
+def cmd_plotdata(cfg: PipelineConfig, args):
+    plots = cfg.out_dir / "plotdata"
+    files = {plots / "scatter.csv": read_artifact(cfg.out_dir / "report.csv", _scatter_csv),
+             plots / "matrix.csv": read_artifact(cfg.out_dir / "matrix.csv", str),
+             plots / "trail_snapshots.csv": _archetype_trail_rows(cfg)}
+    return files, [f"plotdata: bundles under {plots}"]
 
 
 # --- entry point ---------------------------------------------------------------
@@ -337,7 +336,9 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out_dir=Path(args.out))
         write_artifact(cfg.out_dir)
-        args.handler(cfg, args)
+        files, lines = args.handler(cfg, args)
+        write_artifacts(files)
+        print(*lines, sep="\n")
         return EXIT_OK
     except FileNotFoundError as exc:
         print(f"error: missing artifact: {exc}", file=sys.stderr)

@@ -158,6 +158,10 @@ def _parse_config(text: str, root: Path) -> PipelineConfig:
     return cfg
 
 
+def history_csv(history) -> str:
+    return series.framed_csv("generation,best_fitness", (
+        f"{g},{v:.12g}" for g, v in enumerate(history)))
+
+
 def write_history_csv(path, history) -> None:
-    series.write_artifact(path, series.framed_csv("generation,best_fitness", (
-        f"{g},{v:.12g}" for g, v in enumerate(history))))
+    series.write_artifact(path, history_csv(history))

@@ -175,8 +175,12 @@ def params_from_config(text: str, names) -> dict[str, SrfParams]:
     return blocks
 
 
+def sp_ini(sp: StigmergicPerceptron) -> str:
+    return params_to_config({a.name: p for a, p in sp.fields})
+
+
 def save_sp(sp: StigmergicPerceptron, path) -> None:
-    write_artifact(path, params_to_config({a.name: p for a, p in sp.fields}))
+    write_artifact(path, sp_ini(sp))
 
 
 def load_sp(path, length: int = DEFAULT_DAY_LENGTH) -> StigmergicPerceptron:

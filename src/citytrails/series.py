@@ -351,6 +351,16 @@ def read_artifact(path, parse, stream: bool = False):
         raise ValueError(f"{path}: {reason}") from None
 
 
+def _blocked(path: Path, is_file: bool, default: Path | None = None) -> ValueError | None:
+    """The ValueError naming what blocks writing the file (or directory) ``path``:
+    a directory at the file, or a regular file where a directory must go."""
+    blocked = next((p for p in (path, *path.parents) if p.exists()
+                    and p.is_dir() == (p == path and is_file)), default)
+    if blocked is not None:
+        kind = "a directory" if blocked.is_dir() else "not a directory"
+        return ValueError(f"cannot write {path}: {blocked} is {kind}")
+
+
 def write_artifact(path, text: str | None = None) -> None:
     """Write ``text`` as UTF-8 with LF line ends to the file at ``path`` or,
     with no ``text``, make the directory ``path``, making missing parents. A
@@ -362,7 +372,13 @@ def write_artifact(path, text: str | None = None) -> None:
         if text is not None:
             path.write_text(text, encoding="utf-8", newline="\n")
     except (FileExistsError, NotADirectoryError, IsADirectoryError):
-        blocked = next((p for p in (path, *path.parents) if p.exists()
-                        and p.is_dir() == (p == path and text is not None)), path)
-        kind = "a directory" if blocked.is_dir() else "not a directory"
-        raise ValueError(f"cannot write {path}: {blocked} is {kind}") from None
+        raise _blocked(path, text is not None, path) from None
+
+
+def write_artifacts(files: dict) -> None:
+    """Write a stage's ``{path: text}`` files through ``write_artifact``, or,
+    if a target is blocked, raise its ValueError (exit 2) writing none."""
+    for error in filter(None, (_blocked(Path(p), True) for p in files)):
+        raise error
+    for path, text in files.items():
+        write_artifact(path, text)

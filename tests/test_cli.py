@@ -9,8 +9,10 @@ import citytrails.cli as cli
 from citytrails.cli import main
 from citytrails.hotspot import hotspots_from_geojson, hotspots_to_geojson
 from citytrails.ingest import BucketGrid
-from citytrails.perceptron import load_sp
-from citytrails.series import ActivityTimeSeries, series_from_csv, series_to_csv
+from citytrails.perceptron import load_sp, params_from_config, params_to_config, sp_ini
+from citytrails.series import ActivityTimeSeries, framed_csv, read_artifact, read_framed_csv, \
+    series_from_csv, series_to_csv
+from citytrails.synth import LABELS_HEADER
 from test_srf import oracle_final_trail
 
 TINY_CONFIG = """\
@@ -621,6 +623,24 @@ class TestTrainClassifyCompare:
             f"train: no {out / 'labels.csv'}, skipping pattern-field training\n")
         assert not (out / "pattern.ini").exists()
 
+    def test_train_without_labels_refuses_to_leave_a_stale_pattern_field(self, trained,
+                                                                         capsys):
+        config, out = trained
+        (out / "labels.csv").rename(out.parent / "labels.csv")
+        before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        capsys.readouterr()
+        assert run(config, "--seed", "22", "train") == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and str(out / "pattern.ini") in err, err
+        assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
+
+    def test_train_without_labels_keeps_the_pattern_field_of_the_same_sp(self, trained):
+        config, out = trained
+        pattern = (out / "pattern.ini").read_bytes()
+        (out / "labels.csv").unlink()
+        assert run(config, "train") == 0
+        assert (out / "pattern.ini").read_bytes() == pattern
+
     def test_labels_for_days_without_series_are_allowed(self, trained):
         config, out = trained
         assert run(config, "classify") == 0
@@ -895,17 +915,30 @@ READ_PROBES = {
 }
 
 
+def _parsed(parse):
+    return lambda path: read_artifact(path, parse)
+
+
+def _framed_rows(name, header):
+    return (_parsed(lambda text: read_framed_csv(text, name, header)[3]),
+            lambda rows: framed_csv(header, rows))
+
+
 @pytest.mark.parametrize("pattern, read, write", [
-    ("series/*/*.csv", series_from_csv, series_to_csv),
-    ("buckets.csv", BucketGrid.from_csv, BucketGrid.to_csv),
-    ("hotspots.geojson", hotspots_from_geojson, hotspots_to_geojson),
-], ids=["series", "buckets", "hotspots"])
+    ("series/*/*.csv", _parsed(series_from_csv), series_to_csv),
+    ("buckets.csv", _parsed(BucketGrid.from_csv), BucketGrid.to_csv),
+    ("hotspots.geojson", _parsed(hotspots_from_geojson), hotspots_to_geojson),
+    ("sp.ini", load_sp, sp_ini),
+    ("pattern.ini", _parsed(lambda text: params_from_config(text, ["pattern"])),
+     params_to_config),
+    ("labels.csv", *_framed_rows("labels", LABELS_HEADER)),
+    ("report.csv", *_framed_rows("report", cli.REPORT_HEADER)),
+], ids=["series", "buckets", "hotspots", "sp", "pattern", "labels", "report"])
 def test_writing_what_was_read_gives_the_same_bytes(finished_run, pattern, read, write):
     paths = sorted(finished_run.glob(pattern))
     assert paths
     for path in paths:
-        text = path.read_text(encoding="utf-8")
-        assert write(read(text)) == text, path
+        assert write(read(path)) == path.read_text(encoding="utf-8"), path
 
 
 @pytest.mark.parametrize("artifact, mutate, command, code, named",
@@ -931,31 +964,54 @@ def test_bad_artifact_exits_2_or_3_naming_it_and_writing_nothing(
     assert {p: p.read_bytes() for p in before if p.is_file()} == contents
 
 
-# (a path under out/ that a regular file takes, the command that must write
-# under it); "" is the --out directory itself
+# (a path under out/ that blocks the command, a path removed beforehand so
+# that a write ahead of the blocked one would show, the command); a regular
+# file takes a directory's place and a directory a file's; "" is the --out
+# directory itself
+SEED_5 = ["--seed", "5"]
 BLOCKED_OUTPUTS = {
-    "out": ("", ["synth", "--kind", "trips"]),
-    "series-hotspot": ("series/A", ["extract"]),
-    "trails": ("trails", ["hotspots"]),
-    "history": ("history", TRAIN_D),
-    "plotdata": ("plotdata", ["plotdata"]),
+    "out": ("", None, ["synth", "--kind", "trips"]),
+    "series-hotspot": ("series/A", None, ["extract"]),
+    "trails": ("trails", None, ["hotspots"]),
+    "history": ("history", None, TRAIN_D),
+    "plotdata": ("plotdata", None, ["plotdata"]),
+    "synth-labels": ("labels.csv", None, [*SEED_5, "synth", "--kind", "year", "--days", "42",
+                                          "--anomalies", "9"]),
+    "ingest-rejections": ("rejections.csv", "buckets.csv", ["ingest"]),
+    "hotspots-masks": ("masks", "trails", ["hotspots"]),
+    "train-history": ("history", None, [*SEED_5, *TRAIN_D]),
+    "classify-matrix": ("matrix.csv", None, [*SEED_5, *CLASSIFY_D]),
+    "compare-accuracy": ("accuracy.csv", None, ["compare", "--hotspot", "D"]),
+    "plotdata-snapshots": ("plotdata/trail_snapshots.csv", "plotdata/scatter.csv",
+                           ["plotdata"]),
 }
 
 
-@pytest.mark.parametrize("blocked, command", BLOCKED_OUTPUTS.values(),
+@pytest.mark.parametrize("blocked, removed, command", BLOCKED_OUTPUTS.values(),
                          ids=BLOCKED_OUTPUTS.keys())
 def test_output_blocked_by_a_regular_file_exits_2_naming_it(finished_run, tmp_path, capsys,
-                                                           blocked, command):
+                                                           blocked, removed, command):
     out = tmp_path / "out"
     shutil.copytree(finished_run, out)
     config = tmp_path / "pipeline.ini"
     config.write_text(TINY_CONFIG.format(out=out), encoding="utf-8")
     path = out / blocked
-    assert path.is_dir()
-    shutil.rmtree(path)
-    path.write_text("in the way\n", encoding="utf-8")
+    if path.is_dir():
+        shutil.rmtree(path)
+        path.write_text("in the way\n", encoding="utf-8")
+    else:
+        path.unlink(missing_ok=True)
+        path.mkdir()
+    if removed is not None:
+        if (out / removed).is_dir():
+            shutil.rmtree(out / removed)
+        else:
+            (out / removed).unlink()
+    before = sorted(tmp_path.rglob("*"))
+    contents = {p: p.read_bytes() for p in before if p.is_file()}
     capsys.readouterr()
     assert run(config, "--out", str(out), *command) == 2
     err = capsys.readouterr().err
     assert "internal error" not in err and str(path) in err, err
-    assert path.read_text(encoding="utf-8") == "in the way\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert {p: p.read_bytes() for p in before if p.is_file()} == contents

@@ -16,6 +16,7 @@ from citytrails.series import (
     series_from_csv,
     series_to_csv,
     write_artifact,
+    write_artifacts,
 )
 from citytrails.synth import synthetic_year
 
@@ -246,6 +247,18 @@ class TestWriteArtifact:
             write_artifact(tmp_path / target, text)
         assert (tmp_path / "file").read_text(encoding="utf-8") == "in the way\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+
+    def test_a_blocked_target_writes_no_file(self, tmp_path):
+        (tmp_path / "file").write_text("in the way\n", encoding="utf-8")
+        files = {tmp_path / "a" / "x.csv": "x\n", tmp_path / "file" / "y.csv": "y\n"}
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot write {tmp_path / 'file' / 'y.csv'}: {tmp_path / 'file'} "
+                "is not a directory")):
+            write_artifacts(files)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        files = {tmp_path / "a" / "x.csv": "x\n", tmp_path / "b" / "y.csv": "y\n"}
+        write_artifacts(files)
+        assert {p: p.read_text(encoding="utf-8") for p in files} == files
 
 
 class TestSyntheticYear:

@@ -64,3 +64,19 @@ def test_every_write_goes_through_one_helper():
                           if fn.lineno <= node.lineno <= fn.end_lineno]
                 writers.add((source.name, within[-1].name if within else None))
     assert writers == {("series.py", "write_artifact")}
+
+
+def test_only_cli_main_writes():
+    # each command returns its files and main writes them all or none, so a
+    # failed command leaves the output directory as it was
+    source = Path(citytrails.__file__).parent / "cli.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    writers = ("write_artifact", "write_artifacts", "save_sp", "write_history_csv")
+    callers = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) in writers):
+            within = [fn for fn in functions if fn.lineno <= node.lineno <= fn.end_lineno]
+            callers.append(within[-1].name if within else None)
+    assert set(callers) == {"main"}
