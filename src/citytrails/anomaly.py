@@ -16,7 +16,7 @@ from datetime import date
 
 import numpy as np
 
-from .calibrate import DeConfig, ThresholdResult, tune_thresholds
+from .calibrate import DeConfig, tune_thresholds
 from .perceptron import scale_levels
 from .series import CLASS_LETTERS, CLASS_NAMES, AffinityTriple, framed_csv
 from .srf import SrfParams, indexed_similarity
@@ -91,26 +91,6 @@ def similarity_matrix(patterns, params: SrfParams) -> SimilarityMatrix:
     return pair_matrix(patterns, pair_values)
 
 
-@dataclass(frozen=True)
-class ClusterModel:
-    """Fuzzy c-means result: centroids and row-stochastic memberships."""
-
-    centroids: np.ndarray
-    memberships: np.ndarray
-
-    def __post_init__(self) -> None:
-        u = np.asarray(self.memberships, dtype=float)
-        if np.any(u < 0) or not np.allclose(u.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("memberships must be non-negative and sum to 1 per row")
-
-    @property
-    def cluster_count(self) -> int:
-        return self.centroids.shape[0]
-
-    def hard_assignments(self) -> np.ndarray:
-        return np.argmax(self.memberships, axis=1)
-
-
 def _fcm_memberships(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     d = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=2)
     zero = d <= 0.0
@@ -130,7 +110,7 @@ def fcm_objective(points: np.ndarray, centroids: np.ndarray,
 
 
 def _fcm_single(points: np.ndarray, centroids: np.ndarray,
-                tol: float, max_iter: int) -> ClusterModel:
+                tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     memberships = _fcm_memberships(points, centroids)
     for _ in range(max_iter):
         weights = memberships ** FCM_FUZZINESS
@@ -140,15 +120,17 @@ def _fcm_single(points: np.ndarray, centroids: np.ndarray,
         memberships = _fcm_memberships(points, centroids)
         if shift < tol:
             break
-    return ClusterModel(centroids, memberships)
+    return centroids, memberships
 
 
-def fuzzy_cmeans(points, seed: int = 0) -> ClusterModel:
+def fuzzy_cmeans(points, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Alternating fuzzy c-means, initialized from FCM_CLUSTERS distinct points.
 
     The alternation only finds a local optimum and an unlucky draw can split
     one group while merging two others, so FCM_RESTARTS seeded restarts run
-    and the model with the lowest objective wins.
+    and the fit with the lowest objective wins. Returns its ``(centroids,
+    memberships)``: a (FCM_CLUSTERS, D) array and an (N, FCM_CLUSTERS) array
+    whose rows sum to 1.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -160,27 +142,26 @@ def fuzzy_cmeans(points, seed: int = 0) -> ClusterModel:
     best_objective = np.inf
     for _ in range(FCM_RESTARTS):
         centroids = points[rng.choice(points.shape[0], size=FCM_CLUSTERS, replace=False)]
-        model = _fcm_single(points, centroids.copy(), FCM_TOL, FCM_MAX_ITER)
-        objective = fcm_objective(points, model.centroids, model.memberships)
+        fit = _fcm_single(points, centroids.copy(), FCM_TOL, FCM_MAX_ITER)
+        objective = fcm_objective(points, *fit)
         if objective < best_objective:
-            best, best_objective = model, objective
+            best, best_objective = fit, objective
     return best
 
 
-def representatives(model: ClusterModel, points,
+def representatives(centroids: np.ndarray, assigned: np.ndarray, points,
                     k: int = DEFAULT_REPRESENTATIVES) -> list[list[int]]:
     """Per-cluster row indices of the k members nearest the centroid.
 
-    Members are assigned by maximum membership; ordering is ascending
-    distance with ties broken by index. Clusters with fewer than k members
-    return everything they have, with a warning.
+    ``assigned`` holds each point's cluster (its maximum membership);
+    ordering is ascending distance with ties broken by index. Clusters with
+    fewer than k members return everything they have, with a warning.
     """
     points = np.asarray(points, dtype=float)
-    assigned = model.hard_assignments()
     out: list[list] = []
-    for cluster in range(model.cluster_count):
+    for cluster, centroid in enumerate(centroids):
         members = np.flatnonzero(assigned == cluster)
-        distances = np.linalg.norm(points[members] - model.centroids[cluster], axis=1)
+        distances = np.linalg.norm(points[members] - centroid, axis=1)
         ranked = sorted(zip(distances, members.tolist()))
         if len(ranked) < k:
             warnings.warn(f"cluster {cluster} has only {len(ranked)} members "
@@ -189,19 +170,19 @@ def representatives(model: ClusterModel, points,
     return out
 
 
-def map_clusters_to_classes(model: ClusterModel, expected_classes) -> dict[int, str]:
+def map_clusters_to_classes(assigned: np.ndarray, expected_classes) -> dict[int, str]:
     """Bijection cluster -> behavioral class maximizing agreement with the
-    weekday-expected class of each member day."""
-    assigned = model.hard_assignments()
+    weekday-expected class of each member day; ``assigned`` holds each day's
+    cluster."""
     expected_idx = np.array([CLASS_LETTERS.index(c) for c in expected_classes])
-    counts = np.zeros((model.cluster_count, len(CLASS_LETTERS)))
+    counts = np.zeros((FCM_CLUSTERS, len(CLASS_LETTERS)))
     for cluster, cls in zip(assigned, expected_idx):
         counts[cluster, cls] += 1
     best_perm = max(itertools.permutations(range(len(CLASS_LETTERS))),
                     key=lambda perm: sum(counts[c, perm[c]]
-                                         for c in range(model.cluster_count)))
+                                         for c in range(FCM_CLUSTERS)))
     return {cluster: CLASS_LETTERS[best_perm[cluster]]
-            for cluster in range(model.cluster_count)}
+            for cluster in range(FCM_CLUSTERS)}
 
 
 def index_from_similarities(sims) -> float:
@@ -228,13 +209,6 @@ class AnomalyRecord:
     @property
     def class_name(self) -> str:
         return CLASS_NAMES[self.day_class]
-
-
-def classify_day(day_id: str, day_class: str, index: float,
-                 thresholds: dict[str, float]) -> AnomalyRecord:
-    if day_class not in thresholds:
-        raise ValueError(f"no threshold for class {day_class!r}")
-    return AnomalyRecord(day_id, day_class, float(index), float(thresholds[day_class]))
 
 
 def affinity_triple(similarities, reps_by_class: dict[str, list[int]]) -> AffinityTriple:
@@ -296,27 +270,25 @@ def classification_run(patterns, expected_classes, known_anomaly, matrix_fn,
     flags = np.array([bool(f) for f in known_anomaly])
     matrix = matrix_fn(patterns)
 
-    model = fuzzy_cmeans(matrix.values, seed=cluster_seed)
-    cluster_classes = map_clusters_to_classes(model, expected_classes)
-    reps_per_cluster = representatives(model, matrix.values, k=reps_k)
-    reps_by_class = {cluster_classes[c]: reps_per_cluster[c]
-                     for c in range(model.cluster_count)}
+    centroids, memberships = fuzzy_cmeans(matrix.values, seed=cluster_seed)
+    assigned = memberships.argmax(axis=1)
+    cluster_classes = map_clusters_to_classes(assigned, expected_classes)
+    reps_per_cluster = representatives(centroids, assigned, matrix.values, k=reps_k)
+    reps_by_class = {cluster_classes[c]: reps for c, reps in enumerate(reps_per_cluster)}
 
     indices = np.array([
         index_from_similarities(matrix.values[i, reps_by_class[expected_classes[i]]])
         for i in range(len(patterns))])
 
-    tuned: ThresholdResult = tune_thresholds(
-        zip(expected_classes, indices, flags), de_cfg)
+    thresholds, accuracy = tune_thresholds(zip(expected_classes, indices, flags), de_cfg)
     records = tuple(
-        classify_day(matrix.day_ids[i], expected_classes[i], indices[i],
-                     tuned.thresholds)
-        for i in range(len(patterns)))
+        AnomalyRecord(day_id, cls, float(index), thresholds[cls])
+        for day_id, cls, index in zip(matrix.day_ids, expected_classes, indices))
     return ClassificationReport(
         records=records,
-        accuracy=tuned.accuracy,
+        accuracy=accuracy,
         correlation=point_biserial(indices, flags),
-        thresholds=tuned.thresholds,
+        thresholds=thresholds,
         matrix=matrix,
         representatives_by_class=reps_by_class,
     )

@@ -327,17 +327,12 @@ def train_pattern_field(level_sets_by_class: dict[str, list], bounds: ParamBound
     return SrfParams.from_vector(result.best), result.history
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    thresholds: dict[str, float]
-    accuracy: float
-
-
-def tune_thresholds(entries, cfg: DeConfig) -> ThresholdResult:
+def tune_thresholds(entries, cfg: DeConfig) -> tuple[dict[str, float], float]:
     """Per-class anomaly-index thresholds maximizing correct classification.
 
     ``entries`` holds (class_letter, anomaly_index, is_anomaly) per day; a day
-    is called anomalous iff its index exceeds its class threshold.
+    is called anomalous iff its index exceeds its class threshold. Returns the
+    threshold of every class letter and the accuracy they reach.
     """
     entries = list(entries)
     class_idx = np.array([CLASS_LETTERS.index(c) for c, _, _ in entries])
@@ -359,4 +354,4 @@ def tune_thresholds(entries, cfg: DeConfig) -> ThresholdResult:
     result = de_minimize(objective, [(0.0, 1.0)] * len(CLASS_LETTERS), cfg)
     thresholds = {letter: float(scale * v)
                   for letter, v in zip(CLASS_LETTERS, result.best)}
-    return ThresholdResult(thresholds, 1.0 - result.fitness)
+    return thresholds, 1.0 - result.fitness

@@ -343,10 +343,12 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except Exception as exc:  # pragma: no cover - defensive
+    # read_artifact names the file of any reader's KeyError in a ValueError,
+    # so a KeyError that gets here is a fault of the program, not of its input.
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -104,10 +104,6 @@ def _schema(base: PipelineConfig) -> dict[str, dict[str, type]]:
     return schema
 
 
-def _accepted_keys(base: PipelineConfig) -> dict[str, set[str]]:
-    return {name: set(types) for name, types in _schema(base).items()}
-
-
 def load_config(path=None) -> PipelineConfig:
     """Read a config file. Every key is optional: a missing one keeps the
     default its dataclass field declares, and a present one is cast with the

@@ -7,7 +7,6 @@ import citytrails.anomaly as anomaly
 from citytrails.anomaly import (
     AnomalyRecord,
     affinity_triple,
-    classify_day,
     expected_class_for,
     fcm_objective,
     fuzzy_cmeans,
@@ -23,7 +22,8 @@ from citytrails.srf import SrfParams, activate
 
 
 def fcm_from(points, init, tol=1e-6, max_iter=300):
-    """One fuzzy c-means alternation started from the given centroids."""
+    """One fuzzy c-means alternation started from the given centroids;
+    returns its (centroids, memberships)."""
     return anomaly._fcm_single(np.asarray(points, dtype=float),
                                np.array(init, dtype=float), tol, max_iter)
 
@@ -131,49 +131,46 @@ class TestSimilarityMatrix:
 class TestFuzzyCMeans:
     def test_blobs_get_crisp_memberships(self):
         pts, labels = blob_points()
-        model = fuzzy_cmeans(pts, seed=1)
-        assert np.all(model.memberships.max(axis=1) >= 0.95)
-        assigned = model.hard_assignments()
+        _, memberships = fuzzy_cmeans(pts, seed=1)
+        assert np.all(memberships.max(axis=1) >= 0.95)
+        assigned = memberships.argmax(axis=1)
         for cluster in range(3):
             assert len(set(labels[assigned == cluster])) == 1
 
     def test_matches_independent_reference(self):
         pts, _ = blob_points(seed=2)
         init = pts[[0, 20, 40]]
-        model = fcm_from(pts, init, tol=0.0, max_iter=12)
+        centroids, memberships = fcm_from(pts, init, tol=0.0, max_iter=12)
         ref_centroids, ref_u = reference_fcm(pts, init.copy(), 2.0, 12)
         order = [int(np.argmin(np.linalg.norm(ref_centroids - c, axis=1)))
-                 for c in model.centroids]
-        assert np.allclose(model.centroids, ref_centroids[order], atol=1e-8)
-        assert np.allclose(model.memberships, ref_u[:, order], atol=1e-8)
+                 for c in centroids]
+        assert np.allclose(centroids, ref_centroids[order], atol=1e-8)
+        assert np.allclose(memberships, ref_u[:, order], atol=1e-8)
 
     def test_memberships_sum_to_one(self):
         pts, _ = blob_points(seed=3, spread=1.5)
-        model = fuzzy_cmeans(pts, seed=4)
-        assert np.allclose(model.memberships.sum(axis=1), 1.0, atol=1e-9)
+        _, memberships = fuzzy_cmeans(pts, seed=4)
+        assert np.all(memberships >= 0)
+        assert np.allclose(memberships.sum(axis=1), 1.0, atol=1e-9)
 
     def test_objective_non_increasing(self):
         pts, _ = blob_points(seed=5, spread=2.0)
         init = pts[[1, 11, 31]]
-        values = []
-        centroids = init.copy()
-        for steps in range(1, 8):
-            model = fcm_from(pts, init, tol=0.0, max_iter=steps)
-            values.append(fcm_objective(pts, model.centroids, model.memberships))
-            centroids = model.centroids
+        values = [fcm_objective(pts, *fcm_from(pts, init, tol=0.0, max_iter=steps))
+                  for steps in range(1, 8)]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
     def test_duplicated_points_keep_centroids(self):
         pts, _ = blob_points(seed=6)
         init = pts[[0, 20, 40]]
-        single = fcm_from(pts, init)
-        doubled = fcm_from(np.vstack([pts, pts]), init)
-        assert np.allclose(single.centroids, doubled.centroids, atol=1e-9)
+        single, _ = fcm_from(pts, init)
+        doubled, _ = fcm_from(np.vstack([pts, pts]), init)
+        assert np.allclose(single, doubled, atol=1e-9)
 
     def test_point_on_centroid_gets_hard_membership(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [6.0, 5.0]])
-        model = fcm_from(pts, pts[[0, 2]], max_iter=0)
-        assert model.memberships[0, 0] == 1.0
+        _, memberships = fcm_from(pts, pts[[0, 2]], max_iter=0)
+        assert memberships[0, 0] == 1.0
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="at least 3 days.*got 2"):
@@ -183,23 +180,23 @@ class TestFuzzyCMeans:
 class TestRepresentatives:
     def test_k1_matches_brute_force(self):
         pts, _ = blob_points(seed=7)
-        model = fuzzy_cmeans(pts, seed=8)
-        reps = representatives(model, pts, k=1)
-        assigned = model.hard_assignments()
+        centroids, memberships = fuzzy_cmeans(pts, seed=8)
+        assigned = memberships.argmax(axis=1)
+        reps = representatives(centroids, assigned, pts, k=1)
         for cluster in range(3):
             members = np.flatnonzero(assigned == cluster)
-            d = [np.linalg.norm(pts[i] - model.centroids[cluster]) for i in members]
+            d = [np.linalg.norm(pts[i] - centroids[cluster]) for i in members]
             assert reps[cluster] == [int(members[int(np.argmin(d))])]
 
     def test_k_equal_class_size_returns_all_sorted(self):
         pts, _ = blob_points(seed=9, n=6)
-        model = fuzzy_cmeans(pts, seed=10)
-        reps = representatives(model, pts, k=6)
-        assigned = model.hard_assignments()
+        centroids, memberships = fuzzy_cmeans(pts, seed=10)
+        assigned = memberships.argmax(axis=1)
+        reps = representatives(centroids, assigned, pts, k=6)
         for cluster in range(3):
             assert sorted(reps[cluster]) == sorted(
                 np.flatnonzero(assigned == cluster).tolist())
-            d = [np.linalg.norm(pts[i] - model.centroids[cluster])
+            d = [np.linalg.norm(pts[i] - centroids[cluster])
                  for i in reps[cluster]]
             assert d == sorted(d)
 
@@ -207,43 +204,39 @@ class TestRepresentatives:
         # with the centroids held fixed, adding a distant member cannot
         # reorder the existing distance ranking
         pts, _ = blob_points(seed=11)
-        model = fuzzy_cmeans(pts, seed=12)
-        top = representatives(model, pts, k=1)
+        centroids, memberships = fuzzy_cmeans(pts, seed=12)
+        assigned = memberships.argmax(axis=1)
+        top = representatives(centroids, assigned, pts, k=1)
         pts2 = np.vstack([pts, pts[0] + np.array([1.5, 1.5])])
-        model2 = fcm_from(pts2, model.centroids, max_iter=0)
-        top2 = representatives(model2, pts2, k=1)
-        cluster_of_first = int(model.hard_assignments()[top[0][0]])
+        centroids2, memberships2 = fcm_from(pts2, centroids, max_iter=0)
+        top2 = representatives(centroids2, memberships2.argmax(axis=1), pts2, k=1)
+        cluster_of_first = int(assigned[top[0][0]])
         assert top2[cluster_of_first][0] == top[cluster_of_first][0]
 
     def test_small_cluster_warns_and_returns_all(self):
         pts, _ = blob_points(seed=13, n=3)
-        model = fuzzy_cmeans(pts, seed=14)
+        centroids, memberships = fuzzy_cmeans(pts, seed=14)
         with pytest.warns(UserWarning):
-            reps = representatives(model, pts, k=5)
+            reps = representatives(centroids, memberships.argmax(axis=1), pts, k=5)
         assert all(len(r) == 3 for r in reps)
 
     def test_ids_and_tie_break(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [9.0, 9.0]])
-        model = fcm_from(pts, [[0.0, 0.0], [9.0, 9.0]], max_iter=0)
+        centroids, memberships = fcm_from(pts, [[0.0, 0.0], [9.0, 9.0]], max_iter=0)
         with pytest.warns(UserWarning):  # the second cluster has one member
-            reps = representatives(model, pts, k=3)
+            reps = representatives(centroids, memberships.argmax(axis=1), pts, k=3)
         assert reps[0][0] == 0
         assert reps[0][1:] == [1, 2]  # equal distance, index order
 
 
 class TestClusterClassMapping:
     def test_majority_bijection(self):
-        memberships = np.zeros((9, 3))
-        assigned = [2, 2, 2, 0, 0, 0, 1, 1, 1]
-        for i, c in enumerate(assigned):
-            memberships[i, c] = 1.0
-        model_like = fcm_from(np.asarray(assigned, dtype=float)[:, None] * 3,
-                              [[0.0], [3.0], [6.0]])
-        mapping = map_clusters_to_classes(model_like,
+        assigned = np.array([2, 2, 2, 0, 0, 0, 1, 1, 1])
+        mapping = map_clusters_to_classes(assigned,
                                           ["W", "W", "W", "E", "E", "E", "L", "L", "L"])
         assert sorted(mapping.values()) == ["E", "L", "W"]
-        assert mapping[model_like.hard_assignments()[0]] == "W"
-        assert mapping[model_like.hard_assignments()[3]] == "E"
+        assert mapping[assigned[0]] == "W"
+        assert mapping[assigned[3]] == "E"
 
 
 class TestAnomalyIndex:
@@ -271,22 +264,20 @@ class TestAnomalyIndex:
 
 
 class TestClassifyDay:
+    """The per-day record ``classification_run`` builds for every day."""
+
     def test_zero_index_typical(self):
-        record = classify_day("2015-01-05", "W", 0.0, {"W": 0.2, "E": 0.2, "L": 0.2})
+        record = AnomalyRecord("2015-01-05", "W", anomaly_index=0.0, threshold_used=0.2)
         assert record.verdict == "typical"
 
     def test_above_threshold_anomalous(self):
-        record = classify_day("2015-01-05", "E", 0.5, {"W": 0.2, "E": 0.2, "L": 0.2})
+        record = AnomalyRecord("2015-01-05", "E", anomaly_index=0.5, threshold_used=0.2)
         assert record.verdict == "anomalous"
         assert record.class_name == "Entertainment"
 
     def test_verdict_tracks_invariant(self):
         r = AnomalyRecord("d", "W", anomaly_index=0.3, threshold_used=0.3)
         assert r.verdict == "typical"  # strictly greater means anomalous
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError):
-            classify_day("d", "X", 0.1, {"W": 0.5, "E": 0.5, "L": 0.5})
 
 
 class TestAffinityTriple:

@@ -422,17 +422,17 @@ class TestThresholds:
                         for _ in range(20)]
             entries += [(letter, float(rng.uniform(0.6, 1.0)), True)
                         for _ in range(3)]
-        result = tune_thresholds(entries, DeConfig(seed=5))
-        assert result.accuracy == 1.0
+        thresholds, accuracy = tune_thresholds(entries, DeConfig(seed=5))
+        assert accuracy == 1.0
         for letter in "WEL":
             top_normal = max(v for c, v, f in entries if c == letter and not f)
             low_anomaly = min(v for c, v, f in entries if c == letter and f)
-            assert top_normal <= result.thresholds[letter] < low_anomaly
+            assert top_normal <= thresholds[letter] < low_anomaly
 
     def test_all_normal_days(self):
         entries = [(letter, 0.1, False) for letter in "WEL" for _ in range(4)]
-        result = tune_thresholds(entries, DeConfig(seed=6))
-        assert result.accuracy == 1.0
+        _, accuracy = tune_thresholds(entries, DeConfig(seed=6))
+        assert accuracy == 1.0
 
     def test_missing_class_rejected(self):
         entries = [("W", 0.1, False), ("E", 0.2, True)]

@@ -776,6 +776,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_synth", boom)
         assert run(config, "synth") == 1
 
+    def test_key_error_is_internal_not_malformed_input(self, workspace, monkeypatch,
+                                                       capsys):
+        # readers' KeyErrors reach main as ValueErrors naming the file, so a
+        # bare KeyError there is the program's fault
+        config, out = workspace
+
+        def lookup_fails(cfg, args):
+            raise KeyError("day")
+
+        monkeypatch.setattr(cli, "cmd_synth", lookup_fails)
+        capsys.readouterr()
+        assert run(config, "synth") == 1
+        assert "internal error" in capsys.readouterr().err
+        assert not (out / "series").exists()
+
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.ini"), "synth"]) == 3
 

@@ -14,7 +14,7 @@ from citytrails.config import (
     HotspotSettings,
     PipelineConfig,
     TrainingSettings,
-    _accepted_keys,
+    _schema,
     load_config,
 )
 from citytrails.ingest import GeoBox
@@ -173,11 +173,15 @@ def test_every_de_stage_accepts_overrides(tmp_path):
         cfg.de_for("thresholds:euclid")
 
 
+def accepted_keys(base: PipelineConfig) -> dict[str, set[str]]:
+    return {name: set(types) for name, types in _schema(base).items()}
+
+
 def test_settable_config_surface_is_pinned():
     """Every (section, key) a config file may set. A new setting must be added
     here, so it shows up in review."""
     de = {"population_size", "generations"}
-    assert _accepted_keys(PipelineConfig()) == {
+    assert accepted_keys(PipelineConfig()) == {
         "paths": {"out", "trips"},
         "box": {"lon_min", "lon_max", "lat_min", "lat_max"},
         "grid": {"bucket_cell_m", "bucket_minutes", "resolution_minutes"},
@@ -189,7 +193,7 @@ def test_settable_config_surface_is_pinned():
         "de": de, "de.local": de, "de.pattern": de, "de.thresholds": de,
         "seeds": {"master"},
     }
-    assert sum(map(len, _accepted_keys(PipelineConfig()).values())) == 32
+    assert sum(map(len, accepted_keys(PipelineConfig()).values())) == 32
     # F and CR are fixed for every DE search
     assert (calibrate.DIFFERENTIAL_WEIGHT, calibrate.CROSSOVER_RATE) == (0.7, 0.9)
     assert [f.name for f in dataclasses.fields(DeConfig)] == [

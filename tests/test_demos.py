@@ -33,6 +33,29 @@ def test_trails_demo_reports_peak_growth():
     assert "stable" not in text
 
 
+def test_perceptron_levels_demo_orders_the_archetypes():
+    text = run_demo("03_perceptron_levels.py")
+    means = re.findall(r"\(enum (\d)\): mean level (\d+\.\d+)$", text, re.MULTILINE)
+    assert [int(enum) for enum, _ in means] == list(range(1, 8))
+    levels = [float(level) for _, level in means]
+    assert levels == sorted(levels) and len(set(levels)) == 7
+
+
+def test_anomaly_demo_flags_only_injected_days():
+    text = run_demo("05_anomaly_detection.py")
+    flagged = re.findall(r"^  \d{4}-\d{2}-\d{2} .* index \d+\.\d+ \[(.+)\]$",
+                         text, re.MULTILINE)
+    assert flagged and "?" not in flagged  # [?] marks a false positive
+
+
+def test_baseline_demo_srf_is_at_least_as_accurate_as_the_distances():
+    text = run_demo("06_baseline_comparison.py")
+    accuracy = {label: float(value) for label, value in re.findall(
+        r"^  (SRF|DTW|Frechet) +accuracy (\d\.\d+) ", text, re.MULTILINE)}
+    assert set(accuracy) == {"SRF", "DTW", "Frechet"}
+    assert accuracy["SRF"] >= max(accuracy["DTW"], accuracy["Frechet"])
+
+
 def test_hotspot_discovery_demo_recovers_every_cluster():
     text = run_demo("04_hotspot_discovery.py")
     assert "recovered 7 hotspots from 7 planted clusters" in text
