@@ -10,7 +10,6 @@ the distance of its mean similarity to those representatives from 1.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from datetime import date
 
@@ -155,34 +154,25 @@ def representatives(centroids: np.ndarray, assigned: np.ndarray, points,
 
     ``assigned`` holds each point's cluster (its maximum membership);
     ordering is ascending distance with ties broken by index. Clusters with
-    fewer than k members return everything they have, with a warning.
+    fewer than k members return everything they have.
     """
     points = np.asarray(points, dtype=float)
     out: list[list] = []
     for cluster, centroid in enumerate(centroids):
         members = np.flatnonzero(assigned == cluster)
         distances = np.linalg.norm(points[members] - centroid, axis=1)
-        ranked = sorted(zip(distances, members.tolist()))
-        if len(ranked) < k:
-            warnings.warn(f"cluster {cluster} has only {len(ranked)} members "
-                          f"(requested {k} representatives)")
-        out.append([ident for _, ident in ranked[:k]])
+        out.append([ident for _, ident in sorted(zip(distances, members.tolist()))[:k]])
     return out
 
 
-def map_clusters_to_classes(assigned: np.ndarray, expected_classes) -> dict[int, str]:
+def map_clusters_to_classes(assigned: np.ndarray, class_idx: np.ndarray) -> tuple[int, ...]:
     """Bijection cluster -> behavioral class maximizing agreement with the
-    weekday-expected class of each member day; ``assigned`` holds each day's
-    cluster."""
-    expected_idx = np.array([CLASS_LETTERS.index(c) for c in expected_classes])
+    weekday-expected class of each member day. ``assigned`` and ``class_idx``
+    hold each day's cluster and class index; entry c is cluster c's class index."""
     counts = np.zeros((FCM_CLUSTERS, len(CLASS_LETTERS)))
-    for cluster, cls in zip(assigned, expected_idx):
-        counts[cluster, cls] += 1
-    best_perm = max(itertools.permutations(range(len(CLASS_LETTERS))),
-                    key=lambda perm: sum(counts[c, perm[c]]
-                                         for c in range(FCM_CLUSTERS)))
-    return {cluster: CLASS_LETTERS[best_perm[cluster]]
-            for cluster in range(FCM_CLUSTERS)}
+    np.add.at(counts, (assigned, class_idx), 1)
+    return max(itertools.permutations(range(len(CLASS_LETTERS))),
+               key=lambda perm: sum(counts[c, perm[c]] for c in range(FCM_CLUSTERS)))
 
 
 def index_from_similarities(sims) -> float:
@@ -213,7 +203,7 @@ class AnomalyRecord:
 
 def affinity_triple(similarities, reps_by_class: dict[str, list[int]]) -> AffinityTriple:
     """Classes ordered by the mean similarity of a day to each class's
-    representatives; exact ties keep the W, E, L precedence and are flagged.
+    representatives; exact ties keep the W, E, L precedence.
 
     ``similarities`` is the day's row of the similarity matrix and
     ``reps_by_class`` holds each class's representative days as indices into
@@ -225,11 +215,7 @@ def affinity_triple(similarities, reps_by_class: dict[str, list[int]]) -> Affini
     row = np.asarray(similarities, dtype=float)
     means = {letter: float(np.mean(row[reps_by_class[letter]]))
              for letter in CLASS_LETTERS}
-    precedence = {c: i for i, c in enumerate(CLASS_LETTERS)}
-    ordered = sorted(CLASS_LETTERS, key=lambda c: (-means[c], precedence[c]))
-    values = sorted(means.values())
-    tie = any(a == b for a, b in zip(values, values[1:]))
-    return AffinityTriple(tuple(ordered), tie=tie)
+    return AffinityTriple(tuple(sorted(CLASS_LETTERS, key=lambda c: -means[c])))
 
 
 @dataclass(frozen=True)
@@ -267,20 +253,24 @@ def classification_run(patterns, expected_classes, known_anomaly, matrix_fn,
     """
     patterns = list(patterns)
     expected_classes = list(expected_classes)
+    class_idx = np.array([CLASS_LETTERS.index(c) for c in expected_classes], dtype=int)
     flags = np.array([bool(f) for f in known_anomaly])
     matrix = matrix_fn(patterns)
 
     centroids, memberships = fuzzy_cmeans(matrix.values, seed=cluster_seed)
     assigned = memberships.argmax(axis=1)
-    cluster_classes = map_clusters_to_classes(assigned, expected_classes)
+    cluster_class = map_clusters_to_classes(assigned, class_idx)
     reps_per_cluster = representatives(centroids, assigned, matrix.values, k=reps_k)
-    reps_by_class = {cluster_classes[c]: reps for c, reps in enumerate(reps_per_cluster)}
+    reps = [reps_per_cluster[cluster_class.index(k)] for k in range(len(CLASS_LETTERS))]
+    empty = [CLASS_NAMES[c] for k, c in enumerate(CLASS_LETTERS)
+             if not reps[k] and k in class_idx]
+    if empty:
+        raise ValueError(f"class {empty[0]} has days, but its cluster has no member")
 
-    indices = np.array([
-        index_from_similarities(matrix.values[i, reps_by_class[expected_classes[i]]])
-        for i in range(len(patterns))])
+    indices = np.array([index_from_similarities(matrix.values[i, reps[k]])
+                        for i, k in enumerate(class_idx)])
 
-    thresholds, accuracy = tune_thresholds(zip(expected_classes, indices, flags), de_cfg)
+    thresholds, accuracy = tune_thresholds(class_idx, indices, flags, de_cfg)
     records = tuple(
         AnomalyRecord(day_id, cls, float(index), thresholds[cls])
         for day_id, cls, index in zip(matrix.day_ids, expected_classes, indices))
@@ -290,5 +280,5 @@ def classification_run(patterns, expected_classes, known_anomaly, matrix_fn,
         correlation=point_biserial(indices, flags),
         thresholds=thresholds,
         matrix=matrix,
-        representatives_by_class=reps_by_class,
+        representatives_by_class=dict(zip(CLASS_LETTERS, reps)),
     )

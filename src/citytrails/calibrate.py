@@ -12,7 +12,6 @@ per-class anomaly-index thresholds.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,15 +88,6 @@ class ParamBounds:
 
     def as_pairs(self) -> list[tuple[float, float]]:
         return [self.intervals[k] for k in PARAM_KEYS]
-
-    def mid_params(self) -> SrfParams:
-        return SrfParams(**{k: 0.5 * (lo + hi)
-                            for k, (lo, hi) in self.intervals.items()})
-
-    def with_interval(self, key: str, low: float, high: float) -> "ParamBounds":
-        updated = dict(self.intervals)
-        updated[key] = (float(low), float(high))
-        return ParamBounds(updated)
 
 
 @dataclass(frozen=True)
@@ -226,7 +216,7 @@ def global_training(archetypes, synthetic_sets: dict[str, list],
     """
     lo, hi = coarse_bounds.intervals["delta"]
     deltas = np.geomspace(lo, hi, DELTA_GRID_POINTS)
-    mid = coarse_bounds.mid_params().to_vector()
+    mid = np.array([0.5 * (lo_k + hi_k) for lo_k, hi_k in coarse_bounds.as_pairs()])
     delta_col = PARAM_KEYS.index("delta")
 
     per_field = []
@@ -243,18 +233,16 @@ def global_training(archetypes, synthetic_sets: dict[str, list],
     # what rules out the no-evaporation end).
     quality = -np.mean(per_field, axis=0)
 
-    out = coarse_bounds
-    for key, (lo_k, hi_k) in DOMAIN_INTERVALS.items():
-        out = out.with_interval(key, lo_k, hi_k)
-    if np.ptp(quality) < 1e-12:
-        warnings.warn("evaporation sweep is flat; keeping the full coarse interval")
-        return out
+    intervals = {**coarse_bounds.intervals, **DOMAIN_INTERVALS}
+    if np.ptp(quality) < 1e-12:  # a flat sweep keeps the full coarse interval
+        return ParamBounds(intervals)
     d_lo, d_hi = narrowest_quality_interval(deltas, quality)
     if d_lo == d_hi:  # single grid point survived; widen to its neighbors
         idx = int(np.argmin(np.abs(deltas - d_lo)))
         d_lo = deltas[max(idx - 1, 0)]
         d_hi = deltas[min(idx + 1, DELTA_GRID_POINTS - 1)]
-    return out.with_interval("delta", d_lo, d_hi)
+    intervals["delta"] = (float(d_lo), float(d_hi))
+    return ParamBounds(intervals)
 
 
 def local_training(sp, bounds: ParamBounds, cfg: DeConfig,
@@ -292,13 +280,16 @@ def train_perceptron(synthetic_sets: dict[str, list], length: int, cfg: DeConfig
 
 def pattern_training_sets(levels, classes, flags, per_class: int) -> dict[str, list]:
     """The pattern field's training days: for each class letter, the first
-    ``per_class`` days in day order that are not flagged anomalous."""
+    ``per_class`` days in day order that are not flagged anomalous. A year
+    with no unflagged day is an error."""
     if per_class < 1:
         raise ValueError(f"pattern_per_class = {per_class} must be at least 1")
     by_class: dict[str, list] = {c: [] for c in CLASS_LETTERS}
     for level_series, cls, flag in zip(levels, classes, flags):
         if not flag and len(by_class[cls]) < per_class:
             by_class[cls].append(level_series)
+    if not any(by_class.values()):
+        raise ValueError("no day is unflagged: the pattern field trains on unflagged days")
     return by_class
 
 
@@ -327,21 +318,20 @@ def train_pattern_field(level_sets_by_class: dict[str, list], bounds: ParamBound
     return SrfParams.from_vector(result.best), result.history
 
 
-def tune_thresholds(entries, cfg: DeConfig) -> tuple[dict[str, float], float]:
+def tune_thresholds(class_idx, indices, flags, cfg: DeConfig) -> tuple[dict[str, float], float]:
     """Per-class anomaly-index thresholds maximizing correct classification.
 
-    ``entries`` holds (class_letter, anomaly_index, is_anomaly) per day; a day
-    is called anomalous iff its index exceeds its class threshold. Returns the
-    threshold of every class letter and the accuracy they reach.
+    Day k has class ``CLASS_LETTERS[class_idx[k]]``, anomaly index
+    ``indices[k]`` and is known anomalous iff ``flags[k]``; a day is called
+    anomalous iff its index exceeds its class threshold. Returns the threshold
+    of every class letter and the accuracy they reach.
     """
-    entries = list(entries)
-    class_idx = np.array([CLASS_LETTERS.index(c) for c, _, _ in entries])
-    present = set(class_idx.tolist())
-    missing = [CLASS_LETTERS[i] for i in range(len(CLASS_LETTERS)) if i not in present]
+    class_idx = np.asarray(class_idx, dtype=int)
+    indices = np.asarray(indices, dtype=float)
+    flags = np.asarray(flags, dtype=bool)
+    missing = [c for k, c in enumerate(CLASS_LETTERS) if not np.any(class_idx == k)]
     if missing:
         raise ValueError(f"no example days for class(es) {missing}")
-    indices = np.array([v for _, v, _ in entries], dtype=float)
-    flags = np.array([bool(f) for _, _, f in entries])
     # Search the unit box scaled onto the observed index range; accuracy is
     # piecewise constant, and a gap much narrower than the box is otherwise
     # easy for the search to miss.

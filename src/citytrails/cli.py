@@ -26,8 +26,8 @@ from .ingest import BucketGrid, bucketize, hotspot_activity, parse_trips, \
     rejections_to_csv, slot_event_batches
 from .perceptron import load_sp, params_from_config, params_to_config, sp_ini, \
     transform_many
-from .series import framed_csv, iso_date, read_artifact, read_framed_csv, series_from_csv, \
-    series_to_csv, write_artifact, write_artifacts
+from .series import CLASS_NAMES, framed_csv, iso_date, read_artifact, read_framed_csv, \
+    series_from_csv, series_to_csv, write_artifact, write_artifacts
 from .srf import final_trail
 from .stigspace import CELL_CENTERS, Trail2D, to_ascii_grid
 
@@ -233,6 +233,14 @@ def _srf_run(cfg: PipelineConfig, args):
         cfg, inputs, lambda pats: similarity_matrix(pats, pattern), "thresholds")
 
 
+def _shortfalls(cfg: PipelineConfig, command: str, runs) -> list[str]:
+    """One line per run and class whose cluster had too few members."""
+    k = cfg.training.representatives
+    return [f"{command}: {label} class {CLASS_NAMES[c]} has {len(reps)} representatives, "
+            f"fewer than [training] representatives = {k}" for label, report in runs.items()
+            for c, reps in report.representatives_by_class.items() if len(reps) < k]
+
+
 def report_csv(report) -> str:
     return framed_csv(REPORT_HEADER, (f"{r.day_id},{r.class_name},{r.anomaly_index:.12g},"
                                       f"{r.threshold_used:.12g},{r.verdict}"
@@ -244,7 +252,8 @@ def cmd_classify(cfg: PipelineConfig, args):
     files = {cfg.out_dir / "report.csv": report_csv(report),
              cfg.out_dir / "matrix.csv": report.matrix.to_csv()}
     return files, [f"classify: accuracy {report.accuracy:.4f}, correlation "
-                   f"{report.correlation:.4f} -> {cfg.out_dir / 'report.csv'}"]
+                   f"{report.correlation:.4f} -> {cfg.out_dir / 'report.csv'}",
+                   *_shortfalls(cfg, "classify", {"SRF": report})]
 
 
 def cmd_compare(cfg: PipelineConfig, args):
@@ -257,7 +266,8 @@ def cmd_compare(cfg: PipelineConfig, args):
     files = {cfg.out_dir / "accuracy.csv": framed_csv("method,accuracy,correlation", (
         f"{label},{r.accuracy:.12g},{r.correlation:.12g}" for label, r in runs.items()))}
     return files, ["compare: " + ", ".join(
-        f"{label} {runs[label].accuracy:.4f}" for label in ("SRF", "DTW", "Frechet"))]
+        f"{label} {runs[label].accuracy:.4f}" for label in ("SRF", "DTW", "Frechet")),
+        *_shortfalls(cfg, "compare", runs)]
 
 
 # --- plotdata ----------------------------------------------------------------

@@ -93,7 +93,6 @@ class AffinityTriple:
     """Ordering of the behavioral classes {W, E, L}, most affine first."""
 
     classes: tuple[str, str, str]
-    tie: bool = False
 
     def __post_init__(self) -> None:
         if sorted(self.classes) != sorted(CLASS_LETTERS):

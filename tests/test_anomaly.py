@@ -6,7 +6,9 @@ import pytest
 import citytrails.anomaly as anomaly
 from citytrails.anomaly import (
     AnomalyRecord,
+    SimilarityMatrix,
     affinity_triple,
+    classification_run,
     expected_class_for,
     fcm_objective,
     fuzzy_cmeans,
@@ -17,6 +19,7 @@ from citytrails.anomaly import (
     scale_levels,
     similarity_matrix,
 )
+from citytrails.calibrate import DeConfig
 from citytrails.perceptron import ActivityLevelSeries
 from citytrails.srf import SrfParams, activate
 
@@ -213,30 +216,34 @@ class TestRepresentatives:
         cluster_of_first = int(assigned[top[0][0]])
         assert top2[cluster_of_first][0] == top[cluster_of_first][0]
 
-    def test_small_cluster_warns_and_returns_all(self):
+    def test_small_cluster_returns_all(self):
         pts, _ = blob_points(seed=13, n=3)
         centroids, memberships = fuzzy_cmeans(pts, seed=14)
-        with pytest.warns(UserWarning):
-            reps = representatives(centroids, memberships.argmax(axis=1), pts, k=5)
+        reps = representatives(centroids, memberships.argmax(axis=1), pts, k=5)
         assert all(len(r) == 3 for r in reps)
 
     def test_ids_and_tie_break(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [9.0, 9.0]])
         centroids, memberships = fcm_from(pts, [[0.0, 0.0], [9.0, 9.0]], max_iter=0)
-        with pytest.warns(UserWarning):  # the second cluster has one member
-            reps = representatives(centroids, memberships.argmax(axis=1), pts, k=3)
+        reps = representatives(centroids, memberships.argmax(axis=1), pts, k=3)
         assert reps[0][0] == 0
         assert reps[0][1:] == [1, 2]  # equal distance, index order
+        assert reps[1] == [3]  # the second cluster has one member
 
 
 class TestClusterClassMapping:
     def test_majority_bijection(self):
         assigned = np.array([2, 2, 2, 0, 0, 0, 1, 1, 1])
-        mapping = map_clusters_to_classes(assigned,
-                                          ["W", "W", "W", "E", "E", "E", "L", "L", "L"])
-        assert sorted(mapping.values()) == ["E", "L", "W"]
-        assert mapping[assigned[0]] == "W"
-        assert mapping[assigned[3]] == "E"
+        class_idx = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])  # W, E, L
+        assert map_clusters_to_classes(assigned, class_idx) == (1, 2, 0)
+
+    def test_every_day_counts(self):
+        # clusters 0 and 1 each hold W and E days, cluster 0 mostly E and
+        # cluster 1 mostly W: only the day counts, not which classes occur,
+        # tell the two apart
+        assigned = np.array([0, 0, 0, 0, 1, 1, 1, 1, 2])
+        class_idx = np.array([1, 1, 1, 0, 0, 0, 0, 1, 2])
+        assert map_clusters_to_classes(assigned, class_idx) == (1, 0, 2)
 
 
 class TestAnomalyIndex:
@@ -302,15 +309,12 @@ class TestAffinityTriple:
     def test_clean_working_day_leads_with_w(self):
         reps = self.make_reps()
         row, indices = self.day_row(level_series(np.full(30, 1.5)), reps)
-        triple = affinity_triple(row, indices)
-        assert triple.classes == ("W", "E", "L")
-        assert not triple.tie
+        assert affinity_triple(row, indices).classes == ("W", "E", "L")
 
-    def test_identical_reps_flag_tie(self):
+    def test_identical_reps_keep_class_order(self):
         shared = [level_series(np.full(30, 3.0))]
         reps = {"W": shared, "E": shared, "L": shared}
         triple = affinity_triple(*self.day_row(level_series(np.full(30, 3.0)), reps))
-        assert triple.tie
         assert triple.classes == ("W", "E", "L")
 
     def test_missing_class_rejected(self):
@@ -318,6 +322,19 @@ class TestAffinityTriple:
         del reps["L"]
         with pytest.raises(ValueError):
             affinity_triple(*self.day_row(level_series(np.full(30, 1.5)), reps))
+
+
+class TestClassificationRun:
+    def test_class_whose_cluster_is_empty_is_named(self):
+        # identical rows put every day in one cluster, the Working one, so
+        # the Entertainment and Leisure clusters have no member
+        days = [level_series(np.zeros(8), day_id=f"d{k}") for k in range(7)]
+        with pytest.raises(ValueError, match="class Entertainment has days, but its "
+                                             "cluster has no member"):
+            classification_run(days, "WWWWEEL", [False] * 7,
+                               lambda pats: SimilarityMatrix(np.full((7, 7), 0.5),
+                                                             [p.day_id for p in pats]),
+                               DeConfig(population_size=4, generations=1))
 
 
 class TestPointBiserial:

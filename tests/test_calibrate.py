@@ -184,13 +184,12 @@ class TestDeMinimizeMatchesReference:
 
     def test_tune_thresholds_same_result(self, monkeypatch):
         rng = np.random.default_rng(64)
-        letters = rng.permutation([c for c in "WEL" for _ in range(22)][:64])
-        entries = [(str(c), float(v), bool(f)) for c, v, f in
-                   zip(letters, rng.uniform(0.0, 1.0, 64), rng.random(64) < 0.15)]
+        class_idx = rng.permutation([k for k in range(3) for _ in range(22)][:64])
+        days = (class_idx, rng.uniform(0.0, 1.0, 64), rng.random(64) < 0.15)
         cfg = DeConfig(seed=13)
-        ours = tune_thresholds(entries, cfg)
+        ours = tune_thresholds(*days, cfg)
         monkeypatch.setattr(calibrate, "de_minimize", reference_de_minimize)
-        assert tune_thresholds(entries, cfg) == ours
+        assert tune_thresholds(*days, cfg) == ours
 
 
 class TestDeMinimize:
@@ -238,12 +237,7 @@ class TestBounds:
 
     def test_low_below_high_enforced(self):
         with pytest.raises(ValueError):
-            ParamBounds.coarse().with_interval("delta", 0.5, 0.5)
-
-    def test_mid_params(self):
-        mid = ParamBounds.coarse().mid_params()
-        assert mid.beta_a == 0.5
-        assert mid.alpha_a == pytest.approx(50.5)
+            ParamBounds({**ParamBounds.coarse().intervals, "delta": (0.5, 0.5)})
 
 
 class TestTrainingPairs:
@@ -298,14 +292,11 @@ class TestGlobalTraining:
         for key, interval in calibrate.DOMAIN_INTERVALS.items():
             assert bounds.intervals[key] == interval
 
-    def test_flat_sweep_warns_and_keeps_full_interval(self, small_sets, archetypes,
-                                                      monkeypatch):
+    def test_flat_sweep_keeps_full_interval(self, small_sets, archetypes, monkeypatch):
         monkeypatch.setattr(calibrate, "population_fitness",
                             lambda pmat, pairs:
                             np.zeros(np.atleast_2d(pmat).shape[0]))
-        with pytest.warns(UserWarning):
-            bounds = global_training(archetypes, small_sets,
-                                     ParamBounds.coarse(), SMALL_DE)
+        bounds = global_training(archetypes, small_sets, ParamBounds.coarse(), SMALL_DE)
         assert bounds.intervals["delta"] == ParamBounds.coarse().intervals["delta"]
 
 
@@ -325,8 +316,9 @@ class TestLocalTraining:
         for archetype, params in sp.fields:
             pairs = training_pairs_for_field(archetype.enumeration, by_enum,
                                              archetype.samples)
+            mid = [0.5 * (lo + hi) for lo, hi in bounds.as_pairs()]
             assert (population_fitness(params.to_vector(), pairs)[0]
-                    < population_fitness(bounds.mid_params().to_vector(), pairs)[0])
+                    < population_fitness(mid, pairs)[0])
 
     def test_margin_on_held_out_perturbations(self, trained, archetypes):
         _, sp, _ = trained
@@ -385,6 +377,10 @@ class TestPatternTrainingSets:
             with pytest.raises(ValueError, match="pattern_per_class"):
                 self.sets(per_class)
 
+    def test_all_flagged_days_rejected(self):
+        with pytest.raises(ValueError, match="no day is unflagged"):
+            pattern_training_sets(["w0", "e0"], ["W", "E"], [True, True], 4)
+
 
 class TestPatternTraining:
     def make_levels(self, seed):
@@ -415,26 +411,24 @@ class TestPatternTraining:
 
 class TestThresholds:
     def test_separable_indices_reach_full_accuracy(self):
-        entries = []
         rng = np.random.default_rng(0)
-        for letter in "WEL":
-            entries += [(letter, float(rng.uniform(0.0, 0.2)), False)
-                        for _ in range(20)]
-            entries += [(letter, float(rng.uniform(0.6, 1.0)), True)
-                        for _ in range(3)]
-        thresholds, accuracy = tune_thresholds(entries, DeConfig(seed=5))
+        days = []  # (class index, anomaly index, flag)
+        for k in range(3):
+            days += [(k, float(rng.uniform(0.0, 0.2)), False) for _ in range(20)]
+            days += [(k, float(rng.uniform(0.6, 1.0)), True) for _ in range(3)]
+        thresholds, accuracy = tune_thresholds(*zip(*days), DeConfig(seed=5))
         assert accuracy == 1.0
-        for letter in "WEL":
-            top_normal = max(v for c, v, f in entries if c == letter and not f)
-            low_anomaly = min(v for c, v, f in entries if c == letter and f)
+        for k, letter in enumerate("WEL"):
+            top_normal = max(v for c, v, f in days if c == k and not f)
+            low_anomaly = min(v for c, v, f in days if c == k and f)
             assert top_normal <= thresholds[letter] < low_anomaly
 
     def test_all_normal_days(self):
-        entries = [(letter, 0.1, False) for letter in "WEL" for _ in range(4)]
-        _, accuracy = tune_thresholds(entries, DeConfig(seed=6))
+        class_idx = np.repeat([0, 1, 2], 4)
+        _, accuracy = tune_thresholds(class_idx, np.full(12, 0.1), np.zeros(12, bool),
+                                      DeConfig(seed=6))
         assert accuracy == 1.0
 
     def test_missing_class_rejected(self):
-        entries = [("W", 0.1, False), ("E", 0.2, True)]
-        with pytest.raises(ValueError):
-            tune_thresholds(entries, SMALL_DE)
+        with pytest.raises(ValueError, match=r"\['L'\]"):
+            tune_thresholds([0, 1], [0.1, 0.2], [False, True], SMALL_DE)

@@ -596,6 +596,18 @@ class TestTrainClassifyCompare:
         assert named in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
+    def test_all_flagged_labels_exit_2_naming_the_cause(self, workspace, capsys):
+        config, out = workspace
+        run(config, "synth", "--kind", "year", "--days", "42", "--anomalies", "9")
+        labels = out / "labels.csv"
+        labels.write_text(labels.read_text(encoding="utf-8").replace(",0,", ",1,"),
+                          encoding="utf-8")
+        before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        capsys.readouterr()
+        assert run(config, "train") == 2
+        assert "error: no day is unflagged" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
+
     @pytest.mark.parametrize("name, old, new, named", [
         ("sp.ini", "epsilon", "epsilonn", "[Asleep] has no epsilon"),
         ("sp.ini", "delta = ", "delta = x", "[Asleep] delta = 'x"),
@@ -665,6 +677,22 @@ class TestTrainClassifyCompare:
         assert len(matrix[0].split(",")) == 43
         assert run(config, "classify") == 0
         assert (out / "report.csv").read_text() == report
+
+    def test_classify_names_each_class_short_of_representatives(self, trained, capsys):
+        # 42 days cannot give any class 40 representatives
+        config, out = trained
+        text = config.read_text(encoding="utf-8")
+        config.write_text(text.replace("representatives = 3", "representatives = 40"),
+                          encoding="utf-8")
+        capsys.readouterr()
+        assert run(config, "classify") == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert captured.err == "" and lines[0].startswith("classify: accuracy")
+        assert [re.sub(r"has \d+ ", "has n ", ln) for ln in lines[1:]] == [
+            f"classify: SRF class {name} has n representatives, "
+            "fewer than [training] representatives = 40"
+            for name in ("Working", "Entertainment", "Leisure")]
 
     def test_classify_without_pattern_exits_3(self, trained, capsys):
         config, out = trained

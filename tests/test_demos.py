@@ -41,17 +41,21 @@ def test_perceptron_levels_demo_orders_the_archetypes():
     assert levels == sorted(levels) and len(set(levels)) == 7
 
 
-def test_anomaly_demo_flags_only_injected_days():
-    text = run_demo("05_anomaly_detection.py")
+@pytest.fixture(scope="module")
+def anomaly_demo():
+    """One run of the anomaly demo, its SRF report and the baseline table."""
+    return run_demo("05_anomaly_detection.py")
+
+
+def test_anomaly_demo_flags_only_injected_days(anomaly_demo):
     flagged = re.findall(r"^  \d{4}-\d{2}-\d{2} .* index \d+\.\d+ \[(.+)\]$",
-                         text, re.MULTILINE)
+                         anomaly_demo, re.MULTILINE)
     assert flagged and "?" not in flagged  # [?] marks a false positive
 
 
-def test_baseline_demo_srf_is_at_least_as_accurate_as_the_distances():
-    text = run_demo("06_baseline_comparison.py")
+def test_baseline_demo_srf_is_at_least_as_accurate_as_the_distances(anomaly_demo):
     accuracy = {label: float(value) for label, value in re.findall(
-        r"^  (SRF|DTW|Frechet) +accuracy (\d\.\d+) ", text, re.MULTILINE)}
+        r"^  (SRF|DTW|Frechet) +accuracy (\d\.\d+) ", anomaly_demo, re.MULTILINE)}
     assert set(accuracy) == {"SRF", "DTW", "Frechet"}
     assert accuracy["SRF"] >= max(accuracy["DTW"], accuracy["Frechet"])
 

