@@ -1,7 +1,9 @@
 """Batch commands: synth, ingest, hotspots, extract, train, classify, compare,
-plotdata. Commands read prior stage outputs from the --out directory and return
-their documented files, which main writes there all or none; exit codes are 0
-success, 1 internal error, 2 input-format error, 3 missing upstream artifact."""
+plotdata. ``COMMANDS`` gives each its readers of prior stage outputs in the
+--out directory and its compute; main runs every reader before the compute, so
+an input error exits before any DE generation, trail step or matrix, and
+writes the returned files all or none. Exit codes are 0 success, 1 internal
+error, 2 input-format error, 3 missing upstream artifact."""
 
 from __future__ import annotations
 
@@ -12,11 +14,7 @@ import sys
 from pathlib import Path
 
 from . import synth
-from .anomaly import (
-    classification_run,
-    expected_class_for,
-    similarity_matrix,
-)
+from .anomaly import classification_run, expected_class_for, similarity_matrix
 from .baseline import baseline_matrix
 from .calibrate import pattern_training_sets, train_pattern_field, train_perceptron
 from .config import ENV_CONFIG_VAR, PipelineConfig, history_csv, load_config
@@ -27,7 +25,7 @@ from .ingest import BucketGrid, bucketize, hotspot_activity, parse_trips, \
 from .perceptron import load_sp, params_from_config, params_to_config, sp_ini, \
     transform_many
 from .series import CLASS_NAMES, framed_csv, iso_date, read_artifact, read_framed_csv, \
-    series_from_csv, series_to_csv, write_artifact, write_artifacts
+    series_from_csv, series_to_csv, write_artifacts
 from .srf import final_trail
 from .stigspace import CELL_CENTERS, Trail2D, to_ascii_grid
 
@@ -39,101 +37,26 @@ EXIT_MISSING = 3
 REPORT_HEADER = "day_id,class,anomaly_index,threshold,verdict"
 
 
-# --- synth -------------------------------------------------------------------
+# --- readers -----------------------------------------------------------------
+# Each takes (cfg, args) and returns one input of a command, read and checked.
+# They alone read files, so a bad input exits before any compute starts.
 
-def cmd_synth(cfg: PipelineConfig, args):
-    out, files, lines = cfg.out_dir, {}, []
-    kinds = {"year", "trips"} if args.kind == "all" else {args.kind}
-    if "year" in kinds:
-        year = synth.synthetic_year(
-            n_days=args.days, anomaly_count=args.anomalies,
-            length=cfg.day_length, seed=cfg.stage_seed("synth:year"),
-            hotspot_id=args.hotspot)
-        for day in year.days:
-            day = dataclasses.replace(day, resolution_minutes=cfg.resolution_minutes)
-            files[out / "series" / args.hotspot / f"{day.day_id}.csv"] = series_to_csv(day)
-        files[out / "labels.csv"] = year.labels_csv()
-        lines.append(f"synth: wrote {len(year.days)} days "
-                     f"({sum(year.anomaly_flags)} anomalous) under {out / 'series'}")
-    if "trips" in kinds:
-        text = synth.planted_trips_csv(cfg.box, n_valid=args.valid_rows,
-                                       n_invalid=args.invalid_rows,
-                                       seed=cfg.stage_seed("synth:trips"))
-        files[out / "trips.csv"] = text
-        lines.append(f"synth: wrote {out / 'trips.csv'}")
-    return files, lines
+def _file(name: str, parse):
+    return lambda cfg, args: read_artifact(cfg.out_dir / name, parse)
 
 
-# --- ingest ------------------------------------------------------------------
-
-def cmd_ingest(cfg: PipelineConfig, args):
+def _read_trips(cfg: PipelineConfig, args):
     trips = Path(args.trips) if args.trips else (cfg.trips_path or cfg.out_dir / "trips.csv")
-    records, rejections = read_artifact(trips, lambda p: parse_trips(p, cfg.box),
-                                        stream=True)
-    grid = bucketize(records, cfg.box, cfg.bucket_cell_m, cfg.bucket_minutes)
-    files = {cfg.out_dir / "buckets.csv": grid.to_csv(),
-             cfg.out_dir / "rejections.csv": rejections_to_csv(rejections)}
-    return files, [f"ingest: {len(records)} accepted, {len(rejections)} rejected, "
-                   f"archive {cfg.out_dir / 'buckets.csv'}"]
+    return read_artifact(trips, lambda p: parse_trips(p, cfg.box), stream=True)
 
 
-# --- hotspots ----------------------------------------------------------------
-
-def _slot_trails(cfg: PipelineConfig, grid: BucketGrid) -> dict[TimeSlot, Trail2D]:
-    hs = cfg.hotspots
-    template = Trail2D.for_box(cfg.box.width_m, cfg.box.height_m, hs.trail_cell_m)
-    cone = ConeMark((0.0, 0.0), 1.0, hs.cone_base_radius_m, hs.cone_top_radius_m)
-    batches = slot_event_batches(grid)
-    return {slot: build_slot_trail(batches[slot], hs.trail_delta, template,
-                                   cone=cone, smooth_alpha=hs.smooth_alpha,
-                                   smooth_beta=hs.smooth_beta,
-                                   count_cap=hs.count_cap)
-            for slot in TimeSlot}
+def _read_sp(cfg: PipelineConfig, args):
+    return load_sp(cfg.out_dir / "sp.ini", cfg.day_length)
 
 
-def cmd_hotspots(cfg: PipelineConfig, args):
-    grid = read_artifact(cfg.out_dir / "buckets.csv", BucketGrid.from_csv)
-    trails, files = _slot_trails(cfg, grid), {}
-    for slot, trail in trails.items():
-        files[cfg.out_dir / "trails" / f"{slot.value}.asc"] = to_ascii_grid(trail)
-        mask = relevance_mask(trail, cfg.hotspots.relevance_fraction)
-        files[cfg.out_dir / "masks" / f"{slot.value}.asc"] = to_ascii_grid(
-            Trail2D(mask.astype(float), trail.origin, trail.cell_size))
-    found = extract_hotspots(trails, cfg.hotspots.relevance_fraction,
-                             cfg.hotspots.min_area_km2)
-    files[cfg.out_dir / "hotspots.geojson"] = hotspots_to_geojson(found)
-    return files, [f"hotspots: {len(found)} polygon(s) -> {cfg.out_dir / 'hotspots.geojson'}"]
+_read_grid = _file("buckets.csv", BucketGrid.from_csv)
+_read_pattern = _file("pattern.ini", lambda text: params_from_config(text, ["pattern"])["pattern"])
 
-
-# --- extract -----------------------------------------------------------------
-
-def _same_bytes(path: Path, text: str) -> bool | None:
-    """Whether ``path`` holds ``text``'s UTF-8 bytes; None if nothing is there."""
-    try:
-        return path.read_bytes() == text.encode("utf-8")
-    except FileNotFoundError:
-        return None
-    except (IsADirectoryError, NotADirectoryError):
-        return False
-
-
-def cmd_extract(cfg: PipelineConfig, args):
-    grid = read_artifact(cfg.out_dir / "buckets.csv", BucketGrid.from_csv)
-    found = read_artifact(cfg.out_dir / "hotspots.geojson", hotspots_from_geojson)
-    targets = {cfg.out_dir / "series" / h.id / f"{day}.csv":
-               series_to_csv(hotspot_activity(grid, h, day, cfg.resolution_minutes))
-               for h in found for day in grid.days()}
-    # A rerun rewrites the same bytes; anything else there, a directory at the
-    # path or a regular file above it too, belongs to another source (synth
-    # writes its year under series/<hotspot>).
-    for path, text in targets.items():
-        if _same_bytes(path, text) is False:
-            raise ValueError(f"{path} exists with other contents; "
-                             "extract would overwrite it")
-    return targets, [f"extract: {len(targets)} series under {cfg.out_dir / 'series'}"]
-
-
-# --- train -------------------------------------------------------------------
 
 def _load_series_dir(cfg: PipelineConfig, hotspot_id: str | None):
     root = cfg.out_dir / "series"
@@ -166,10 +89,10 @@ def _load_series_dir(cfg: PipelineConfig, hotspot_id: str | None):
     return days
 
 
-def _labelled_days(cfg: PipelineConfig, hotspot_id: str | None):
+def _read_labelled_days(cfg: PipelineConfig, args):
     """One hotspot's days, with each day's weekday class and whether
     ``labels.csv`` flags it anomalous; every day needs its row there."""
-    days = _load_series_dir(cfg, hotspot_id)
+    days = _load_series_dir(cfg, args.hotspot)
     path = cfg.out_dir / "labels.csv"
     flags = read_artifact(path, synth.parse_labels_csv)
     unlabelled = next((s.day_id for s in days if s.day_id not in flags), None)
@@ -179,11 +102,108 @@ def _labelled_days(cfg: PipelineConfig, hotspot_id: str | None):
     return days, classes, [flags[s.day_id] for s in days]
 
 
-def cmd_train(cfg: PipelineConfig, args):
+def _absent(cfg: PipelineConfig) -> list[str]:
+    return [str(p) for p in (cfg.out_dir / "series", cfg.out_dir / "labels.csv")
+            if not p.exists()]
+
+
+def _read_pattern_days(cfg: PipelineConfig, args):
+    """The pattern field's training days by class, or None to skip the field
+    when series/ or labels.csv is absent."""
+    if _absent(cfg):
+        return None
+    days, classes, flags = _read_labelled_days(cfg, args)
+    try:
+        return pattern_training_sets(days, classes, flags, cfg.training.pattern_per_class)
+    except ValueError as exc:
+        raise ValueError(f"{cfg.out_dir / 'labels.csv'}: {exc}") from None
+
+
+# --- commands ---------------------------------------------------------------
+
+def cmd_synth(cfg: PipelineConfig, args):
+    out, files, lines = cfg.out_dir, {}, []
+    kinds = {"year", "trips"} if args.kind == "all" else {args.kind}
+    if "year" in kinds:
+        year = synth.synthetic_year(
+            n_days=args.days, anomaly_count=args.anomalies,
+            length=cfg.day_length, seed=cfg.stage_seed("synth:year"),
+            hotspot_id=args.hotspot)
+        for day in year.days:
+            day = dataclasses.replace(day, resolution_minutes=cfg.resolution_minutes)
+            files[out / "series" / args.hotspot / f"{day.day_id}.csv"] = series_to_csv(day)
+        files[out / "labels.csv"] = year.labels_csv()
+        lines.append(f"synth: wrote {len(year.days)} days "
+                     f"({sum(year.anomaly_flags)} anomalous) under {out / 'series'}")
+    if "trips" in kinds:
+        text = synth.planted_trips_csv(cfg.box, n_valid=args.valid_rows,
+                                       n_invalid=args.invalid_rows,
+                                       seed=cfg.stage_seed("synth:trips"))
+        files[out / "trips.csv"] = text
+        lines.append(f"synth: wrote {out / 'trips.csv'}")
+    return files, lines
+
+
+def cmd_ingest(cfg: PipelineConfig, args, trips):
+    records, rejections = trips
+    grid = bucketize(records, cfg.box, cfg.bucket_cell_m, cfg.bucket_minutes)
+    files = {cfg.out_dir / "buckets.csv": grid.to_csv(),
+             cfg.out_dir / "rejections.csv": rejections_to_csv(rejections)}
+    return files, [f"ingest: {len(records)} accepted, {len(rejections)} rejected, "
+                   f"archive {cfg.out_dir / 'buckets.csv'}"]
+
+
+def _slot_trails(cfg: PipelineConfig, grid: BucketGrid) -> dict[TimeSlot, Trail2D]:
+    hs = cfg.hotspots
+    template = Trail2D.for_box(cfg.box.width_m, cfg.box.height_m, hs.trail_cell_m)
+    cone = ConeMark((0.0, 0.0), 1.0, hs.cone_base_radius_m, hs.cone_top_radius_m)
+    batches = slot_event_batches(grid)
+    return {slot: build_slot_trail(batches[slot], hs.trail_delta, template,
+                                   cone=cone, smooth_alpha=hs.smooth_alpha,
+                                   smooth_beta=hs.smooth_beta,
+                                   count_cap=hs.count_cap)
+            for slot in TimeSlot}
+
+
+def cmd_hotspots(cfg: PipelineConfig, args, grid):
+    trails, files = _slot_trails(cfg, grid), {}
+    for slot, trail in trails.items():
+        files[cfg.out_dir / "trails" / f"{slot.value}.asc"] = to_ascii_grid(trail)
+        mask = relevance_mask(trail, cfg.hotspots.relevance_fraction)
+        files[cfg.out_dir / "masks" / f"{slot.value}.asc"] = to_ascii_grid(
+            Trail2D(mask.astype(float), trail.origin, trail.cell_size))
+    found = extract_hotspots(trails, cfg.hotspots.relevance_fraction,
+                             cfg.hotspots.min_area_km2)
+    files[cfg.out_dir / "hotspots.geojson"] = hotspots_to_geojson(found)
+    return files, [f"hotspots: {len(found)} polygon(s) -> {cfg.out_dir / 'hotspots.geojson'}"]
+
+
+def _same_bytes(path: Path, text: str) -> bool | None:
+    """Whether ``path`` holds ``text``'s UTF-8 bytes; None if nothing is there."""
+    try:
+        return path.read_bytes() == text.encode("utf-8")
+    except FileNotFoundError:
+        return None
+    except (IsADirectoryError, NotADirectoryError):
+        return False
+
+
+def cmd_extract(cfg: PipelineConfig, args, grid, found):
+    targets = {cfg.out_dir / "series" / h.id / f"{day}.csv":
+               series_to_csv(hotspot_activity(grid, h, day, cfg.resolution_minutes))
+               for h in found for day in grid.days()}
+    # A rerun rewrites the same bytes; anything else there, a directory at the
+    # path or a regular file above it too, belongs to another source (synth
+    # writes its year under series/<hotspot>).
+    for path, text in targets.items():
+        if _same_bytes(path, text) is False:
+            raise ValueError(f"{path} exists with other contents; "
+                             "extract would overwrite it")
+    return targets, [f"extract: {len(targets)} series under {cfg.out_dir / 'series'}"]
+
+
+def cmd_train(cfg: PipelineConfig, args, pattern_days):
     out, length = cfg.out_dir, cfg.day_length
-    # Resolve the pattern field's days first, so bad series fail before any DE runs.
-    absent = [str(p) for p in (out / "series", out / "labels.csv") if not p.exists()]
-    labelled = None if absent else _labelled_days(cfg, args.hotspot)
     sets = synth.archetype_training_sets(length, cfg.training.per_class,
                                          cfg.training.noise, cfg.training.max_shift,
                                          seed=cfg.stage_seed("sp-train"))
@@ -194,17 +214,16 @@ def cmd_train(cfg: PipelineConfig, args):
     d_lo, d_hi = bounds.intervals["delta"]
     lines = [f"train: perceptron saved to {out / 'sp.ini'} "
              f"(evaporation interval [{d_lo:.4g}, {d_hi:.4g}])"]
-
-    if labelled is None:
+    if pattern_days is None:
+        absent = _absent(cfg)
         # a pattern field trained on another sp.ini would outlive it
         if (out / "pattern.ini").exists() and not _same_bytes(out / "sp.ini", files[out / "sp.ini"]):
             raise ValueError(f"train would leave {out / 'pattern.ini'} trained on another "
                              f"sp.ini: no {' or '.join(absent)} to retrain it on")
         lines.append(f"train: no {' or '.join(absent)}, skipping pattern-field training")
         return files, lines
-    days, classes, flags = labelled
-    by_class = pattern_training_sets(transform_many(sp, days), classes, flags,
-                                     cfg.training.pattern_per_class)
+    levels = iter(transform_many(sp, [d for days in pattern_days.values() for d in days]))
+    by_class = {c: [next(levels) for _ in days] for c, days in pattern_days.items()}
     params, history = train_pattern_field(by_class, bounds, cfg.de_for("pattern"))
     files[out / "pattern.ini"] = params_to_config({"pattern": params})
     files[out / "history" / "pattern.csv"] = history_csv(history)
@@ -212,25 +231,19 @@ def cmd_train(cfg: PipelineConfig, args):
     return files, lines
 
 
-# --- classify / compare -------------------------------------------------------
-
-def _classification_run(cfg: PipelineConfig, inputs, matrix_fn, de_stage: str):
-    levels, classes, flags = inputs
-    return classification_run(levels, classes, flags, matrix_fn=matrix_fn,
-                              de_cfg=cfg.de_for(de_stage),
-                              reps_k=cfg.training.representatives,
-                              cluster_seed=cfg.stage_seed("fcm"))
-
-
-def _srf_run(cfg: PipelineConfig, args):
-    """The classification inputs and their run with the trained pattern field."""
-    days, classes, flags = _labelled_days(cfg, args.hotspot)
-    inputs = (transform_many(load_sp(cfg.out_dir / "sp.ini", cfg.day_length), days),
-              classes, flags)
-    pattern = read_artifact(cfg.out_dir / "pattern.ini", lambda text: params_from_config(
-        text, ["pattern"])["pattern"])
-    return inputs, _classification_run(
-        cfg, inputs, lambda pats: similarity_matrix(pats, pattern), "thresholds")
+def _runs(cfg: PipelineConfig, labelled, sp, pattern, baselines=()):
+    """The SRF run with the trained pattern field, then one per baseline, by label."""
+    days, classes, flags = labelled
+    levels = transform_many(sp, days)
+    matrix_fns = {"SRF": (lambda pats: similarity_matrix(pats, pattern), "thresholds")}
+    for method, label in baselines:
+        matrix_fns[label] = (lambda pats, m=method: baseline_matrix(pats, m),
+                             f"thresholds:{method}")
+    return {label: classification_run(levels, classes, flags, matrix_fn=fn,
+                                      de_cfg=cfg.de_for(stage),
+                                      reps_k=cfg.training.representatives,
+                                      cluster_seed=cfg.stage_seed("fcm"))
+            for label, (fn, stage) in matrix_fns.items()}
 
 
 def _shortfalls(cfg: PipelineConfig, command: str, runs) -> list[str]:
@@ -247,8 +260,8 @@ def report_csv(report) -> str:
                                       for r in report.records))
 
 
-def cmd_classify(cfg: PipelineConfig, args):
-    _, report = _srf_run(cfg, args)
+def cmd_classify(cfg: PipelineConfig, args, labelled, sp, pattern):
+    report = _runs(cfg, labelled, sp, pattern)["SRF"]
     files = {cfg.out_dir / "report.csv": report_csv(report),
              cfg.out_dir / "matrix.csv": report.matrix.to_csv()}
     return files, [f"classify: accuracy {report.accuracy:.4f}, correlation "
@@ -256,13 +269,8 @@ def cmd_classify(cfg: PipelineConfig, args):
                    *_shortfalls(cfg, "classify", {"SRF": report})]
 
 
-def cmd_compare(cfg: PipelineConfig, args):
-    inputs, srf = _srf_run(cfg, args)
-    runs = {"SRF": srf}
-    for method, label in (("dtw", "DTW"), ("frechet", "Frechet")):
-        runs[label] = _classification_run(
-            cfg, inputs, lambda pats: baseline_matrix(pats, method),
-            f"thresholds:{method}")
+def cmd_compare(cfg: PipelineConfig, args, labelled, sp, pattern):
+    runs = _runs(cfg, labelled, sp, pattern, (("dtw", "DTW"), ("frechet", "Frechet")))
     files = {cfg.out_dir / "accuracy.csv": framed_csv("method,accuracy,correlation", (
         f"{label},{r.accuracy:.12g},{r.correlation:.12g}" for label, r in runs.items()))}
     return files, ["compare: " + ", ".join(
@@ -270,73 +278,65 @@ def cmd_compare(cfg: PipelineConfig, args):
         *_shortfalls(cfg, "compare", runs)]
 
 
-# --- plotdata ----------------------------------------------------------------
-
-def _archetype_trail_rows(cfg: PipelineConfig) -> str:
-    sp = load_sp(cfg.out_dir / "sp.ini", cfg.day_length)
-    trails = [(a.name, final_trail(a.samples, p)) for a, p in sp.fields]
-    return framed_csv("archetype,cell_index,cell_center,intensity", (
-        f"{name},{i},{center:.6g},{value:.6g}" for name, trail in trails
-        for i, (center, value) in enumerate(zip(CELL_CENTERS, trail))))
-
-
-def _scatter_csv(report: str) -> str:
-    """The plotdata scatter rows of a ``report_csv`` text."""
-    _, _, _, rows, _ = read_framed_csv(report, "report", REPORT_HEADER)
-    fields = (row.split(",") for row in rows)
-    return framed_csv("day_index,day_id,anomaly_index,verdict,threshold", (
-        f"{i},{day_id},{index},{verdict},{threshold}"
-        for i, (day_id, _, index, threshold, verdict) in enumerate(fields)))
-
-
-def cmd_plotdata(cfg: PipelineConfig, args):
+def cmd_plotdata(cfg: PipelineConfig, args, report, matrix, sp):
     plots = cfg.out_dir / "plotdata"
-    files = {plots / "scatter.csv": read_artifact(cfg.out_dir / "report.csv", _scatter_csv),
-             plots / "matrix.csv": read_artifact(cfg.out_dir / "matrix.csv", str),
-             plots / "trail_snapshots.csv": _archetype_trail_rows(cfg)}
+    fields = (row.split(",") for row in report)
+    trails = [(a.name, final_trail(a.samples, p)) for a, p in sp.fields]
+    files = {plots / "scatter.csv": framed_csv(
+                 "day_index,day_id,anomaly_index,verdict,threshold",
+                 (f"{i},{day_id},{index},{verdict},{threshold}"
+                  for i, (day_id, _, index, threshold, verdict) in enumerate(fields))),
+             plots / "matrix.csv": matrix,
+             plots / "trail_snapshots.csv": framed_csv(
+                 "archetype,cell_index,cell_center,intensity",
+                 (f"{name},{i},{center:.6g},{value:.6g}" for name, trail in trails
+                  for i, (center, value) in enumerate(zip(CELL_CENTERS, trail))))}
     return files, [f"plotdata: bundles under {plots}"]
 
 
 # --- entry point ---------------------------------------------------------------
 
+SRF_READERS = {"labelled": _read_labelled_days, "sp": _read_sp, "pattern": _read_pattern}
+# name: (help, compute, {input name: reader}); main calls the readers in order,
+# then the compute on their results, then writes the files it returns
+COMMANDS = {
+    "synth": ("generate synthetic inputs", cmd_synth, {}),
+    "ingest": ("parse and bucketize a trip CSV", cmd_ingest, {"trips": _read_trips}),
+    "hotspots": ("build slot trails and extract hotspots", cmd_hotspots, {"grid": _read_grid}),
+    "extract": ("extract per-hotspot daily activity series", cmd_extract,
+                {"grid": _read_grid, "found": _file("hotspots.geojson", hotspots_from_geojson)}),
+    "train": ("train the perceptron and pattern field", cmd_train,
+              {"pattern_days": _read_pattern_days}),
+    "classify": ("score days and tune thresholds", cmd_classify, SRF_READERS),
+    "compare": ("accuracy table for SRF, DTW, Frechet", cmd_compare, SRF_READERS),
+    "plotdata": ("emit plot-ready CSV bundles", cmd_plotdata, {
+        "report": _file("report.csv", lambda text: read_framed_csv(
+            text, "report", REPORT_HEADER)[3]),
+        "matrix": _file("matrix.csv", str), "sp": _read_sp}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="citytrails")
-    parser.add_argument("--config", help="pipeline config file "
-                        f"(or ${ENV_CONFIG_VAR})")
+    parser.add_argument("--config", help=f"pipeline config file (or ${ENV_CONFIG_VAR})")
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--out", help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, handler, text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = command("synth", cmd_synth, "generate synthetic inputs")
-    p.add_argument("--kind", choices=("year", "trips", "all"),
-                   default="all")
-    p.add_argument("--days", type=int, default=364)
-    p.add_argument("--anomalies", type=int, default=20)
-    p.add_argument("--valid-rows", type=int, default=2000)
-    p.add_argument("--invalid-rows", type=int, default=100)
-    p.add_argument("--hotspot", default="D")
-
-    p = command("ingest", cmd_ingest, "parse and bucketize a trip CSV")
-    p.add_argument("--trips", help="trip CSV path (default: config or out/trips.csv)")
-
-    command("hotspots", cmd_hotspots, "build slot trails and extract hotspots")
-    command("extract", cmd_extract, "extract per-hotspot daily activity series")
-    for name, handler, text in (
-            ("train", cmd_train, "train the perceptron and pattern field"),
-            ("classify", cmd_classify, "score days and tune thresholds"),
-            ("compare", cmd_compare, "accuracy table for SRF, DTW, Frechet")):
-        command(name, handler, text).add_argument("--hotspot", default=None)
-    command("plotdata", cmd_plotdata, "emit plot-ready CSV bundles")
+    p = {name: sub.add_parser(name, help=text) for name, (text, _, _) in COMMANDS.items()}
+    p["synth"].add_argument("--kind", choices=("year", "trips", "all"), default="all")
+    for flag, default in (("--days", 364), ("--anomalies", 20), ("--valid-rows", 2000),
+                          ("--invalid-rows", 100)):
+        p["synth"].add_argument(flag, type=int, default=default)
+    p["synth"].add_argument("--hotspot", default="D")
+    p["ingest"].add_argument("--trips", help="trip CSV path (default: config or out/trips.csv)")
+    for name in ("train", "classify", "compare"):
+        p[name].add_argument("--hotspot", default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, compute, readers = COMMANDS[args.command]
     try:
         if getattr(args, "hotspot", None) is not None:
             check_hotspot_id(args.hotspot)
@@ -345,8 +345,8 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, master_seed=args.seed)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out_dir=Path(args.out))
-        write_artifact(cfg.out_dir)
-        files, lines = args.handler(cfg, args)
+        inputs = {name: read(cfg, args) for name, read in readers.items()}
+        files, lines = compute(cfg, args, **inputs)
         write_artifacts(files)
         print(*lines, sep="\n")
         return EXIT_OK

@@ -232,7 +232,7 @@ class BucketGrid:
         return int(self.counts.sum())
 
     def days(self) -> list[str]:
-        return np.unique(self.day).tolist()
+        return list(dict.fromkeys(self.day.tolist()))  # the column is sorted by day
 
     def to_csv(self) -> str:
         meta = {**vars(self.box), "cell_m": self.cell_m,

@@ -1,6 +1,10 @@
 import hashlib
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +64,30 @@ def workspace(tmp_path):
 
 def run(config, *args):
     return main(["--config", str(config), *args])
+
+
+# what a command computes: none of it may run once an input fails its check
+COMPUTE = ("de_minimize", "transform_many", "similarity_matrix", "baseline_matrix",
+           "build_slot_trail", "hotspot_activity", "final_trail")
+
+
+def _counting(name, fn, calls):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.fixture()
+def compute_calls(monkeypatch):
+    """The COMPUTE functions called, by name, wherever the package calls them from."""
+    calls = []
+    for module in [m for name, m in sys.modules.items() if name.startswith("citytrails")]:
+        for name in COMPUTE:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    _counting(name, getattr(module, name), calls))
+    return calls
 
 
 class TestSynth:
@@ -167,6 +195,13 @@ class TestIngest:
     def test_missing_trips_exits_3(self, workspace):
         config, _ = workspace
         assert run(config, "ingest") == 3
+
+    @pytest.mark.parametrize("command", ["ingest", "hotspots", "extract", "classify",
+                                         "compare", "plotdata"])
+    def test_missing_input_leaves_no_out_directory(self, workspace, compute_calls, command):
+        config, out = workspace
+        assert run(config, command) == 3
+        assert not out.exists() and compute_calls == []
 
     def test_ingest_writes_archive_and_log(self, workspace):
         config, out = workspace
@@ -503,6 +538,22 @@ class TestSpatialPipeline:
         assert values == pytest.approx(expected, abs=1e-11)
 
 
+def test_trip_path_never_loads_numpy_ma(workspace):
+    # a bare np.unique imports numpy.ma, about 1.7 MiB of peak RSS that no
+    # step of synth -> ingest -> hotspots -> extract needs
+    config, _ = workspace
+    stages = [["synth", "--kind", "trips"], ["ingest"], ["hotspots"], ["extract"]]
+    script = ("import sys\nfrom citytrails.cli import main\n"
+              f"for args in {stages!r}:\n"
+              f"    assert main(['--config', {str(config)!r}, *args]) == 0, args\n"
+              "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 class TestTrainClassifyCompare:
     @pytest.fixture()
     def trained(self, workspace):
@@ -596,7 +647,8 @@ class TestTrainClassifyCompare:
         assert named in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
-    def test_all_flagged_labels_exit_2_naming_the_cause(self, workspace, capsys):
+    def test_all_flagged_labels_exit_2_naming_the_cause(self, workspace, capsys,
+                                                        compute_calls):
         config, out = workspace
         run(config, "synth", "--kind", "year", "--days", "42", "--anomalies", "9")
         labels = out / "labels.csv"
@@ -605,7 +657,8 @@ class TestTrainClassifyCompare:
         before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
         capsys.readouterr()
         assert run(config, "train") == 2
-        assert "error: no day is unflagged" in capsys.readouterr().err
+        assert f"error: {labels}: no day is unflagged" in capsys.readouterr().err
+        assert compute_calls == []
         assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
 
     @pytest.mark.parametrize("name, old, new, named", [
@@ -801,7 +854,7 @@ class TestExitCodes:
         def boom(cfg, args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "cmd_synth", boom)
+        monkeypatch.setitem(cli.COMMANDS, "synth", ("", boom, {}))
         assert run(config, "synth") == 1
 
     def test_key_error_is_internal_not_malformed_input(self, workspace, monkeypatch,
@@ -813,7 +866,7 @@ class TestExitCodes:
         def lookup_fails(cfg, args):
             raise KeyError("day")
 
-        monkeypatch.setattr(cli, "cmd_synth", lookup_fails)
+        monkeypatch.setitem(cli.COMMANDS, "synth", ("", lookup_fails, {}))
         capsys.readouterr()
         assert run(config, "synth") == 1
         assert "internal error" in capsys.readouterr().err
@@ -987,8 +1040,8 @@ def test_writing_what_was_read_gives_the_same_bytes(finished_run, pattern, read,
 @pytest.mark.parametrize("artifact, mutate, command, code, named",
                          READ_PROBES.values(), ids=READ_PROBES.keys())
 def test_bad_artifact_exits_2_or_3_naming_it_and_writing_nothing(
-        finished_run, tmp_path, monkeypatch, capsys, artifact, mutate, command, code,
-        named):
+        finished_run, tmp_path, monkeypatch, capsys, compute_calls, artifact, mutate,
+        command, code, named):
     monkeypatch.chdir(tmp_path)  # where a config's default [paths] out points
     out = tmp_path / "out"
     shutil.copytree(finished_run, out)
@@ -1005,6 +1058,7 @@ def test_bad_artifact_exits_2_or_3_naming_it_and_writing_nothing(
     assert str(path) in err and all(name in err for name in named), err
     assert sorted(tmp_path.rglob("*")) == before
     assert {p: p.read_bytes() for p in before if p.is_file()} == contents
+    assert compute_calls == []
 
 
 # (a path under out/ that blocks the command, a path removed beforehand so

@@ -82,6 +82,24 @@ def test_only_cli_main_writes():
     assert set(callers) == {"main"}
 
 
+def test_commands_read_no_file():
+    # main runs a command's readers before its compute, so a bad input exits
+    # before any compute starts; no cmd_* nor any function it calls may read
+    tree = ast.parse((Path(citytrails.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    calls = {fn.name: {getattr(node.func, "id", getattr(node.func, "attr", None))
+                       for node in ast.walk(fn) if isinstance(node, ast.Call)}
+             for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    reached, frontier = set(), [name for name in calls if name.startswith("cmd_")]
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            frontier += [c for c in calls[name] if c in calls]
+    assert len([name for name in reached if name.startswith("cmd_")]) == 8
+    assert sorted(name for name in reached
+                  if calls[name] & {"read_artifact", "load_sp", "_load_series_dir"}) == []
+
+
 def test_no_module_warns():
     # a warning prints the package's install path and a source line on
     # stderr; every fact is a return value that the CLI states in config terms
