@@ -196,13 +196,6 @@ class TestIngest:
         config, _ = workspace
         assert run(config, "ingest") == 3
 
-    @pytest.mark.parametrize("command", ["ingest", "hotspots", "extract", "classify",
-                                         "compare", "plotdata"])
-    def test_missing_input_leaves_no_out_directory(self, workspace, compute_calls, command):
-        config, out = workspace
-        assert run(config, command) == 3
-        assert not out.exists() and compute_calls == []
-
     def test_ingest_writes_archive_and_log(self, workspace):
         config, out = workspace
         run(config, "synth", "--kind", "trips", "--valid-rows", "300",
@@ -871,6 +864,13 @@ class TestExitCodes:
         assert run(config, "synth") == 1
         assert "internal error" in capsys.readouterr().err
         assert not (out / "series").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "hotspots", "extract", "classify",
+                                         "compare", "plotdata"])
+    def test_missing_input_leaves_no_out_directory(self, workspace, compute_calls, command):
+        config, out = workspace
+        assert run(config, command) == 3
+        assert not out.exists() and compute_calls == []
 
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.ini"), "synth"]) == 3
